@@ -162,7 +162,7 @@ def gradient_criterion(f: CatalogFunction, x: RelPoint, q, bits: int = 160) -> b
                 d = t1 - t2
                 sq = (d * d).rescale(2 * b)
                 terms_sq = sq if terms_sq is None else (terms_sq + sq).rescale(2 * b)
-            lhs = sqrt_iv(_clip_nonneg(terms_sq), b)
+            lhs = sqrt_iv(terms_sq.clip_nonneg(), b)
             kappa_iv = rQ.divide(Interval.from_fraction(abs(S), b + 16), b + 16)
             kt_iv = kappa_iv + Interval.from_fraction(1, b + 16)
             rhs = ((kt_iv * kt_iv).rescale(b + 16) * Interval.from_fraction(q, b + 16)).rescale(b + 16)
@@ -184,28 +184,14 @@ def gradient_criterion(f: CatalogFunction, x: RelPoint, q, bits: int = 160) -> b
             # x d(kappa)/dx = x cos/sin - x^2/sin^2  (up to the sign of kappa)
             x_over_s = xi.divide(s, b)
             lhs_iv = kappa_iv.rescale(b) - (x_over_s * x_over_s).rescale(b)
-            lhs = _iabs(lhs_iv)
-            kt_iv = _iabs(kappa_iv.rescale(b)) + Interval.from_fraction(1, b)
+            lhs = abs(lhs_iv)
+            kt_iv = abs(kappa_iv.rescale(b)) + Interval.from_fraction(1, b)
             rhs = ((kt_iv * kt_iv).rescale(b) * Interval.from_fraction(q, b)).rescale(b)
             verdict = _decide_le(lhs, rhs)
             if verdict is not None:
                 return verdict
         raise ArithmeticError("gradient criterion undecided at available precision")
     raise ValueError(f"no smooth condition-number formula registered for {f.id}")
-
-
-def _clip_nonneg(iv: Interval) -> Interval:
-    if iv.lo < 0:
-        return Interval(0, max(iv.hi, 0), iv.scale)
-    return iv
-
-
-def _iabs(iv: Interval) -> Interval:
-    if iv.lo >= 0:
-        return iv
-    if iv.hi <= 0:
-        return -iv
-    return Interval(0, max(-iv.lo, iv.hi), iv.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,6 @@ def sqrt_real(x: ExactReal) -> ExactReal:
     return CertifiedReal(lambda b: sqrt_iv(x.enclosure(b + 8), b))
 
 
-def _pow_real(x: ExactReal, j: int) -> ExactReal:
-    return x**j
-
-
 # ---------------------------------------------------------------------------
 # Catalog functions
 # ---------------------------------------------------------------------------
@@ -416,13 +412,13 @@ class Power(CatalogFunction):
         return self.j >= 0 or real_sign(xs[0]) != 0
 
     def exact(self, xs):
-        return (_pow_real(xs[0], self.j),)
+        return (xs[0] ** self.j,)
 
     def jacobian(self, xs):
         x = xs[0]
         if self.j == 0:
             return [[Fraction(0)]]
-        return [[self.j * _pow_real(x, self.j - 1)]]
+        return [[self.j * x ** (self.j - 1)]]
 
     def kappa_closed(self, xs, bits: int = 192):
         if real_sign(xs[0]) == 0:

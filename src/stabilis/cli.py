@@ -21,7 +21,7 @@ from .amenability import amenability_probe, excess_factor
 from .catalog import catalog_function
 from .condition import kappa_closed_form, kappa_jacobian, kappa_sampled
 from .harness import log_spaced, sine_experiment, strassen_experiment
-from .reals import CertifiedReal, ExactReal, PrecisionError, pi_real, real_to_float
+from .reals import CertifiedReal, ExactReal, PrecisionError, pi_real
 from .relmetric import RelPoint
 
 
@@ -385,7 +385,7 @@ def amen(function, point, constant, n, seed, exponent, op, alpha):
         click.echo("verdict = PASS")
     else:
         click.echo("verdict = FAIL")
-        coords = ", ".join(repr(real_to_float(c)) for c in v.witness.coords)
+        coords = ", ".join(repr(float(c)) for c in v.witness.coords)
         click.echo(f"witness = {coords}")
         if v.witness_kappa_tilde is not None:
             click.echo(f"witness_kappa_tilde = {_num(v.witness_kappa_tilde)}")

@@ -22,8 +22,8 @@ import numpy as np
 
 from .catalog import CatalogFunction, DomainError, babylonian_sqrt, _sqrt_mid
 from .fpcore import FpError, FpNumber, Precision, fl, fp_add, fp_div, fp_mul, fp_sub, fp_zero, to_exact
-from .reals import CertifiedReal, ExactReal, Interval, exp_iv, sqrt_iv
-from .relmetric import RelPoint, rel_dist, rel_sphere_sample
+from .reals import ExactReal
+from .relmetric import RelPoint, rel_dist, rel_sphere_sample, rel_step
 
 ExtReal = Fraction | float  # exact rational, or math.inf
 
@@ -132,24 +132,6 @@ def spectral_norm(
 # ---------------------------------------------------------------------------
 
 
-def _div_real(a: ExactReal, b: ExactReal) -> ExactReal:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a / b
-    bb = b
-
-    def fn(bits: int) -> Interval:
-        from .reals import as_interval
-        num = as_interval(a, bits + 8)
-        den = as_interval(bb, bits + 8)
-        k = 0
-        while den.sign() is None and k < 8:
-            k += 1
-            den = as_interval(bb, (bits + 8) << k)
-        return num.divide(den, bits)
-
-    return CertifiedReal(fn)
-
-
 def kappa_from_jacobian(x: RelPoint, fx: RelPoint, jac: Sequence[Sequence]) -> ConditionReport:
     """kappa = || diag(f(x))^+  J  diag(x) ||_2.
 
@@ -169,7 +151,7 @@ def kappa_from_jacobian(x: RelPoint, fx: RelPoint, jac: Sequence[Sequence]) -> C
             if x.pattern[j] == 0:
                 row.append(Fraction(0))
             else:
-                row.append(_div_real(jac[i][j] * x.coords[j], fx.coords[i]))
+                row.append(jac[i][j] * x.coords[j] / fx.coords[i])
         rows.append(row)
     if not rows:
         return ConditionReport.make(Fraction(0), "jacobian", x)
@@ -206,25 +188,6 @@ def _evaluate(f, coords):
     if hasattr(f, "exact"):
         return f.exact(coords)
     return f(coords)
-
-
-def _axis_point(x: RelPoint, i: int, r: Fraction, up: bool, bits: int = 176) -> RelPoint:
-    factor = exp_iv(r if up else -r, bits).midpoint()
-    coords = list(x.coords)
-    coords[i] = coords[i] * factor
-    return RelPoint(coords)
-
-
-def _direction_point(x: RelPoint, chi, w: list[Fraction], r: Fraction, bits: int = 176) -> RelPoint:
-    norm_sq = sum(c * c for c in w)
-    if norm_sq == 0:
-        return x
-    nrm = sqrt_iv(norm_sq, bits + 16)
-    coords = list(x.coords)
-    for j, i in enumerate(chi):
-        wi = Interval.from_fraction(r * w[j], bits + 16).divide(nrm, bits + 16)
-        coords[i] = coords[i] * exp_iv(wi, bits + 16).midpoint()
-    return RelPoint(coords)
 
 
 def kappa_sampled(
@@ -274,14 +237,14 @@ def kappa_sampled(
 
         # axis probes double as local-map estimation
         for i in chi:
-            fy = measure(_axis_point(x, i, r, True))
+            fy = measure(rel_step(x, [1], r, (i,)))
             if fy is not None and fy.pattern == fx.pattern:
                 col = [
                     _float_log_ratio(a, b) / float(r)
                     for a, b in zip(fy.coords, fx.coords)
                 ]
                 probe_logs.append(col)
-            measure(_axis_point(x, i, r, False))
+            measure(rel_step(x, [1], -r, (i,)))
         n_random = max(8, n_dirs - 2 * m - 1)
         for y in rel_sphere_sample(x, r, n_random, seed + 7919 * level):
             measure(y)
@@ -297,8 +260,8 @@ def kappa_sampled(
                         break
                     v = w / nw
                 wfr = [Fraction(float(c)).limit_denominator(10**12) for c in v]
-                measure(_direction_point(x, chi, wfr, r))
-                measure(_direction_point(x, chi, [-c for c in wfr], r))
+                measure(rel_step(x, wfr, r, chi))
+                measure(rel_step(x, wfr, -r, chi))
         estimates.append(best)
 
     if not estimates:

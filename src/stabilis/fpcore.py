@@ -166,6 +166,11 @@ def fp_zero() -> FpNumber:
     return FpNumber(1, 0, 0)
 
 
+def dyadic(m: int, e: int) -> FpNumber:
+    """The exact value m * 2**e, as an FpNumber as wide as m."""
+    return FpNumber(1 if m >= 0 else -1, abs(m), e + abs(m).bit_length())
+
+
 # ---------------------------------------------------------------------------
 # Rounding
 # ---------------------------------------------------------------------------
@@ -227,7 +232,10 @@ def _round_fraction(x: Fraction, t: int) -> FpNumber:
     return FpNumber(sign, q, E)
 
 
-_ZIV_MAX_BITS = 1 << 22
+# Ziv's loop starts at t + 64 bits and doubles the width at most this many
+# times, up to 64 * (t + 64) bits.  A value that width cannot round is an
+# exact tie or nearly one, or too close to zero for that absolute resolution.
+_ZIV_DOUBLINGS = 6
 
 
 def round_to_nearest(x, p: Precision | int) -> FpNumber:
@@ -236,7 +244,8 @@ def round_to_nearest(x, p: Precision | int) -> FpNumber:
     Accepts integers, exact Fractions, floats (converted exactly),
     FpNumbers, and certified enclosures of irrational reals.  Enclosures
     are refined with doubled guard bits until both endpoints round to the
-    same grid point.
+    same grid point; after ``_ZIV_DOUBLINGS`` doublings the rounding gives
+    up with a PrecisionError.
     """
     p = Precision.of(p)
     t = p.t
@@ -259,9 +268,8 @@ def round_to_nearest(x, p: Precision | int) -> FpNumber:
             return fp_zero()
         return _round_fraction(x, t)
     if isinstance(x, CertifiedReal):
-        bits = t + 64
-        while bits <= _ZIV_MAX_BITS:
-            iv = x.enclosure(bits)
+        for k in range(_ZIV_DOUBLINGS + 1):
+            iv = x.enclosure((t + 64) << k)
             s = iv.sign()
             if s == 0:
                 return fp_zero()
@@ -270,9 +278,8 @@ def round_to_nearest(x, p: Precision | int) -> FpNumber:
                 hi = _round_fraction(iv.upper(), t)
                 if lo == hi:
                     return lo
-            bits *= 2
         raise PrecisionError(
-            "enclosure too wide to round; re-evaluate the input with more guard bits"
+            "enclosure too wide to round: the value is an exact tie, or too close to one"
         )
     raise TypeError(f"cannot round a {type(x).__name__}")
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from .catalog import NumericalAlgorithm, sin_in_precision, high_precision_sin, strassen_input
 from .condition import ExtReal, kappa_closed_form
-from .fpcore import FpDivisionByZero, FpError, Precision, fl, to_exact
-from .reals import CertifiedReal, Interval, exp_iv, log_iv, pi_iv, pi_real, sqrt_iv
-from .relmetric import RelPoint, abs_dist, rel_dist
+from .fpcore import FpDivisionByZero, FpError, Precision, dyadic, fl, to_exact
+from .reals import CertifiedReal, Interval, log_iv, pi_iv, pi_real, sqrt_iv
+from .relmetric import RelPoint, abs_dist, rel_dist, step_factors
 
 
 @dataclass
@@ -189,15 +189,12 @@ def log_spaced(lo: float, hi: float, n: int) -> list[Fraction]:
     return [Fraction(float(v)) for v in vals]
 
 
-def _perturbation_factors(v: Sequence[Fraction], bits: int = 160) -> list[Fraction]:
-    """exp of v/(2||v||) per entry, as deterministic dyadic midpoints."""
-    norm_sq = sum((c * c for c in v), Fraction(0))
-    nrm2 = sqrt_iv(4 * norm_sq, bits + 16)  # 2 ||v||
-    out = []
-    for c in v:
-        w = Interval.from_fraction(c, bits + 16).divide(nrm2, bits + 16)
-        out.append(exp_iv(w, bits + 16).midpoint())
-    return out
+def _times(b: Fraction, m: int, e: int):
+    """b * m * 2**e exactly: a wide FpNumber when b is dyadic, else a Fraction."""
+    d = b.denominator
+    if d & (d - 1):
+        return b * m * Fraction(2) ** e
+    return dyadic(b.numerator * m, e - d.bit_length() + 1)
 
 
 def strassen_experiment(
@@ -208,8 +205,8 @@ def strassen_experiment(
 ) -> list[PercentileRow]:
     """Loss of precision of the 7-multiplication 2x2 scheme near A=B=[[1,e],[e,1]].
 
-    Per sample both matrices are perturbed by coordinatewise exp of a
-    normalized Gaussian (relative distance exactly 1/2), rounded into the
+    Per sample both matrices take a relative step of length 1/2 along a
+    Gaussian direction (:func:`step_factors` at 176 bits), are rounded into the
     working precision, and multiplied both by the fast scheme (in
     floating point) and exactly; the per-epsilon rows aggregate rel/abs
     lop percentiles.  Draws come from Philox streams with key=seed and
@@ -219,6 +216,7 @@ def strassen_experiment(
 
     p = Precision.of(t)
     alg = make_alg("strassen_2x2")
+    half = Fraction(1, 2)
     rows: list[PercentileRow] = []
     for ei, eps in enumerate(eps_grid):
         eps = Fraction(eps)
@@ -227,25 +225,20 @@ def strassen_experiment(
         abs_lops: list[float] = []
         for si in range(samples_per_eps):
             bg = np.random.Philox(key=seed & ((1 << 128) - 1), counter=[0, si, 2, ei])
-            gen = np.random.Generator(bg)
-            draws = gen.standard_normal(8)
-            pa = [Fraction(float(c)) for c in draws[:4]]
-            pb = [Fraction(float(c)) for c in draws[4:]]
-            fa = _perturbation_factors(pa)
-            fb = _perturbation_factors(pb)
-            true_in = tuple(b * f for b, f in zip(base[:4], fa)) + tuple(
-                b * f for b, f in zip(base[4:], fb)
-            )
-            fp_in = [fl(c, p) for c in true_in]
+            draws = np.random.Generator(bg).standard_normal(8).tolist()
+            factors = step_factors(draws[:4], half, 176) + step_factors(draws[4:], half, 176)
+            fp_in = [fl(_times(b, m, e), p) for b, (m, e) in zip(base, factors)]
             # the rounded matrices are the run's inputs; the reference
-            # multiplies exactly the same values, isolating algorithm error
-            exact_in = tuple(to_exact(v) for v in fp_in)
+            # multiplies exactly the same values, isolating algorithm error.
+            # The product is bilinear, so it is formed from the integers
+            # v * 2**-k at the inputs' finest binary scale 2**k and scaled
+            # back by 2**(2k).
+            k = min(v.exponent - v.precision_bits for v in fp_in)
+            ints = [v.sign * v.mantissa << (v.exponent - v.precision_bits - k) for v in fp_in]
+            ref = RelPoint([dyadic(c, 2 * k) for c in alg.exact_reference(ints)])
             got = RelPoint(alg.evaluate(fp_in, p))
-            ref = RelPoint(alg.exact_reference(exact_in))
-            rl = rel_dist(ref, got) / p.u
-            al = abs_dist(ref, got) / p.u
-            rel_lops.append(float(rl))
-            abs_lops.append(float(al))
+            rel_lops.append(math.ldexp(float(rel_dist(ref, got)), t))
+            abs_lops.append(math.ldexp(float(abs_dist(ref, got)), t))
         rel_lops.sort()
         abs_lops.sort()
         rows.append(
@@ -283,24 +276,14 @@ def _log_lop(value: Fraction, ref: CertifiedReal, u: Fraction, bits: int) -> Ext
         return math.inf
     same_sign = (value > 0) == (riv.sign() > 0)
     num = Interval.from_fraction(abs(value), bits + 16)
-    mag = log_iv(num.divide(_iabs(riv), bits + 16), bits)
+    mag = log_iv(num.divide(abs(riv), bits + 16), bits)
     if same_sign:
         lg = mag.midpoint()
         return abs(lg) / u
     # opposite signs: the principal complex log has imaginary part pi
     pi2 = pi_iv(bits)
     total = (mag * mag).rescale(bits) + (pi2 * pi2).rescale(bits)
-    if total.lo < 0:
-        total = Interval(0, max(total.hi, 0), total.scale)
-    return sqrt_iv(total, bits).midpoint() / u
-
-
-def _iabs(iv: Interval) -> Interval:
-    if iv.lo >= 0:
-        return iv
-    if iv.hi <= 0:
-        return -iv
-    return Interval(0, max(-iv.lo, iv.hi), iv.scale)
+    return sqrt_iv(total.clip_nonneg(), bits).midpoint() / u
 
 
 def sine_experiment(k_max: int, t_work: int = 53, guard_bits: int = 512) -> list[LopRecord]:

@@ -62,10 +62,6 @@ class Interval:
         hi = lo if n % d == 0 else lo + 1
         return Interval(lo, hi, scale)
 
-    @staticmethod
-    def point(m: int, scale: int) -> "Interval":
-        return Interval(m, m, scale)
-
     # -- queries ------------------------------------------------------
 
     def midpoint(self) -> Fraction:
@@ -91,9 +87,6 @@ class Interval:
         """Upper bound on log2 of the magnitude (0 for the zero interval)."""
         m = max(abs(self.lo), abs(self.hi))
         return m.bit_length() - self.scale
-
-    def width_ulps(self) -> int:
-        return self.hi - self.lo
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Interval({self.lo}, {self.hi}, 2^-{self.scale})"
@@ -131,34 +124,37 @@ class Interval:
             return Interval(self.lo * k, self.hi * k, self.scale)
         return Interval(self.hi * k, self.lo * k, self.scale)
 
-    def div_int(self, k: int) -> "Interval":
-        """Divide by a nonzero integer, rounding outward."""
-        if k < 0:
-            return (-self).div_int(-k)
-        return Interval(self.lo // k, -((-self.hi) // k), self.scale)
-
     def divide(self, other: "Interval", scale: int) -> "Interval":
         """self / other at the given result scale; other must exclude zero."""
-        if other.sign() not in (-1, 1):
+        if other.hi < 0:
+            return (-self).divide(-other, scale)
+        if other.lo <= 0:
             raise ZeroDivisionError("interval divisor straddles zero")
         sh = scale + other.scale - self.scale
-        lo = hi = None
-        for n in (self.lo, self.hi):
-            num = n << sh if sh >= 0 else n
-            for d in (other.lo, other.hi):
-                den = d if sh >= 0 else d << -sh
-                q_lo = num // den
-                q_hi = -((-num) // den)
-                lo = q_lo if lo is None else min(lo, q_lo)
-                hi = q_hi if hi is None else max(hi, q_hi)
-        return Interval(lo, hi, scale)
+        lo, hi, dlo, dhi = self.lo, self.hi, other.lo, other.hi
+        if sh >= 0:
+            lo, hi = lo << sh, hi << sh
+        else:
+            dlo, dhi = dlo << -sh, dhi << -sh
+        # the quotient is monotone in each endpoint: two divisions suffice
+        return Interval(lo // (dhi if lo >= 0 else dlo), -((-hi) // (dlo if hi >= 0 else dhi)), scale)
 
     def scalb(self, k: int) -> "Interval":
         """Multiply by 2**k exactly."""
         return Interval(self.lo, self.hi, self.scale - k)
 
-    def widen_ulps(self, n: int) -> "Interval":
-        return Interval(self.lo - n, self.hi + n, self.scale)
+    def __abs__(self) -> "Interval":
+        if self.lo >= 0:
+            return self
+        if self.hi <= 0:
+            return -self
+        return Interval(0, max(-self.lo, self.hi), self.scale)
+
+    def clip_nonneg(self) -> "Interval":
+        """Intersection with [0, oo), for enclosures of nonnegative values."""
+        if self.lo < 0:
+            return Interval(0, max(self.hi, 0), self.scale)
+        return self
 
     def intersect(self, other: "Interval") -> "Interval":
         s = max(self.scale, other.scale)
@@ -278,11 +274,9 @@ def log_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
         s = max(lo.scale, hi.scale)
         lo, hi = lo.rescale(s), hi.rescale(s)
         return Interval(lo.lo, hi.hi, s)
-    if isinstance(x, int):
-        x = Fraction(x)
-    if x <= 0:
-        raise ValueError("log of a non-positive value")
     num, den = x.numerator, x.denominator
+    if num <= 0:
+        raise ValueError("log of a non-positive value")
     e = num.bit_length() - den.bit_length()
     # choose e with m = x / 2**e in [2/3, 4/3)
     if e >= 0:
@@ -304,14 +298,25 @@ def log_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
     return at + ln2_iv(W + e.bit_length() + 4).mul_int(e)
 
 
+# ln 2 * 2**128 to within a few units: picks the reduction multiple of ln 2
+_LN2_Q128 = _ln2_core(128)[0]
+
+
 def exp_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
     """Enclosure of exp(x)."""
     if not isinstance(x, Interval):
         x = Interval.from_fraction(x, bits + 32)
     W = bits + 32
-    # range-reduce by multiples of ln 2
-    mid = x.midpoint()
-    n = int(math.floor(float(mid) / math.log(2) + 0.5)) if mid != 0 else 0
+    # range-reduce by n = round(mid / ln 2), in integers at any magnitude
+    mag = x.mag_bits()
+    if mag <= 60:
+        c, c_scale = _LN2_Q128, 128  # ln 2 ~ c * 2**-c_scale
+    else:
+        c_iv = ln2_iv(mag + 64)
+        c, c_scale = (c_iv.lo + c_iv.hi) >> 1, c_iv.scale
+    k = c_scale - x.scale - 1  # mid / ln 2 ~ (lo + hi) * 2**k / c
+    num, den = (x.lo + x.hi) << max(k, 0), c << max(-k, 0)
+    n = (2 * num + den) // (2 * den)
     if n != 0:
         l2 = ln2_iv(W + n.bit_length() + 8)
         y = x - l2.mul_int(n)
@@ -326,21 +331,17 @@ def exp_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
         return Interval(lo.rescale(s).lo, hi.rescale(s).hi, s)
     M = (y.lo + y.hi) // 2
     hw = (y.hi - y.lo) // 2 + 1
-    one = 1 << W
-    term = one
-    total = one
-    err = 1
-    j = 1
-    while term:
+    term = total = 1 << W
+    for j in range(1, 4 * W):
         term = ((term * M) >> W) // j
+        if not term:
+            break
         total += term
-        err += 6
-        j += 1
-        if j > 4 * W:  # pragma: no cover - safety net
-            raise PrecisionError("exp series failed to converge")
-    err += 8  # tail: |y| <= 0.75 so the remaining ratio is < 1/2
-    # input half-width via derivative exp(y) <= e^0.75 < 2.2
-    err += 3 * hw
+    else:  # pragma: no cover - safety net
+        raise PrecisionError("exp series failed to converge")
+    # 6 ulps per term, 8 for the tail (|y| <= 0.75, so the remaining ratio
+    # is < 1/2), and the input half-width via exp(y) <= e^0.75 < 2.2
+    err = 1 + 6 * j + 8 + 3 * hw
     res = Interval(total - err, total + err, W)
     return res.scalb(n)
 
@@ -407,24 +408,16 @@ def cos_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
 def sqrt_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
     """Enclosure of the square root of a nonnegative value."""
     W = bits + 16
-
-    def root_lo(fr: Fraction) -> int:
-        return math.isqrt((fr.numerator << (2 * W)) // fr.denominator)
-
     if isinstance(x, Interval):
         if x.hi < 0:
             raise ValueError("sqrt of a negative enclosure")
-        lo_fr = x.lower()
-        if lo_fr < 0:
-            lo_fr = Fraction(0)
-        lo = root_lo(lo_fr)
-        hi = root_lo(x.upper()) + 1
-        return Interval(lo, hi, W)
-    if isinstance(x, int):
-        x = Fraction(x)
-    if x < 0:
+        k = 2 * W - x.scale  # floor of each endpoint times 2**(2W)
+        lo, hi = max(x.lo, 0), x.hi
+        lo, hi = (lo << k, hi << k) if k >= 0 else (lo >> -k, hi >> -k)
+        return Interval(math.isqrt(lo), math.isqrt(hi) + 1, W)
+    if x.numerator < 0:
         raise ValueError("sqrt of a negative value")
-    lo = root_lo(x)
+    lo = math.isqrt((x.numerator << (2 * W)) // x.denominator)
     return Interval(lo, lo + 1, W)
 
 
@@ -589,19 +582,9 @@ def as_interval(x: ExactReal, bits: int) -> Interval:
 def real_sign(x: ExactReal) -> int:
     if isinstance(x, CertifiedReal):
         return x.sign()
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
-def real_to_float(x) -> float:
-    if isinstance(x, CertifiedReal):
-        return float(x)
     if isinstance(x, Fraction):
-        return float(x)
-    return float(x)
+        x = x.numerator
+    return (x > 0) - (x < 0)
 
 
 def pi_real() -> CertifiedReal:

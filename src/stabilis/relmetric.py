@@ -102,10 +102,12 @@ def _signed_interval(x: ExactReal, bits: int) -> Interval:
 def _log_ratio_sq(x: ExactReal, y: ExactReal, bits: int) -> Interval | None:
     """Enclosure of log(x/y)**2 for same-sign nonzero x, y; None if zero."""
     if isinstance(x, Fraction) and isinstance(y, Fraction):
-        ratio = abs(x / y)
-        if ratio == 1:
+        # |x/y| in lowest terms from the integers, as Fraction division gives it
+        n, d = abs(x.numerator * y.denominator), abs(y.numerator * x.denominator)
+        if n == d:
             return None
-        lg = log_iv(ratio, bits)
+        g = math.gcd(n, d)
+        lg = log_iv(Fraction(n // g, d // g), bits)
     else:
         ix = _signed_interval(x, bits + 8)
         iy = _signed_interval(y, bits + 8)
@@ -134,33 +136,35 @@ def rel_dist(x: RelPoint, y: RelPoint, bits: int = DIST_BITS) -> ExtDist:
         total = sq if total is None else (total + sq).rescale(2 * bits + 16)
     if total is None:
         return Fraction(0)
-    if total.lo < 0:
-        total = Interval(0, max(total.hi, 0), total.scale)
-    return sqrt_iv(total, bits).midpoint()
+    return sqrt_iv(total.clip_nonneg(), bits).midpoint()
 
 
 def abs_dist(x: RelPoint, y: RelPoint, bits: int = DIST_BITS) -> Fraction:
     """Euclidean (Frobenius) distance, for absolute-error comparisons."""
     if x.dim != y.dim:
         raise DimensionMismatch(f"dimension mismatch: {x.dim} != {y.dim}")
-    exact = Fraction(0)
+    # squared differences of rational coordinates, summed exactly in
+    # integers: their sum is num / den**2
+    num, den = 0, 1
     iv_total: Interval | None = None
     for a, b in zip(x.coords, y.coords):
         if isinstance(a, Fraction) and isinstance(b, Fraction):
-            d = a - b
-            exact += d * d
+            dd = a.denominator * b.denominator
+            d = a.numerator * b.denominator - b.numerator * a.denominator
+            g = math.gcd(dd, den)
+            num = num * (dd // g) ** 2 + d * d * (den // g) ** 2
+            den = den // g * dd
         else:
             d = as_interval(a, bits + 8) - as_interval(b, bits + 8)
             sq = (d * d).rescale(2 * bits + 16)
             iv_total = sq if iv_total is None else (iv_total + sq).rescale(2 * bits + 16)
+    exact = Fraction(num, den * den)
     if iv_total is None:
-        if exact == 0:
+        if num == 0:
             return Fraction(0)
         return sqrt_iv(exact, bits).midpoint()
     total = iv_total + Interval.from_fraction(exact, iv_total.scale)
-    if total.lo < 0:
-        total = Interval(0, max(total.hi, 0), total.scale)
-    return sqrt_iv(total, bits).midpoint()
+    return sqrt_iv(total.clip_nonneg(), bits).midpoint()
 
 
 def geodesic_point(x: RelPoint, y: RelPoint, s, bits: int = SAMPLE_BITS) -> RelPoint:
@@ -225,20 +229,64 @@ def _stream(seed: int, index: int, kind: int = 0) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def _one_sample(x: RelPoint, chi: tuple[int, ...], rho: Fraction, gen, bits: int) -> RelPoint:
+def _direction(gen: np.random.Generator, d: int) -> list[float]:
+    """A standard-normal direction in R^d, redrawn until it is nonzero."""
     while True:
-        v = gen.standard_normal(len(chi))
-        if np.any(v != 0.0):
-            break
-    vf = [Fraction(float(c)) for c in v]
-    norm_sq = sum(c * c for c in vf)
-    nrm = sqrt_iv(norm_sq, bits + 16)
+        v = gen.standard_normal(d).tolist()
+        if any(v):
+            return v
+
+
+def step_factors(v: Sequence, rho, bits: int) -> list[tuple[int, int]]:
+    """Factors exp(rho * v_i / ||v||) of a relative step of length rho along v.
+
+    Scaling x_i by the factors moves x a relative distance rho along the
+    direction v (floats, ints or Fractions, not all zero).  Each factor is
+    the midpoint of ``exp_iv(w_i, bits)`` for the enclosure
+
+        w_i = Interval.from_fraction(rho * v_i, bits).divide(sqrt_iv(sum v^2, bits), bits),
+
+    computed in integers with v at one common denominator and returned as
+    an exact dyadic (m, e) of value m * 2**e.  When the largest |v_i| lies
+    in [2**top, 2**(top+1)) with top outside [-32, 32], v is first divided
+    by 2**top, so that the floors keep their precision: only the direction
+    of v matters.
+    """
+    ratios = [c.as_integer_ratio() for c in v]
+    den = math.lcm(*(d for _, d in ratios))
+    ns = [a * (den // d) for a, d in ratios]
+    if not any(ns):
+        raise ValueError("a relative step needs a nonzero direction")
+    big = max(abs(a) for a in ns)
+    top = big.bit_length() - den.bit_length()
+    top -= (big << max(-top, 0)) < (den << max(top, 0))
+    if top > 32:
+        den <<= top
+    elif top < -32:
+        ns = [a << -top for a in ns]
+    p, q = rho.as_integer_ratio()
+    W = bits + 16
+    root = math.isqrt((sum(a * a for a in ns) << (2 * W)) // (den * den))
+    nrm = Interval(root, root + 1, W)
+    out = []
+    for a in ns:
+        lo, rem = divmod((p * a) << bits, q * den)
+        e = exp_iv(Interval(lo, lo + (rem != 0), bits).divide(nrm, bits), bits)
+        out.append((e.lo + e.hi, -e.scale - 1))
+    return out
+
+
+def rel_step(x: RelPoint, v: Sequence, rho, chi: Sequence[int] | None = None,
+             bits: int = SAMPLE_BITS) -> RelPoint:
+    """x moved a relative distance rho along v, which spans the coordinates chi.
+
+    chi defaults to the nonzero coordinates of x; the factors come from
+    :func:`step_factors` at bits + 16.
+    """
+    chi = x.chi() if chi is None else chi
     coords = list(x.coords)
-    for j, i in enumerate(chi):
-        w = Interval.from_fraction(rho * vf[j], bits + 16).divide(nrm, bits + 16)
-        factor = exp_iv(w, bits + 16).midpoint()
-        xi = x.coords[i]
-        coords[i] = xi * factor if isinstance(xi, Fraction) else xi * factor
+    for i, (m, e) in zip(chi, step_factors(v, rho, bits + 16)):
+        coords[i] = coords[i] * (Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e))
     return RelPoint(coords)
 
 
@@ -266,7 +314,7 @@ def rel_ball_sample(
         if rho == 0:
             out.append(x)
             continue
-        out.append(_one_sample(x, chi, rho, gen, bits))
+        out.append(rel_step(x, _direction(gen, len(chi)), rho, chi, bits))
     return out
 
 
@@ -281,8 +329,4 @@ def rel_sphere_sample(
     if not chi:
         return [x] * n
     rho = rf * (1 - inset)
-    out = []
-    for i in range(n):
-        gen = _stream(seed, i, kind=1)
-        out.append(_one_sample(x, chi, rho, gen, bits))
-    return out
+    return [rel_step(x, _direction(_stream(seed, i, kind=1), len(chi)), rho, chi, bits) for i in range(n)]

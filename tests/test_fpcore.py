@@ -5,6 +5,7 @@ it locates the binade by repeated exact comparisons and enumerates the two
 neighbouring grid points as Fractions.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from stabilis.fpcore import (
     fp_zero,
     to_exact,
 )
+from stabilis.reals import PrecisionError, pi_real
 
 
 def oracle_round(x: Fraction, t: int) -> Fraction:
@@ -67,30 +69,30 @@ class TestRounding:
             assert fl(one, t) == one
 
     @given(rationals, precisions)
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_matches_enumeration_oracle(self, x, t):
         assert to_exact(fl(x, t)) == oracle_round(x, t)
 
     @given(rationals, precisions)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_relative_error_bound(self, x, t):
         u = Precision(t).u
         assert abs(to_exact(fl(x, t)) - x) <= u * abs(x)
 
     @given(rationals, precisions)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_sign_symmetry(self, x, t):
         assert fl(-x, t) == -fl(x, t)
 
     @given(rationals, rationals, precisions)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_monotone(self, x, y, t):
         if x > y:
             x, y = y, x
         assert to_exact(fl(x, t)) <= to_exact(fl(y, t))
 
     @given(rationals, precisions, st.integers(min_value=0, max_value=64))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_idempotent_at_finer_precision(self, x, t, extra):
         a = fl(x, t)
         assert fl(to_exact(a), t + extra) == a
@@ -108,6 +110,21 @@ class TestRounding:
                 assert fl(x, t).precision_bits == t
 
 
+class TestZivBudget:
+    def test_exact_tie_enclosure_raises_promptly(self):
+        # (pi - pi) + 1 + 2^-53 is the exact tie 1 + u/2 carried as an
+        # enclosure: no width can round it, so the loop must give up
+        x = (pi_real() - pi_real()) + 1 + Fraction(1, 2**53)
+        t0 = time.perf_counter()
+        with pytest.raises(PrecisionError):
+            fl(x, 53)
+        assert time.perf_counter() - t0 < 5
+
+    def test_near_tie_enclosure_still_rounds(self):
+        x = (pi_real() - pi_real()) + 1 + Fraction(1, 2**53) + Fraction(1, 2**2000)
+        assert to_exact(fl(x, 53)) == 1 + Fraction(1, 2**52)
+
+
 class TestToExact:
     def test_roundtrip(self):
         a = fl(3, 11)
@@ -117,7 +134,7 @@ class TestToExact:
         assert to_exact(fl(Fraction(1, 10), 3)) == Fraction(3, 32)
 
     @given(rationals, precisions)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_round_of_exact_is_identity(self, x, t):
         a = fl(x, t)
         assert fl(to_exact(a), t) == a
@@ -144,7 +161,7 @@ class TestArithmetic:
         assert to_exact(r) == 8
 
     @given(rationals, rationals, precisions)
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_ops_match_exact_then_round(self, x, y, t):
         a, b = fl(x, t), fl(y, t)
         va, vb = to_exact(a), to_exact(b)
@@ -155,7 +172,7 @@ class TestArithmetic:
             assert fp_div(a, b, t) == fl(va / vb, t)
 
     @given(rationals, precisions, st.integers(min_value=-400, max_value=400))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_add_far_apart_operands(self, x, t, shift):
         # exercises the sticky path with arbitrary exponent gaps
         a = fl(x, t)
@@ -182,7 +199,7 @@ class TestArithmetic:
 
 class TestComparisons:
     @given(rationals, rationals, precisions)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_order_agrees_with_exact(self, x, y, t):
         a, b = fl(x, t), fl(y, t)
         assert (a < b) == (to_exact(a) < to_exact(b))

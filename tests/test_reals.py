@@ -61,14 +61,14 @@ class TestConstants:
 
 class TestElementary:
     @given(pos_fracs)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_log(self, q):
         iv = log_iv(q, 160)
         assert contains(iv, mp.log(to_mp(q)))
         assert width(iv) < Fraction(1, 2**150)
 
     @given(st.fractions(min_value=Fraction(-80), max_value=Fraction(80), max_denominator=10**5))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_exp(self, q):
         iv = exp_iv(q, 160)
         ref = mp.exp(to_mp(q))
@@ -77,7 +77,7 @@ class TestElementary:
         assert float(width(iv)) < 2.0 ** -140 * max(1.0, float(ref))
 
     @given(small_fracs)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_sin_cos(self, q):
         assert contains(sin_iv(q, 160), mp.sin(to_mp(q)))
         assert contains(cos_iv(q, 160), mp.cos(to_mp(q)))
@@ -89,10 +89,24 @@ class TestElementary:
         assert width(iv) < Fraction(1, 2**190)
 
     @given(pos_fracs)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_sqrt(self, q):
         iv = sqrt_iv(q, 160)
         assert contains(iv, mp.sqrt(to_mp(q)))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_exp_of_huge_argument(self, sign):
+        # exp(+-10^400) lies near 2^(+-1.4e400): compare the mantissas at the
+        # common binary exponent instead of materialising either endpoint
+        iv = exp_iv(Fraction(sign * 10**400), 64)
+        with mp.workprec(2000):
+            man, exp = mp.exp(mp.mpf(sign * 10**400)).man_exp
+        d = exp + iv.scale  # reference = (man * 2**d) * 2**-scale
+        if d >= 0:
+            assert iv.lo <= man << d <= iv.hi
+        else:
+            assert iv.lo << -d <= man <= iv.hi << -d
+        assert (iv.hi - iv.lo) << 60 < iv.lo
 
     def test_interval_inputs_respect_endpoints(self):
         x = Interval.from_fraction(Fraction(3, 7), 100)
@@ -102,7 +116,7 @@ class TestElementary:
 
 class TestIntervalArithmetic:
     @given(small_fracs, small_fracs)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_mul_encloses(self, a, b):
         ia = Interval.from_fraction(a, 120)
         ib = Interval.from_fraction(b, 120)
@@ -110,17 +124,49 @@ class TestIntervalArithmetic:
         assert prod.lower() <= a * b <= prod.upper()
 
     @given(small_fracs, pos_fracs)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_divide_encloses(self, a, b):
         ia = Interval.from_fraction(a, 120)
         ib = Interval.from_fraction(b, 120)
         q = ia.divide(ib, 120)
         assert q.lower() <= a / b <= q.upper()
 
+    @given(st.tuples(st.integers(-2**70, 2**70), st.integers(0, 2**20)),
+           st.tuples(st.integers(-2**70, 2**70), st.integers(0, 2**20)),
+           st.integers(-40, 160), st.integers(-40, 160), st.integers(-40, 160))
+    @settings(max_examples=300)
+    def test_divide_matches_four_candidate_reference(self, a, b, sa, sb, scale):
+        ia, ib = Interval(a[0], a[0] + a[1], sa), Interval(b[0], b[0] + b[1], sb)
+        if ib.sign() not in (-1, 1):
+            with pytest.raises(ZeroDivisionError):
+                ia.divide(ib, scale)
+            return
+        quotients = [Fraction(n, d) * Fraction(2) ** (scale + sb - sa) for n in (ia.lo, ia.hi) for d in (ib.lo, ib.hi)]
+        q = ia.divide(ib, scale)
+        assert (q.lo, q.hi) == (math.floor(min(quotients)), math.ceil(max(quotients)))
+
+    @given(st.integers(-2**80, 2**80), st.integers(0, 2**40), st.integers(-60, 300), st.sampled_from([53, 160]))
+    @settings(max_examples=200)
+    def test_sqrt_of_interval_matches_fraction_endpoints(self, lo, w, scale, bits):
+        iv = Interval(lo, lo + w, scale)
+        if iv.hi < 0:
+            return
+        root = lambda fr: math.isqrt((fr.numerator << 2 * (bits + 16)) // fr.denominator)  # noqa: E731
+        got = sqrt_iv(iv, bits)
+        assert (got.lo, got.hi) == (root(max(iv.lower(), Fraction(0))), root(iv.upper()) + 1)
+
     def test_divide_through_zero_rejected(self):
         ia = Interval.from_fraction(Fraction(1), 64)
         with pytest.raises(ZeroDivisionError):
             ia.divide(Interval(-1, 1, 64), 64)
+
+    def test_abs_and_clip(self):
+        assert (abs(Interval(-3, -1, 10)).lo, abs(Interval(-3, -1, 10)).hi) == (1, 3)
+        assert (abs(Interval(-3, 2, 10)).lo, abs(Interval(-3, 2, 10)).hi) == (0, 3)
+        assert (Interval(-3, 2, 10).clip_nonneg().lo, Interval(-3, 2, 10).clip_nonneg().hi) == (0, 2)
+        assert (Interval(-3, -1, 10).clip_nonneg().lo, Interval(-3, -1, 10).clip_nonneg().hi) == (0, 0)
+        iv = Interval(1, 4, 10)
+        assert abs(iv) is iv and iv.clip_nonneg() is iv
 
     def test_midpoint_and_signs(self):
         iv = Interval.from_fraction(Fraction(5, 3), 96)
@@ -174,7 +220,7 @@ class TestNthRoot:
         assert nth_root_fraction(Fraction(10), 3) is None
 
     @given(st.integers(min_value=1, max_value=500), st.integers(min_value=2, max_value=6))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_roundtrip(self, base, k):
         q = Fraction(base, 7) ** k
         assert nth_root_fraction(q, k) == Fraction(base, 7)

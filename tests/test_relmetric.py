@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabilis.fpcore import Precision, fl, to_exact
-from stabilis.reals import CertifiedReal, exp_iv
+from stabilis.reals import CertifiedReal, Interval, exp_iv, log_iv, pi_real, sqrt_iv
 from stabilis.relmetric import (
     DimensionMismatch,
     InfiniteDistanceError,
@@ -15,6 +15,8 @@ from stabilis.relmetric import (
     rel_ball_sample,
     rel_dist,
     rel_sphere_sample,
+    rel_step,
+    step_factors,
 )
 
 LOG2 = 0.6931471805599453
@@ -50,7 +52,7 @@ class TestRelDist:
             rel_dist(RelPoint.of(1), RelPoint.of(1, 2))
 
     @given(coords(), coords(), coords())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_metric_axioms(self, a, b, c):
         n = min(len(a), len(b), len(c))
         x, y, z = RelPoint(a[:n]), RelPoint(b[:n]), RelPoint(c[:n])
@@ -66,7 +68,7 @@ class TestRelDist:
         assert rel_dist(x, z) <= dxy + rel_dist(y, z) + slack
 
     @given(coords(min_dim=2, max_dim=5))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_product_metric_identity(self, a):
         b = [v * Fraction(3, 2) if i % 2 == 0 else v for i, v in enumerate(a)]
         x, y = RelPoint(a), RelPoint(b)
@@ -75,7 +77,7 @@ class TestRelDist:
         assert abs(d * d - total) < Fraction(1, 2**80)
 
     @given(coords(min_dim=1, max_dim=6), st.sampled_from([3, 11, 24, 53]))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_rounding_stays_within_metric_bound(self, a, t):
         # dist(x, fl(x)) < 2 sqrt(d) u, compared in squared (exact) form
         x = RelPoint(a)
@@ -100,7 +102,7 @@ class TestGeodesic:
             geodesic_point(RelPoint.of(1), RelPoint.of(-1), Fraction(1, 2))
 
     @given(coords(min_dim=1, max_dim=3), st.fractions(min_value=0, max_value=1, max_denominator=64))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_proportional_distance(self, a, s):
         x = RelPoint(a)
         y = RelPoint([v * Fraction(7, 3) for v in a])
@@ -109,12 +111,34 @@ class TestGeodesic:
         assert abs(dxz - s * dxy) < Fraction(1, 2**60)
 
     @given(st.fractions(min_value=0, max_value=1, max_denominator=32))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_additivity_along_the_curve(self, s):
         x, y = RelPoint.of(2, 9), RelPoint.of(5, 1)
         z = geodesic_point(x, y, s)
         lhs = rel_dist(x, z) + rel_dist(z, y)
         assert abs(lhs - rel_dist(x, y)) < Fraction(1, 2**60)
+
+
+class TestIntegerPaths:
+    """The integer paths of the distances against their Fraction formulas."""
+
+    @given(coords(min_dim=3, max_dim=3), coords(min_dim=3, max_dim=3), st.booleans())
+    @settings(max_examples=100)
+    def test_rational_distances_match_fraction_reference(self, a, b, mixed):
+        x = RelPoint(a)
+        y = RelPoint([abs(v) if sx > 0 else -abs(v) for v, sx in zip(b, x.pattern)])
+        sq = [log_iv(abs(p / q), 192) for p, q in zip(x.coords, y.coords) if p != q]
+        total = sq and sum(((lg * lg).rescale(400) for lg in sq[1:]), (sq[0] * sq[0]).rescale(400))
+        ref = sqrt_iv(total.rescale(400).clip_nonneg(), 192).midpoint() if sq else 0
+        assert rel_dist(x, y) == ref
+        exact = sum(((p - q) ** 2 for p, q in zip(x.coords, y.coords)), Fraction(0))
+        assert abs_dist(x, y) == (sqrt_iv(exact, 192).midpoint() if exact else 0)
+        if mixed:  # one enclosure among the coordinates: the sums meet at interval scale
+            yc = RelPoint([CertifiedReal(lambda bits, v=y.coords[0]: Interval.from_fraction(v, bits))]
+                          + list(y.coords[1:]))
+            d = x.coords[0] - y.coords[0]
+            iv = Interval.from_fraction(d * d, 400) + Interval.from_fraction(exact - d * d, 400)
+            assert abs(abs_dist(x, yc) - sqrt_iv(iv, 192).midpoint()) < Fraction(1, 2**180)
 
 
 class TestAbsDist:
@@ -164,3 +188,75 @@ class TestBallSampling:
             d = rel_dist(x, y)
             assert d <= r
             assert d > r * Fraction(999, 1000)
+
+
+def spec_factors(v, rho, bits):
+    """The relative step written out in Fractions, exactly as it is specified."""
+    vf = [Fraction(c) for c in v]
+    nrm = sqrt_iv(sum(c * c for c in vf), bits)
+    return [
+        exp_iv(Interval.from_fraction(rho * c, bits).divide(nrm, bits), bits).midpoint()
+        for c in vf
+    ]
+
+
+def binade(q: Fraction) -> int:
+    """k with 2**k <= q < 2**(k+1), for q > 0."""
+    k = q.numerator.bit_length() - q.denominator.bit_length()
+    return k - 1 if q < Fraction(2) ** k else k
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+tiny = st.floats(min_value=-1e-300, max_value=1e-300, allow_nan=False)
+huge = st.floats(min_value=1e200, max_value=1e300) | st.floats(min_value=-1e300, max_value=-1e200)
+directions = st.one_of(
+    st.lists(st.floats(min_value=-8, max_value=8, allow_nan=False), min_size=1, max_size=6),
+    st.lists(finite, min_size=1, max_size=6),
+    st.lists(tiny, min_size=1, max_size=6),  # subnormal scale
+    st.tuples(huge, tiny, finite).map(list),  # mixed magnitudes
+    st.tuples(st.lists(st.floats(-8, 8), min_size=1, max_size=4), st.integers(-40, 40)).map(
+        lambda p: [c * 2.0 ** p[1] for c in p[0]]  # around the rescaling threshold
+    ),
+).filter(any)
+radii = st.one_of(
+    st.just(Fraction(1, 2)),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=2, max_denominator=10**6).map(
+        lambda r: r * (1 - Fraction(1, 2**64))
+    ),
+    st.fractions(min_value=Fraction(-2), max_value=2, max_denominator=10**9),
+)
+
+
+class TestRelStep:
+    @given(directions, radii, st.sampled_from([64, 176, 192]))
+    @settings(max_examples=300)
+    def test_factors_match_the_spec_bit_for_bit(self, v, rho, bits):
+        got = [Fraction(m) * Fraction(2) ** e for m, e in step_factors(v, rho, bits)]
+        k = binade(max(abs(Fraction(c)) for c in v))
+        # far from 1, the direction is taken at the binade of its largest entry
+        scaled = v if -32 <= k <= 32 else [Fraction(c) / Fraction(2) ** k for c in v]
+        assert got == spec_factors(scaled, rho, bits)
+
+    def test_direction_length_does_not_matter_far_from_one(self):
+        v = [3e-310, -1e-311, 2e-309]
+        ref = step_factors(v, Fraction(1, 3), 176)
+        for k in (1, 40, 900):
+            assert step_factors([c * 2.0**k for c in v], Fraction(1, 3), 176) == ref
+
+    def test_zero_direction_rejected(self):
+        with pytest.raises(ValueError):
+            step_factors([0.0, -0.0], Fraction(1, 2), 176)
+
+    @given(st.lists(st.floats(min_value=-8, max_value=8, allow_nan=False), min_size=5, max_size=5).filter(any),
+           st.fractions(min_value=Fraction(1, 10**6), max_value=1, max_denominator=10**6))
+    @settings(max_examples=40)
+    def test_step_has_length_rho(self, v, rho):
+        x = RelPoint.of(Fraction(-3, 7), 5, pi_real(), -(pi_real() / 3), Fraction(1, 2**40))
+        d = rel_dist(x, rel_step(x, v, rho))
+        assert abs(d - rho) < Fraction(1, 2**150)
+
+    def test_step_on_a_support(self):
+        x = RelPoint.of(2, 0, -1)
+        y = rel_step(x, [1], Fraction(1, 8), chi=(2,))
+        assert y.coords[:2] == x.coords[:2] and y.coords[2] < -1
+        assert abs(rel_dist(x, y) - Fraction(1, 8)) < Fraction(1, 2**150)
