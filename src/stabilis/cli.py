@@ -304,9 +304,6 @@ _FUNCTION_KW = {
     "matmul_entry": lambda dim, kw: dict(i=kw.get("i", 1), j=kw.get("j", 2)),
 }
 
-_CANONICAL = {"summation": "sum", "inner": "inner_product"}
-
-
 def _resolve_function(name: str, dim: int, **kw):
     """Build a catalog function, inferring dims from the given dimension."""
     fid = name.replace("-", "_")
@@ -314,7 +311,7 @@ def _resolve_function(name: str, dim: int, **kw):
         raise click.UsageError(f"unknown function {name!r}; one of {sorted(_FUNCTION_KW)}")
     build = _FUNCTION_KW[fid]
     try:
-        return catalog_function(_CANONICAL.get(fid, fid), **build(dim, kw))
+        return catalog_function(fid, **build(dim, kw))
     except KeyError as e:
         raise click.UsageError(f"function {name!r} needs option {e}")
 

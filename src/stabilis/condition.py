@@ -6,9 +6,11 @@ Three routes are provided and cross-checked against each other:
 * the scaled-Jacobian spectral formula (the derivative route), and
 * a black-box sampling estimator of the defining limit.
 
-The spectral norm runs a one-sided cyclic Jacobi iteration entirely in the
-package's own soft-float arithmetic at extended precision, so condition
-values are good to far better than the 1e-12 the cross-checks require.
+The spectral norm is certified: the largest eigenvalue of the exact
+integer Gram matrix is bracketed by Rayleigh quotients from below and by
+exact inertia tests (fraction-free elimination) from above, so condition
+values are good to 2**-100 relative, far past the 1e-12 the cross-checks
+require.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import CatalogFunction, DomainError, babylonian_sqrt, _sqrt_mid
-from .fpcore import FpError, FpNumber, Precision, fl, fp_add, fp_div, fp_mul, fp_sub, fp_zero, to_exact
+from .catalog import CatalogFunction, DomainError, _sqrt_mid
+from .fpcore import fl, to_exact
 from .reals import ExactReal
 from .relmetric import RelPoint, rel_dist, rel_sphere_sample, rel_step
 
@@ -46,85 +48,62 @@ class ConditionReport:
 
 
 # ---------------------------------------------------------------------------
-# Spectral norm (one-sided Jacobi at extended precision)
+# Spectral norm (exact Gram matrix, certified by inertia)
 # ---------------------------------------------------------------------------
 
-SPECTRAL_T = 192
 
+def spectral_norm(rows: Sequence[Sequence]) -> Fraction:
+    """Largest singular value, to within 2**-100 relative.
 
-def spectral_norm(
-    rows: Sequence[Sequence], t: int = SPECTRAL_T, tol: Fraction = Fraction(1, 10**30)
-) -> Fraction:
-    """Largest singular value via one-sided cyclic Jacobi rotations.
-
-    Entries may be exact rationals or certified reals; everything is
-    rounded into the extended working precision first, and the rotation
-    sweep stops once every column pair is orthogonal to the given
-    relative tolerance.
+    Entries (rationals or certified reals) are rounded to 192 bits, so they
+    share one power-of-two denominator.  lambda_max of the integer Gram
+    matrix G on the smaller side is bracketed below by Rayleigh quotients
+    and above by exact tests that s*I - G is positive semidefinite.  A
+    rational root (identity, nilpotent, zero matrices) is returned exactly.
     """
-    p = Precision.of(t)
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if nrows == 0 or ncols == 0:
+    if not rows or not rows[0]:
         return Fraction(0)
-    cols: list[list[FpNumber]] = [
-        [fl(rows[i][j], p) for i in range(nrows)] for j in range(ncols)
-    ]
+    exact = [[to_exact(fl(v, 192)) for v in row] for row in rows]
+    den = max(v.denominator for row in exact for v in row)
+    A = [[v.numerator * (den // v.denominator) for v in row] for row in exact]
+    A = A if len(A) <= len(A[0]) else list(zip(*A))
+    G = [[sum(a * b for a, b in zip(r, s)) for s in A] for r in A]
+    lo = max(r[i] for i, r in enumerate(G))
+    if lo == 0:
+        return Fraction(0)
+    sh = max(lo.bit_length() - 60, 0)  # |G_ij| <= max diag: the floats stay finite
+    w = np.linalg.eigh(np.array([[float(g >> sh) for g in r] for r in G]))[1][:, -1]
+    v = [round(float(c) * 2**53) for c in w]
+    vGv = sum(a * g * b for a, r in zip(v, G) for g, b in zip(r, v))
+    lo = max(lo, Fraction(vGv, sum(c * c for c in v)))
+    hi, step = lo, Fraction(lo, 2**100)
+    while not _dominates(hi, G):  # lambda_max > hi: step up, doubling the step
+        lo, hi, step = hi, hi + step, 2 * step
+    while (hi - lo) * 2**100 > lo:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if _dominates(mid, G) else (mid, hi)
+    return _sqrt_mid(Fraction(lo + hi, 2)) / den
 
-    def dot(a: list[FpNumber], b: list[FpNumber]) -> FpNumber:
-        acc = fp_zero()
-        for u, v in zip(a, b):
-            acc = fp_add(acc, fp_mul(u, v, p), p)
-        return acc
 
-    one = fl(1, p)
-    two = fl(2, p)
-    tol_sq = fl(tol * tol, p)
-    for _ in range(64):
-        rotated = False
-        # columns negligible against the largest never affect sigma_max at
-        # tolerance; without this cutoff, rank deficiency would keep the
-        # sweep rotating noise forever (nothing underflows here)
-        norms = [dot(c, c) for c in cols]
-        biggest = max(norms)
-        if biggest.is_zero:
-            return Fraction(0)
-        cutoff = fp_mul(tol_sq, biggest, p)
-        for i in range(ncols):
-            for j in range(i + 1, ncols):
-                ci, cj = cols[i], cols[j]
-                a = dot(ci, ci)
-                b = dot(cj, cj)
-                g = dot(ci, cj)
-                if g.is_zero or a <= cutoff or b <= cutoff:
-                    continue
-                # converged pair: g^2 <= tol^2 * a * b
-                lhs = fp_mul(g, g, p)
-                rhs = fp_mul(tol_sq, fp_mul(a, b, p), p)
-                if lhs <= rhs:
-                    continue
-                rotated = True
-                zeta = fp_div(fp_sub(b, a, p), fp_mul(two, g, p), p)
-                root = babylonian_sqrt(fp_add(one, fp_mul(zeta, zeta, p), p), p)
-                denom = fp_add(abs(zeta), root, p)
-                tq = fp_div(one, denom, p)
-                if zeta.sign < 0:
-                    tq = -tq
-                c = fp_div(one, babylonian_sqrt(fp_add(one, fp_mul(tq, tq, p), p), p), p)
-                s = fp_mul(c, tq, p)
-                ni = [fp_sub(fp_mul(c, u, p), fp_mul(s, v, p), p) for u, v in zip(ci, cj)]
-                nj = [fp_add(fp_mul(s, u, p), fp_mul(c, v, p), p) for u, v in zip(ci, cj)]
-                cols[i], cols[j] = ni, nj
-        if not rotated:
-            break
-    else:  # pragma: no cover - cyclic Jacobi converges long before this
-        raise FpError("jacobi sweep did not converge")
-    best = fp_zero()
-    for cj in cols:
-        nrm = babylonian_sqrt(dot(cj, cj), p)
-        if nrm > best:
-            best = nrm
-    return to_exact(best)
+def _dominates(s: Fraction | int, G: list[list[int]]) -> bool:
+    """Whether s*I - G is positive semidefinite, decided exactly.
+
+    Fraction-free (Bareiss) elimination pivoting on the largest diagonal:
+    each step leaves the Schur complement times the last pivot, which is
+    positive, so the signs of the pivots decide.
+    """
+    p, q = s.numerator, s.denominator
+    M = [[(p if i == j else 0) - q * g for j, g in enumerate(r)] for i, r in enumerate(G)]
+    prev = 1
+    while M:
+        k = max(range(len(M)), key=lambda i: M[i][i])
+        piv = M[k][k]
+        if piv <= 0:  # a zero diagonal entry of a PSD matrix zeroes its row
+            return piv == 0 and not any(map(any, M))
+        M = [[(piv * x - r[k] * M[k][j]) // prev for j, x in enumerate(r) if j != k]
+             for i, r in enumerate(M) if i != k]
+        prev = piv
+    return True
 
 
 # ---------------------------------------------------------------------------

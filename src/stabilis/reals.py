@@ -278,7 +278,9 @@ def log_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
     if num <= 0:
         raise ValueError("log of a non-positive value")
     e = num.bit_length() - den.bit_length()
-    # choose e with m = x / 2**e in [2/3, 4/3)
+    # the bit lengths give m = x / 2**e in (1/2, 2); one more step where
+    # m > 4/3 leaves m in (1/2, 4/3] (4/7 keeps e = 0), so the atanh
+    # argument z = (m-1)/(m+1) has |z| < 1/3, inside _atanh_core's 0.4
     if e >= 0:
         if 3 * num > 4 * (den << e):
             e += 1

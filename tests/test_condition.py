@@ -2,10 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from stabilis.catalog import catalog_function, strassen_input
+from stabilis.catalog import catalog_function, sqrt_real, strassen_input
 from stabilis.condition import (
+    _dominates,
     composition_upper_bound,
     kappa_closed_form,
     kappa_from_jacobian,
@@ -14,6 +17,8 @@ from stabilis.condition import (
     spectral_norm,
     stacking_bounds,
 )
+from stabilis.fpcore import fl, to_exact
+from stabilis.reals import pi_real
 from stabilis.relmetric import RelPoint
 
 rng = random.Random(91)
@@ -86,7 +91,64 @@ def charpoly_sigma_max(rows: list[list[Fraction]]) -> Fraction:
     return _sqrt_mid((lo + hi) / 2)
 
 
+def mpmath_sigma_max(rows) -> mpmath.mpf:
+    """Reference: 400-bit SVD of the entries as rounded to 192 bits."""
+    with mpmath.workprec(400):
+        exact = [[to_exact(fl(v, 192)) for v in row] for row in rows]
+        M = mpmath.matrix([[mpmath.mpf(v.numerator) / v.denominator for v in row] for row in exact])
+        return max(mpmath.svd_r(M, compute_uv=False))
+
+
+_ratios = st.fractions(min_value=-4, max_value=4, max_denominator=10**15)
+_entries = st.one_of(
+    _ratios,
+    st.builds(lambda q, e: q * Fraction(10) ** e, _ratios, st.sampled_from([-300, 300])),
+    st.builds(lambda c, q: c * q, st.sampled_from([pi_real(), sqrt_real(Fraction(2))]),
+              st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool)),
+)
+
+
+@st.composite
+def _matrices(draw):
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 8))
+    if draw(st.booleans()):  # rank one: an outer product
+        u = draw(st.lists(_entries, min_size=n, max_size=n))
+        w = draw(st.lists(_entries, min_size=m, max_size=m))
+        return [[a * b for b in w] for a in u]
+    return draw(st.lists(st.lists(_entries, min_size=m, max_size=m), min_size=n, max_size=n))
+
+
 class TestSpectralNorm:
+    @given(_matrices())
+    @example([[Fraction(k, 3) for k in range(-4, 4)]])
+    @example([[Fraction(k, 3)] for k in range(-3, 4)])
+    @example([[Fraction(i + 1, 7) * (j - 3) for j in range(8)] for i in range(7)])
+    @example([[Fraction(10) ** 300, Fraction(-1, 3)], [Fraction(10) ** -300, Fraction(10) ** 300]])
+    @example([[pi_real(), sqrt_real(Fraction(2))], [-sqrt_real(Fraction(2)), pi_real() * Fraction(1, 3)]])
+    # the off-diagonal of the Gram matrix is lost in float64, so the seed is
+    # off by 2**-69 relative and the upward search and the bisection both run
+    @example([[1, Fraction(1, 2**70)], [Fraction(1, 2**70), 1]])
+    @settings(max_examples=60)
+    def test_within_2_pow_minus_100_of_mpmath_svd(self, rows):
+        sigma = mpmath_sigma_max(rows)
+        got = spectral_norm(rows)
+        with mpmath.workprec(400):
+            assert abs(mpmath.mpf(got.numerator) / got.denominator - sigma) <= sigma * mpmath.mpf(2) ** -100
+
+    @pytest.mark.parametrize("s,G,psd", [
+        (1, [[1, 1], [1, 1]], False),  # zero diagonal, nonzero off-diagonal
+        (2, [[1, 1], [1, 1]], True),
+        (2 - Fraction(1, 2**100), [[1, 1], [1, 1]], False),
+        (4, [[4, 0], [0, 0]], True),
+        (0, [[4, 0], [0, 0]], False),
+        (0, [[0, 0], [0, 0]], True),
+        (3, [[2, 1, 0], [1, 2, 1], [0, 1, 2]], False),  # eigenvalues 2 - sqrt 2, 2, 2 + sqrt 2
+        (Fraction(3414213563, 10**9), [[2, 1, 0], [1, 2, 1], [0, 1, 2]], True),
+        (Fraction(3414213562, 10**9), [[2, 1, 0], [1, 2, 1], [0, 1, 2]], False),
+    ])
+    def test_dominance_is_decided_exactly(self, s, G, psd):
+        assert _dominates(s, G) is psd
+
     def test_identity(self):
         assert spectral_norm([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
 

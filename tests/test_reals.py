@@ -67,6 +67,13 @@ class TestElementary:
         assert contains(iv, mp.log(to_mp(q)))
         assert width(iv) < Fraction(1, 2**150)
 
+    @pytest.mark.parametrize("q", [Fraction(4, 7), Fraction(2**64, 2**65 - 1), Fraction(4, 3)])
+    def test_log_at_the_ends_of_the_reduction_range(self, q):
+        # these keep e = 0: the reduced m reaches down towards 1/2 and up to 4/3
+        iv = log_iv(q, 200)
+        assert contains(iv, mp.log(to_mp(q)))
+        assert width(iv) < Fraction(1, 2**190)
+
     @given(st.fractions(min_value=Fraction(-80), max_value=Fraction(80), max_denominator=10**5))
     @settings(max_examples=150)
     def test_exp(self, q):
