@@ -21,24 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .catalog import (
-    Affine,
-    CatalogFunction,
-    Copy,
-    DomainError,
-    Hadamard,
-    InnerProduct,
-    Matmul2x2,
-    Norm2,
-    Power,
-    Product,
-    SquaredNorm,
-    Sqrt,
-    StrassenG,
-    StrassenH,
-    Summation,
-    _sqrt_mid,
-)
+from .catalog import CatalogFunction, DomainError, Product, Sin, Summation, _sqrt_mid, _sum_sq, composite_function
 from .condition import ConditionReport, ExtReal, kappa_closed_form, kappa_from_jacobian
 from .reals import Interval, as_interval, cos_iv, sin_iv, sqrt_iv
 from .relmetric import RelPoint, rel_ball_sample, rel_sphere_sample
@@ -137,18 +120,17 @@ def gradient_criterion(f: CatalogFunction, x: RelPoint, q, bits: int = 160) -> b
     hand-coded formula: product, summation, and sin.
     """
     q = Fraction(q)
-    base = f.id.split("[")[0]
-    if base == "product":
+    if isinstance(f, Product):
         # kappa is locally constant, so its gradient vanishes
         return q > 0
-    if base == "summation":
+    if isinstance(f, Summation):
         xs = x.coords
         if any(not isinstance(v, Fraction) for v in xs):
             raise TypeError("summation gradient needs rational coordinates")
         S = sum(xs)
         if S == 0:
             raise ValueError("kappa is infinite at this point")
-        Q = sum((v * v for v in xs), Fraction(0))
+        Q = _sum_sq(xs)
         if Q == 0:
             return True  # x = 0: kappa locally 0
         for b in (bits, 2 * bits, 4 * bits):
@@ -170,7 +152,7 @@ def gradient_criterion(f: CatalogFunction, x: RelPoint, q, bits: int = 160) -> b
             if verdict is not None:
                 return verdict
         raise ArithmeticError("gradient criterion undecided at available precision")
-    if base == "sin":
+    if isinstance(f, Sin):
         xv = x.coords[0]
         for b in (bits, 2 * bits, 4 * bits):
             xi = as_interval(xv, b + 16)
@@ -211,25 +193,6 @@ class ExcessFactorReport:
     @property
     def defined(self) -> bool:
         return self.excess is not None
-
-
-def composite_function(g: CatalogFunction, h: CatalogFunction) -> CatalogFunction | None:
-    """Closed-form composite g o h where the catalog knows one."""
-    if isinstance(g, Summation) and isinstance(h, Hadamard) and g.k == h.k:
-        return InnerProduct(h.k)
-    if isinstance(g, InnerProduct) and isinstance(h, Copy) and g.k == h.k:
-        return SquaredNorm(h.k)
-    if isinstance(g, Sqrt) and isinstance(h, SquaredNorm):
-        return Norm2(h.k)
-    if isinstance(g, Product) and isinstance(h, Hadamard) and g.k == h.k:
-        return Product(2 * h.k)
-    if isinstance(g, Power) and isinstance(h, Power):
-        return Power(g.j * h.j)
-    if isinstance(g, Affine) and isinstance(h, Affine) and g.op == h.op == "mul":
-        return Affine("mul", g.alpha * h.alpha)
-    if isinstance(g, StrassenG) and isinstance(h, StrassenH):
-        return Matmul2x2()
-    return None
 
 
 def _matmul_exact(a: Sequence[Sequence], b: Sequence[Sequence]):

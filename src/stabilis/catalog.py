@@ -14,12 +14,18 @@ cross-checks against each other:
 Alongside, :class:`NumericalAlgorithm` wraps the same functions as
 floating-point programs: every arithmetic step is performed in the
 soft-float system at the requested precision, constants included.
+
+Two tables name everything: ``FUNCTIONS`` maps a function name (aliases
+included) to its class and the way the CLI sizes it, and ``ALGORITHMS``
+maps an algorithm name to the function it implements and its runner.
+``catalog_function`` and ``algorithm`` are lookups in them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Sequence
 
 from .fpcore import FpError, FpNumber, Precision, fl, fp_add, fp_div, fp_mul, fp_sub, fp_zero, to_exact
@@ -59,7 +65,23 @@ def _sqrt_mid(q: Fraction, bits: int = 192) -> Fraction:
 
 
 def _sum_sq(vals: Sequence[Fraction]) -> Fraction:
-    return sum((v * v for v in vals), Fraction(0))
+    """Sum of squares over one common denominator, with integer numerators."""
+    den = math.lcm(*(v.denominator for v in vals))
+    return Fraction(sum((v.numerator * (den // v.denominator)) ** 2 for v in vals), den * den)
+
+
+def _sum_kappa(terms: Sequence[Fraction], bits: int, c: int = 1):
+    """Condition number sqrt(c * sum t^2) / |sum t| of summing ``terms``.
+
+    ``c`` counts the relative perturbations that reach each term (2 when a
+    term is a product of two inputs).
+    """
+    if all(t == 0 for t in terms):
+        return Fraction(0)
+    s = sum(terms)
+    if s == 0:
+        return math.inf
+    return _sqrt_mid(c * _sum_sq(terms), bits) / abs(s)
 
 
 def sqrt_real(x: ExactReal) -> ExactReal:
@@ -104,7 +126,7 @@ class CatalogFunction:
 
 
 class Product(CatalogFunction):
-    def __init__(self, k: int):
+    def __init__(self, k: int = 2):
         self.id = f"product[{k}]"
         self.in_dim, self.out_dim = k, 1
         self.k = k
@@ -136,7 +158,7 @@ class Product(CatalogFunction):
 
 
 class Summation(CatalogFunction):
-    def __init__(self, k: int):
+    def __init__(self, k: int = 2):
         self.id = f"summation[{k}]"
         self.in_dim, self.out_dim = k, 1
         self.k = k
@@ -151,19 +173,13 @@ class Summation(CatalogFunction):
         return [[Fraction(1)] * self.k]
 
     def kappa_closed(self, xs, bits: int = 192):
-        xs = _frac_only(xs, "summation kappa")
-        if all(v == 0 for v in xs):
-            return Fraction(0)
-        s = sum(xs)
-        if s == 0:
-            return math.inf
-        return _sqrt_mid(_sum_sq(xs), bits) / abs(s)
+        return _sum_kappa(_frac_only(xs, "summation kappa"), bits)
 
 
 class Hadamard(CatalogFunction):
     """Entrywise product of two length-k arrays, input flattened to 2k."""
 
-    def __init__(self, k: int):
+    def __init__(self, k: int = 2):
         self.id = f"hadamard[{k}]"
         self.in_dim, self.out_dim = 2 * k, k
         self.k = k
@@ -194,7 +210,8 @@ class Hadamard(CatalogFunction):
 class TensorProduct(CatalogFunction):
     """Outer product of a length-k and a length-l array."""
 
-    def __init__(self, k: int, l: int):
+    def __init__(self, k: int = 2, l: int | None = None):
+        l = k if l is None else l
         self.id = f"tensor_product[{k}x{l}]"
         self.in_dim, self.out_dim = k + l, k * l
         self.k, self.l = k, l
@@ -252,20 +269,13 @@ class LinearMap(CatalogFunction):
         if self.out_dim != 1:
             return None  # stacked rows go through the spectral path
         xs = _frac_only(xs, "linear map kappa")
-        r = self.rows[0]
-        prods = [c * v for c, v in zip(r, xs)]
-        if all(p == 0 for p in prods):
-            return Fraction(0)
-        s = sum(prods)
-        if s == 0:
-            return math.inf
-        return _sqrt_mid(_sum_sq(prods), bits) / abs(s)
+        return _sum_kappa([c * v for c, v in zip(self.rows[0], xs)], bits)
 
 
 class InnerProduct(CatalogFunction):
     """<x, y> with the two length-k arrays flattened to 2k inputs."""
 
-    def __init__(self, k: int):
+    def __init__(self, k: int = 2):
         self.id = f"inner_product[{k}]"
         self.in_dim, self.out_dim = 2 * k, 1
         self.k = k
@@ -287,17 +297,11 @@ class InnerProduct(CatalogFunction):
         # hence the sqrt(2) on top of the summation-stage condition number
         xs = _frac_only(xs, "inner product kappa")
         k = self.k
-        prods = [xs[i] * xs[k + i] for i in range(k)]
-        if all(p == 0 for p in prods):
-            return Fraction(0)
-        s = sum(prods)
-        if s == 0:
-            return math.inf
-        return _sqrt_mid(2 * _sum_sq(prods), bits) / abs(s)
+        return _sum_kappa([xs[i] * xs[k + i] for i in range(k)], bits, 2)
 
 
 class Copy(CatalogFunction):
-    def __init__(self, k: int):
+    def __init__(self, k: int = 2):
         self.id = f"copy[{k}]"
         self.in_dim, self.out_dim = k, 2 * k
         self.k = k
@@ -317,7 +321,7 @@ class Copy(CatalogFunction):
 
 
 class SquaredNorm(CatalogFunction):
-    def __init__(self, k: int):
+    def __init__(self, k: int = 2):
         self.id = f"squared_norm[{k}]"
         self.in_dim, self.out_dim = k, 1
         self.k = k
@@ -337,7 +341,7 @@ class SquaredNorm(CatalogFunction):
         q = _sum_sq(xs)
         if q == 0:
             return Fraction(0)
-        q4 = sum((v**4 for v in xs), Fraction(0))
+        q4 = _sum_sq([v * v for v in xs])
         return 2 * _sqrt_mid(q4, bits) / q
 
 
@@ -368,7 +372,7 @@ class Sqrt(CatalogFunction):
 
 
 class Norm2(CatalogFunction):
-    def __init__(self, k: int):
+    def __init__(self, k: int = 2):
         self.id = f"norm2[{k}]"
         self.in_dim, self.out_dim = k, 1
         self.k = k
@@ -398,15 +402,15 @@ class Norm2(CatalogFunction):
         q = _sum_sq(xs)
         if q == 0:
             return Fraction(0)
-        q4 = sum((v**4 for v in xs), Fraction(0))
+        q4 = _sum_sq([v * v for v in xs])
         return _sqrt_mid(q4, bits) / q
 
 
 class Power(CatalogFunction):
-    def __init__(self, j: int):
-        self.id = f"power[{j}]"
+    def __init__(self, exponent: int):
+        self.id = f"power[{exponent}]"
         self.in_dim = self.out_dim = 1
-        self.j = j
+        self.j = exponent
 
     def in_domain(self, xs):
         return self.j >= 0 or real_sign(xs[0]) != 0
@@ -432,7 +436,7 @@ class Affine(CatalogFunction):
     def __init__(self, op: str, alpha):
         if op not in ("add", "sub", "mul", "div"):
             raise ValueError(f"unknown scalar op {op!r}")
-        self.alpha = Fraction(to_real(alpha)) if not isinstance(alpha, Fraction) else alpha
+        self.alpha = Fraction(alpha)
         if op == "div" and self.alpha == 0:
             raise ValueError("division by a zero constant")
         self.op = op
@@ -581,7 +585,7 @@ class StrassenG(CatalogFunction):
 class MatmulEntry(CatalogFunction):
     """One entry c_ij of the 2x2 matrix product (i, j are 1-based)."""
 
-    def __init__(self, i: int, j: int):
+    def __init__(self, i: int = 1, j: int = 2):
         if i not in (1, 2) or j not in (1, 2):
             raise ValueError("matmul entry indices must be 1 or 2")
         self.i, self.j = i, j
@@ -609,14 +613,7 @@ class MatmulEntry(CatalogFunction):
     def kappa_closed(self, xs, bits: int = 192):
         # inner-product special case: both factors of each product perturb
         xs = _frac_only(xs, "matmul entry kappa")
-        (p, q), (r, s) = self._pairs()
-        prods = [xs[p] * xs[q], xs[r] * xs[s]]
-        if all(v == 0 for v in prods):
-            return Fraction(0)
-        tot = prods[0] + prods[1]
-        if tot == 0:
-            return math.inf
-        return _sqrt_mid(2 * _sum_sq(prods), bits) / abs(tot)
+        return _sum_kappa([xs[a] * xs[b] for a, b in self._pairs()], bits, 2)
 
 
 class Matmul2x2(CatalogFunction):
@@ -634,6 +631,25 @@ class Matmul2x2(CatalogFunction):
         return [e.jacobian(xs)[0] for e in self._entries]
 
 
+def composite_function(g: CatalogFunction, h: CatalogFunction) -> CatalogFunction | None:
+    """Closed-form composite g o h where the catalog knows one."""
+    if isinstance(g, Summation) and isinstance(h, Hadamard) and g.k == h.k:
+        return InnerProduct(h.k)
+    if isinstance(g, InnerProduct) and isinstance(h, Copy) and g.k == h.k:
+        return SquaredNorm(h.k)
+    if isinstance(g, Sqrt) and isinstance(h, SquaredNorm):
+        return Norm2(h.k)
+    if isinstance(g, Product) and isinstance(h, Hadamard) and g.k == h.k:
+        return Product(2 * h.k)
+    if isinstance(g, Power) and isinstance(h, Power):
+        return Power(g.j * h.j)
+    if isinstance(g, Affine) and isinstance(h, Affine) and g.op == h.op == "mul":
+        return Affine("mul", g.alpha * h.alpha)
+    if isinstance(g, StrassenG) and isinstance(h, StrassenH):
+        return Matmul2x2()
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Floating-point algorithms
 # ---------------------------------------------------------------------------
@@ -646,6 +662,7 @@ class NumericalAlgorithm:
     system at the requested precision (constants are rounded on entry),
     mirroring how a strong finite-precision computation replaces the exact
     one.  ``exact_reference`` is the implemented function's exact value.
+    ``run(function, xs, p)`` returns the outputs as a tuple.
     """
 
     def __init__(self, aid: str, function: CatalogFunction, run: Callable):
@@ -665,79 +682,13 @@ class NumericalAlgorithm:
         p = Precision.of(p)
         if len(xs) != self.in_dim:
             raise ValueError(f"{self.id} expects {self.in_dim} inputs, got {len(xs)}")
-        out = self._run(tuple(xs), p)
-        return out if isinstance(out, tuple) else (out,)
+        return self._run(self.function, tuple(xs), p)
 
     def exact_reference(self, xs: Coords) -> Coords:
         return self.function.exact(xs)
 
     def __repr__(self) -> str:
         return f"<NumericalAlgorithm {self.id}>"
-
-
-def _run_naive_product(xs, p):
-    acc = xs[0]
-    for v in xs[1:]:
-        acc = fp_mul(acc, v, p)
-    return (acc,)
-
-
-def _run_naive_sum(xs, p):
-    acc = xs[0]
-    for v in xs[1:]:
-        acc = fp_add(acc, v, p)
-    return (acc,)
-
-
-def _run_hadamard(k):
-    def run(xs, p):
-        return tuple(fp_mul(xs[i], xs[k + i], p) for i in range(k))
-
-    return run
-
-
-def _run_tensor(k, l):
-    def run(xs, p):
-        return tuple(fp_mul(xs[i], xs[k + j], p) for i in range(k) for j in range(l))
-
-    return run
-
-
-def _run_linear_map(rows):
-    def run(xs, p):
-        out = []
-        for r in rows:
-            terms = [fp_mul(fl(c, p), x, p) for c, x in zip(r, xs)]
-            acc = terms[0]
-            for tmv in terms[1:]:
-                acc = fp_add(acc, tmv, p)
-            out.append(acc)
-        return tuple(out)
-
-    return run
-
-
-def _run_inner(k):
-    def run(xs, p):
-        acc = fp_mul(xs[0], xs[k], p)
-        for i in range(1, k):
-            acc = fp_add(acc, fp_mul(xs[i], xs[k + i], p), p)
-        return (acc,)
-
-    return run
-
-
-def _run_copy(xs, p):
-    return tuple(xs) + tuple(xs)
-
-
-def _run_squared_norm(k):
-    inner = _run_inner(k)
-
-    def run(xs, p):
-        return inner(tuple(xs) + tuple(xs), p)
-
-    return run
 
 
 def babylonian_sqrt(g: FpNumber, p: Precision | int) -> FpNumber:
@@ -769,91 +720,6 @@ def babylonian_sqrt(g: FpNumber, p: Precision | int) -> FpNumber:
     else:
         raise FpError("square-root iteration failed to settle")
     return FpNumber(x.sign, x.mantissa, x.exponent + k)
-
-
-def _run_babylonian(xs, p):
-    return (babylonian_sqrt(xs[0], p),)
-
-
-def _run_norm2(k):
-    sq = _run_squared_norm(k)
-
-    def run(xs, p):
-        return (babylonian_sqrt(sq(xs, p)[0], p),)
-
-    return run
-
-
-def _run_power(j):
-    def run(xs, p):
-        x = xs[0]
-        if j == 0:
-            return (fl(1, p),)
-        n = abs(j)
-        acc = x
-        for _ in range(n - 1):
-            acc = fp_mul(acc, x, p)
-        if j < 0:
-            acc = fp_div(fl(1, p), acc, p)
-        return (acc,)
-
-    return run
-
-
-def _run_affine(op, alpha):
-    def run(xs, p):
-        a = fl(alpha, p)
-        x = xs[0]
-        if op == "add":
-            return (fp_add(x, a, p),)
-        if op == "sub":
-            return (fp_sub(x, a, p),)
-        if op == "mul":
-            return (fp_mul(x, a, p),)
-        return (fp_div(x, a, p),)
-
-    return run
-
-
-def _fp_lin(xs, terms, p):
-    acc = None
-    for c, i in terms:
-        v = xs[i] if c > 0 else -xs[i]
-        acc = v if acc is None else fp_add(acc, v, p)
-    return acc
-
-
-def _run_strassen_h(xs, p):
-    return tuple(fp_mul(_fp_lin(xs, at, p), _fp_lin(xs, bt, p), p) for at, bt in _H_TERMS)
-
-
-def _run_strassen_g(xs, p):
-    return tuple(_fp_lin(xs, t, p) for t in _G_TERMS)
-
-
-def _run_strassen_2x2(xs, p):
-    return _run_strassen_g(_run_strassen_h(xs, p), p)
-
-
-def _run_matmul_2x2(xs, p):
-    inner = _run_inner(2)
-    out = []
-    for i in (0, 1):
-        for j in (0, 1):
-            args = (xs[2 * i], xs[2 * i + 1], xs[4 + j], xs[4 + 2 + j])
-            out.append(inner(args, p)[0])
-    return tuple(out)
-
-
-def _run_matmul_entry(i, j):
-    inner = _run_inner(2)
-
-    def run(xs, p):
-        ii, jj = i - 1, j - 1
-        args = (xs[2 * ii], xs[2 * ii + 1], xs[4 + jj], xs[4 + 2 + jj])
-        return inner(args, p)
-
-    return run
 
 
 # -- sine ---------------------------------------------------------------
@@ -921,100 +787,131 @@ def sin_in_precision(x: FpNumber, p: Precision | int) -> FpNumber:
     return total
 
 
-class _SinAlgorithm(NumericalAlgorithm):
-    def __init__(self):
-        super().__init__("sin_working", Sin(), lambda xs, p: (sin_in_precision(xs[0], p),))
+# -- runners ----------------------------------------------------------------
+# A runner maps (function, soft-float inputs, precision) to the outputs.  It
+# reads the soft-float operations, babylonian_sqrt and sin_in_precision from
+# the module globals at call time, so a wrapper installed there sees them.
+
+
+def _fp_fold(op, vals, p):
+    """((v0 op v1) op v2) ... in the working precision."""
+    return reduce(lambda acc, v: op(acc, v, p), vals)
+
+
+def _fp_inner(us, vs, p):
+    """sum u_i * v_i, each product rounded, then added left to right."""
+    acc = None
+    for u, v in zip(us, vs):
+        uv = fp_mul(u, v, p)
+        acc = uv if acc is None else fp_add(acc, uv, p)
+    return acc
+
+
+def _fp_entry(e: MatmulEntry, xs, p):
+    (a, b), (c, d) = e._pairs()
+    return _fp_inner((xs[a], xs[c]), (xs[b], xs[d]), p)
+
+
+def _fp_lin(xs, terms, p):
+    acc = None
+    for c, i in terms:
+        v = xs[i] if c > 0 else -xs[i]
+        acc = v if acc is None else fp_add(acc, v, p)
+    return acc
+
+
+def _fp_strassen_h(xs, p):
+    return tuple(fp_mul(_fp_lin(xs, at, p), _fp_lin(xs, bt, p), p) for at, bt in _H_TERMS)
+
+
+def _fp_strassen_g(ys, p):
+    return tuple(_fp_lin(ys, t, p) for t in _G_TERMS)
+
+
+def _run_power(f: Power, xs, p):
+    if f.j == 0:
+        return (fl(1, p),)
+    acc = _fp_fold(fp_mul, [xs[0]] * abs(f.j), p)
+    return (fp_div(fl(1, p), acc, p) if f.j < 0 else acc,)
+
+
+def _run_affine(f: Affine, xs, p):
+    a, x = fl(f.alpha, p), xs[0]
+    if f.op == "add":
+        return (fp_add(x, a, p),)
+    if f.op == "sub":
+        return (fp_sub(x, a, p),)
+    if f.op == "mul":
+        return (fp_mul(x, a, p),)
+    return (fp_div(x, a, p),)
 
 
 # ---------------------------------------------------------------------------
 # Registries
 # ---------------------------------------------------------------------------
 
+# name -> (class, CLI sizing).  The CLI builds k = max(dim // n, 1) for a
+# sizing n > 0, takes the class defaults for 0, and does not offer None.
+FUNCTIONS: dict[str, tuple[type[CatalogFunction], int | None]] = {
+    "product": (Product, 1),
+    "sum": (Summation, 1),
+    "summation": (Summation, 1),
+    "hadamard": (Hadamard, 2),
+    "tensor_product": (TensorProduct, None),
+    "linear_map": (LinearMap, None),
+    "inner": (InnerProduct, 2),
+    "inner_product": (InnerProduct, 2),
+    "copy": (Copy, 1),
+    "squared_norm": (SquaredNorm, 1),
+    "sqrt": (Sqrt, 0),
+    "norm2": (Norm2, 1),
+    "power": (Power, 0),
+    "affine": (Affine, 0),
+    "sin": (Sin, 0),
+    "strassen_h": (StrassenH, 0),
+    "strassen_g": (StrassenG, 0),
+    "matmul_entry": (MatmulEntry, 0),
+    "matmul_2x2": (Matmul2x2, 0),
+}
+
+# algorithm name -> (name of the function it implements, runner)
+ALGORITHMS: dict[str, tuple[str, Callable]] = {
+    "naive_product": ("product", lambda f, xs, p: (_fp_fold(fp_mul, xs, p),)),
+    "naive_sum": ("sum", lambda f, xs, p: (_fp_fold(fp_add, xs, p),)),
+    "hadamard": ("hadamard", lambda f, xs, p: tuple(fp_mul(xs[i], xs[f.k + i], p) for i in range(f.k))),
+    "tensor_product": ("tensor_product", lambda f, xs, p: tuple(
+        fp_mul(xs[i], xs[f.k + j], p) for i in range(f.k) for j in range(f.l))),
+    "linear_map": ("linear_map", lambda f, xs, p: tuple(
+        _fp_fold(fp_add, [fp_mul(fl(c, p), x, p) for c, x in zip(r, xs)], p) for r in f.rows)),
+    "inner_product": ("inner_product", lambda f, xs, p: (_fp_inner(xs[: f.k], xs[f.k :], p),)),
+    "copy": ("copy", lambda f, xs, p: xs + xs),
+    "squared_norm": ("squared_norm", lambda f, xs, p: (_fp_inner(xs, xs, p),)),
+    "norm2": ("norm2", lambda f, xs, p: (babylonian_sqrt(_fp_inner(xs, xs, p), p),)),
+    "babylonian_sqrt": ("sqrt", lambda f, xs, p: (babylonian_sqrt(xs[0], p),)),
+    "power": ("power", _run_power),
+    "scalar_affine": ("affine", _run_affine),
+    "strassen_h": ("strassen_h", lambda f, xs, p: _fp_strassen_h(xs, p)),
+    "strassen_g": ("strassen_g", lambda f, xs, p: _fp_strassen_g(xs, p)),
+    "strassen_2x2": ("matmul_2x2", lambda f, xs, p: _fp_strassen_g(_fp_strassen_h(xs, p), p)),
+    "matmul_2x2": ("matmul_2x2", lambda f, xs, p: tuple(_fp_entry(e, xs, p) for e in f._entries)),
+    "matmul_entry": ("matmul_entry", lambda f, xs, p: (_fp_entry(f, xs, p),)),
+    "sin_working": ("sin", lambda f, xs, p: (sin_in_precision(xs[0], p),)),
+}
+
 
 def catalog_function(fid: str, **kw) -> CatalogFunction:
     """Build a catalog function by name; dims and constants via keywords."""
-    k = kw.get("k", 2)
-    if fid == "product":
-        return Product(k)
-    if fid in ("sum", "summation"):
-        return Summation(k)
-    if fid == "hadamard":
-        return Hadamard(k)
-    if fid == "tensor_product":
-        return TensorProduct(k, kw.get("l", k))
-    if fid == "linear_map":
-        return LinearMap(kw["rows"])
-    if fid in ("inner", "inner_product"):
-        return InnerProduct(k)
-    if fid == "copy":
-        return Copy(k)
-    if fid == "squared_norm":
-        return SquaredNorm(k)
-    if fid == "sqrt":
-        return Sqrt()
-    if fid == "norm2":
-        return Norm2(k)
-    if fid == "power":
-        return Power(kw["exponent"])
-    if fid == "affine":
-        return Affine(kw["op"], kw["alpha"])
-    if fid == "sin":
-        return Sin()
-    if fid == "strassen_h":
-        return StrassenH()
-    if fid == "strassen_g":
-        return StrassenG()
-    if fid == "matmul_entry":
-        return MatmulEntry(kw.get("i", 1), kw.get("j", 2))
-    if fid == "matmul_2x2":
-        return Matmul2x2()
-    raise ValueError(f"unknown catalog function {fid!r}")
+    if fid not in FUNCTIONS:
+        raise ValueError(f"unknown catalog function {fid!r}")
+    return FUNCTIONS[fid][0](**kw)
 
 
 def algorithm(aid: str, **kw) -> NumericalAlgorithm:
-    """Build a floating-point algorithm by name."""
-    k = kw.get("k", 2)
-    if aid == "naive_product":
-        return NumericalAlgorithm(aid, Product(k), _run_naive_product)
-    if aid == "naive_sum":
-        return NumericalAlgorithm(aid, Summation(k), _run_naive_sum)
-    if aid == "hadamard":
-        return NumericalAlgorithm(aid, Hadamard(k), _run_hadamard(k))
-    if aid == "tensor_product":
-        l = kw.get("l", k)
-        return NumericalAlgorithm(aid, TensorProduct(k, l), _run_tensor(k, l))
-    if aid == "linear_map":
-        f = LinearMap(kw["rows"])
-        return NumericalAlgorithm(aid, f, _run_linear_map(f.rows))
-    if aid == "inner_product":
-        return NumericalAlgorithm(aid, InnerProduct(k), _run_inner(k))
-    if aid == "copy":
-        return NumericalAlgorithm(aid, Copy(k), _run_copy)
-    if aid == "squared_norm":
-        return NumericalAlgorithm(aid, SquaredNorm(k), _run_squared_norm(k))
-    if aid == "norm2":
-        return NumericalAlgorithm(aid, Norm2(k), _run_norm2(k))
-    if aid == "babylonian_sqrt":
-        return NumericalAlgorithm(aid, Sqrt(), _run_babylonian)
-    if aid == "power":
-        j = kw["exponent"]
-        return NumericalAlgorithm(aid, Power(j), _run_power(j))
-    if aid == "scalar_affine":
-        return NumericalAlgorithm(aid, Affine(kw["op"], kw["alpha"]), _run_affine(kw["op"], Fraction(kw["alpha"])))
-    if aid == "strassen_h":
-        return NumericalAlgorithm(aid, StrassenH(), _run_strassen_h)
-    if aid == "strassen_g":
-        return NumericalAlgorithm(aid, StrassenG(), _run_strassen_g)
-    if aid == "strassen_2x2":
-        return NumericalAlgorithm(aid, Matmul2x2(), _run_strassen_2x2)
-    if aid == "matmul_2x2":
-        return NumericalAlgorithm(aid, Matmul2x2(), _run_matmul_2x2)
-    if aid == "matmul_entry":
-        i, j = kw.get("i", 1), kw.get("j", 2)
-        return NumericalAlgorithm(aid, MatmulEntry(i, j), _run_matmul_entry(i, j))
-    if aid == "sin_working":
-        return _SinAlgorithm()
-    raise ValueError(f"unknown algorithm {aid!r}")
+    """Build a floating-point algorithm by name; keywords go to its function."""
+    if aid not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {aid!r}")
+    fid, run = ALGORITHMS[aid]
+    return NumericalAlgorithm(aid, catalog_function(fid, **kw), run)
 
 
 def strassen_input(eps: Fraction) -> tuple[Fraction, ...]:

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 computation error.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import sys
@@ -18,7 +19,7 @@ import click
 
 from . import __version__
 from .amenability import amenability_probe, excess_factor
-from .catalog import catalog_function
+from .catalog import FUNCTIONS, strassen_input
 from .condition import kappa_closed_form, kappa_jacobian, kappa_sampled
 from .harness import log_spaced, sine_experiment, strassen_experiment
 from .reals import CertifiedReal, ExactReal, PrecisionError, pi_real
@@ -284,36 +285,22 @@ def sine(k_max, t_work, guard, fmt, output):
     _emit_table(cfg, ["k", "u", "rel_lop"], rows, fmt, output)
 
 
-_FUNCTION_KW = {
-    "product": lambda dim, kw: dict(k=dim),
-    "sum": lambda dim, kw: dict(k=dim),
-    "summation": lambda dim, kw: dict(k=dim),
-    "hadamard": lambda dim, kw: dict(k=max(dim // 2, 1)),
-    "inner": lambda dim, kw: dict(k=max(dim // 2, 1)),
-    "inner_product": lambda dim, kw: dict(k=max(dim // 2, 1)),
-    "copy": lambda dim, kw: dict(k=dim),
-    "squared_norm": lambda dim, kw: dict(k=dim),
-    "norm2": lambda dim, kw: dict(k=dim),
-    "sqrt": lambda dim, kw: {},
-    "sin": lambda dim, kw: {},
-    "power": lambda dim, kw: dict(exponent=kw["exponent"]),
-    "affine": lambda dim, kw: dict(op=kw["op"], alpha=Fraction(kw["alpha"])),
-    "strassen_h": lambda dim, kw: {},
-    "strassen_g": lambda dim, kw: {},
-    "matmul_2x2": lambda dim, kw: {},
-    "matmul_entry": lambda dim, kw: dict(i=kw.get("i", 1), j=kw.get("j", 2)),
-}
-
 def _resolve_function(name: str, dim: int, **kw):
     """Build a catalog function, inferring dims from the given dimension."""
     fid = name.replace("-", "_")
-    if fid not in _FUNCTION_KW:
-        raise click.UsageError(f"unknown function {name!r}; one of {sorted(_FUNCTION_KW)}")
-    build = _FUNCTION_KW[fid]
-    try:
-        return catalog_function(fid, **build(dim, kw))
-    except KeyError as e:
-        raise click.UsageError(f"function {name!r} needs option {e}")
+    cls, per = FUNCTIONS.get(fid, (None, None))
+    if per is None:
+        offered = sorted(n for n, (_, sizing) in FUNCTIONS.items() if sizing is not None)
+        raise click.UsageError(f"unknown function {name!r}; one of {offered}")
+    if per:
+        kw["k"] = max(dim // per, 1)
+    args = {}
+    for param in inspect.signature(cls).parameters.values():
+        if param.name in kw:
+            args[param.name] = kw[param.name]
+        elif param.default is param.empty:
+            raise click.UsageError(f"function {name!r} needs option {param.name!r}")
+    return cls(**args)
 
 
 @main.command()
@@ -403,8 +390,6 @@ def excess(g_name, h_name, point, eps):
         e = Fraction(eps) if "/" in eps else Fraction(float(eps))
         if not (0 < e < 1):
             raise click.UsageError("eps must lie in (0, 1)")
-        from .catalog import strassen_input
-
         pt = RelPoint(strassen_input(e))
     else:
         pt = parse_point(point)

@@ -6,6 +6,8 @@ import mpmath as mp
 import pytest
 
 from stabilis.catalog import (
+    ALGORITHMS,
+    FUNCTIONS,
     DomainError,
     algorithm,
     babylonian_sqrt,
@@ -14,6 +16,7 @@ from stabilis.catalog import (
     sin_in_precision,
     strassen_input,
 )
+from stabilis.cli import _resolve_function
 from stabilis.fpcore import Precision, fl, to_exact
 from stabilis.reals import pi_real
 from stabilis.relmetric import RelPoint, rel_dist
@@ -251,3 +254,48 @@ class TestAlgorithmsConvergeToReference:
                 errs.append(rel_dist(ref, got, bits=max(224, t + 64)))
             assert errs[0] > errs[2], aid
             assert errs[2] < Fraction(1, 2**150), aid
+
+
+class TestRegistry:
+    """Walk the two registries: every algorithm against its function."""
+
+    F = Fraction
+    # algorithm name -> (constructor keywords, exact input point)
+    CASES = {
+        "naive_product": (dict(k=4), (F(3, 7), F(-5, 3), F(2), F(11, 13))),
+        "naive_sum": (dict(k=4), (F(3, 7), F(5, 3), F(2), F(11, 13))),
+        "hadamard": (dict(k=3), (F(3, 7), F(-5, 3), F(2), F(11, 13), F(1, 9), F(-4))),
+        "tensor_product": (dict(k=2, l=3), (F(3, 7), F(-5, 3), F(2), F(11, 13), F(1, 9))),
+        "linear_map": (dict(rows=[[1, 2, -3], [3, -4, F(1, 2)]]), (F(3, 7), F(5, 3), F(-2))),
+        "inner_product": (dict(k=3), (F(3, 7), F(5, 3), F(2), F(11, 13), F(1, 9), F(4))),
+        "copy": (dict(k=3), (F(3, 7), F(-5, 3), F(2))),
+        "squared_norm": (dict(k=3), (F(3, 7), F(-5, 3), F(2))),
+        "norm2": (dict(k=3), (F(3, 7), F(-5, 3), F(2))),
+        "babylonian_sqrt": (dict(), (F(2),)),
+        "power": (dict(exponent=-3), (F(5, 7),)),
+        "scalar_affine": (dict(op="div", alpha=F(3, 7)), (F(5, 3),)),
+        "strassen_h": (dict(), (F(1, 3), F(2), F(5, 7), F(3), F(11, 13), F(7, 4), F(1, 5), F(9, 2))),
+        "strassen_g": (dict(), (F(1, 3), F(2), F(5, 7), F(3), F(11, 13), F(7, 4), F(1, 5))),
+        "strassen_2x2": (dict(), (F(1, 3), F(2), F(5, 7), F(3), F(11, 13), F(7, 4), F(1, 5), F(9, 2))),
+        "matmul_2x2": (dict(), (F(1, 3), F(2), F(5, 7), F(3), F(11, 13), F(7, 4), F(1, 5), F(9, 2))),
+        "matmul_entry": (dict(i=2, j=1), (F(1, 3), F(2), F(5, 7), F(3), F(11, 13), F(7, 4), F(1, 5), F(9, 2))),
+        "sin_working": (dict(), (F(1, 3),)),
+    }
+
+    @pytest.mark.parametrize("aid", sorted(ALGORITHMS))
+    def test_algorithm_tracks_its_function(self, aid):
+        if aid not in self.CASES:
+            pytest.fail(f"no registry-walk case for algorithm {aid!r}")
+        kw, xs = self.CASES[aid]
+        alg = algorithm(aid, **kw)
+        assert alg.function.id == catalog_function(ALGORITHMS[aid][0], **kw).id
+        t = 192
+        got = RelPoint(alg.evaluate([fl(c, t) for c in xs], t))
+        ref = RelPoint(alg.exact_reference(xs))
+        assert rel_dist(ref, got, bits=256) < Fraction(1, 2**150)
+
+    @pytest.mark.parametrize("name", sorted(n for n, (_, per) in FUNCTIONS.items() if per))
+    def test_cli_sizing_gives_the_input_dimension(self, name):
+        per = FUNCTIONS[name][1]
+        for k in (1, 2, 5):
+            assert _resolve_function(name, per * k).in_dim == per * k

@@ -78,6 +78,22 @@ class TestCond:
         r = runner.invoke(main, ["cond", "sqrt", "(-1)"])
         assert r.exit_code == 3
 
+    @pytest.mark.parametrize("name", ["tensor_product", "linear_map"])
+    def test_functions_without_cli_sizing_are_not_offered(self, runner, name):
+        r = runner.invoke(main, ["cond", name, "1,2"])
+        assert r.exit_code == 2
+        offered = [
+            "affine", "copy", "hadamard", "inner", "inner_product", "matmul_2x2", "matmul_entry",
+            "norm2", "power", "product", "sin", "sqrt", "squared_norm", "strassen_g", "strassen_h",
+            "sum", "summation",
+        ]
+        assert f"unknown function {name!r}; one of {offered}" in r.output
+
+    def test_dashed_alias_and_default_indices(self, runner):
+        r = runner.invoke(main, ["cond", "matmul-entry", "1,2,3,4,5,6,7,8"])
+        assert r.exit_code == 0
+        assert r.output.startswith("function = matmul_entry[12]\n")
+
 
 class TestAmen:
     def test_sum_passes(self, runner):
@@ -108,6 +124,12 @@ class TestExcess:
             main, ["excess", "sum", "hadamard", "--x", "1,1,1,1", "--eps", "1e-2"]
         )
         assert r2.exit_code == 2
+
+    @pytest.mark.parametrize("name,option,x", [("power", "exponent", "2"), ("affine", "op", "3")])
+    def test_missing_constructor_option_is_usage_error(self, runner, name, option, x):
+        r = runner.invoke(main, ["excess", name, name, "--x", x])
+        assert r.exit_code == 2
+        assert f"function {name!r} needs option {option!r}" in r.output
 
     def test_inner_from_parts(self, runner):
         r = runner.invoke(main, ["excess", "sum", "hadamard", "--x", "1,1,1,1"])

@@ -8,8 +8,12 @@ perturbations, the metric samplers and the sampled condition number, and
 before any of those source changes were made.  The three derivative-route
 queries (``cond`` through the Jacobian, ``excess``) were taken at the commit
 before the exact Gram-matrix spectral norm replaced the soft-float Jacobi
-iteration, before that change touched any source file.  Any later change
-that moves a single byte of these outputs fails here.
+iteration, before that change touched any source file.  The four composite
+and closed-form ``excess`` routes and the ``amen`` verdict were taken at the
+commit before the four name tables were folded into the ``catalog``
+registries (``FUNCTIONS``, ``ALGORITHMS``), before any source file of that
+change was edited.  Any later change that moves a single byte of these
+outputs fails here.
 """
 
 import hashlib
@@ -30,6 +34,16 @@ GOLDEN = {
         "50d815e480557ac0d0bd022522f5ed30f3f516f0a33b9478893d69f447ec4c6c",
     ("excess", "strassen_g", "strassen_h", "--eps", "1e-3"):
         "fce66aa03478aa3b610a7c68c6daa622e5436f49060a3b7b55620000e42d8a46",
+    ("excess", "sum", "hadamard", "--x", "1,-2,3,1/7"):
+        "6ecac1f90e0fc673e0186e92977fe070c104e7206e800ff37d7e7d5a381fed87",
+    ("excess", "inner", "copy", "--x", "1,2,3"):
+        "493b7215fcccc559e56802e5070250f6f0cd6fac1899f3d358f92e075511fbad",
+    ("excess", "sqrt", "squared_norm", "--x", "1,2,3"):
+        "ec80ec441e7c7efce29cb78e47cb9024da234620d848ea8325a382c5662f33f1",
+    ("excess", "product", "hadamard", "--x", "1,2,3,4"):
+        "83d639a4b9f9768724ab689a3cb1c2ed440a2edf57c59f5277220e84a788850e",
+    ("amen", "sum", "--x", "1,2,3", "--a", "4"):
+        "5ab0f201d954083e2d253d8826b3066072a1120c7ade941e5f582a8cdc662a48",
 }
 
 
