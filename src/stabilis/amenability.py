@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from .catalog import CatalogFunction, DomainError, Product, Sin, Summation, _sqrt_mid, _sum_sq, composite_function
 from .condition import ConditionReport, ExtReal, kappa_closed_form, kappa_from_jacobian
-from .reals import Interval, as_interval, cos_iv, sin_iv, sqrt_iv
+from .reals import Interval, cos_iv, refine, relative_interval, sin_iv, sqrt_iv
 from .relmetric import RelPoint, rel_ball_sample, rel_sphere_sample
 
 
@@ -117,7 +117,8 @@ def gradient_criterion(f: CatalogFunction, x: RelPoint, q, bits: int = 160) -> b
     """Check  ||(x_i d(kappa)/dx_i)_i||_2  <=  q * kappa_tilde^2  at x.
 
     Supported for the functions whose condition number has a smooth
-    hand-coded formula: product, summation, and sin.
+    hand-coded formula: product, summation, and sin.  The comparison is
+    refined from ``bits`` up; when no width decides it, PrecisionError.
     """
     q = Fraction(q)
     if isinstance(f, Product):
@@ -133,7 +134,8 @@ def gradient_criterion(f: CatalogFunction, x: RelPoint, q, bits: int = 160) -> b
         Q = _sum_sq(xs)
         if Q == 0:
             return True  # x = 0: kappa locally 0
-        for b in (bits, 2 * bits, 4 * bits):
+
+        def decide_sum(b: int) -> bool | None:
             rQ = sqrt_iv(Q, b)  # ||x||_2
             # x_i d(kappa)/dx_i = x_i^2 / (|S| ||x||) - x_i ||x|| sgn(S)/S^2
             sgn = 1 if S > 0 else -1
@@ -148,15 +150,14 @@ def gradient_criterion(f: CatalogFunction, x: RelPoint, q, bits: int = 160) -> b
             kappa_iv = rQ.divide(Interval.from_fraction(abs(S), b + 16), b + 16)
             kt_iv = kappa_iv + Interval.from_fraction(1, b + 16)
             rhs = ((kt_iv * kt_iv).rescale(b + 16) * Interval.from_fraction(q, b + 16)).rescale(b + 16)
-            verdict = _decide_le(lhs, rhs)
-            if verdict is not None:
-                return verdict
-        raise ArithmeticError("gradient criterion undecided at available precision")
+            return _decide_le(lhs, rhs)
+
+        return refine(decide_sum, bits, "the gradient criterion")
     if isinstance(f, Sin):
         xv = x.coords[0]
-        for b in (bits, 2 * bits, 4 * bits):
-            xi = as_interval(xv, b + 16)
-            xi = as_interval(xv, b + max(xi.mag_bits(), 1) + 16)
+
+        def decide_sin(b: int) -> bool | None:
+            xi = relative_interval(xv, b)
             s = sin_iv(xi, b)
             if s.sign() not in (-1, 1):
                 raise ValueError("kappa is infinite at this point")
@@ -169,10 +170,9 @@ def gradient_criterion(f: CatalogFunction, x: RelPoint, q, bits: int = 160) -> b
             lhs = abs(lhs_iv)
             kt_iv = abs(kappa_iv.rescale(b)) + Interval.from_fraction(1, b)
             rhs = ((kt_iv * kt_iv).rescale(b) * Interval.from_fraction(q, b)).rescale(b)
-            verdict = _decide_le(lhs, rhs)
-            if verdict is not None:
-                return verdict
-        raise ArithmeticError("gradient criterion undecided at available precision")
+            return _decide_le(lhs, rhs)
+
+        return refine(decide_sin, bits, "the gradient criterion")
     raise ValueError(f"no smooth condition-number formula registered for {f.id}")
 
 

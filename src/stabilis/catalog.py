@@ -33,11 +33,13 @@ from .reals import (
     CertifiedReal,
     ExactReal,
     Interval,
-    as_interval,
+    PrecisionError,
     cos_iv,
     nth_root_fraction,
     pi_iv,
     real_sign,
+    refine,
+    relative_interval,
     sin_iv,
     sqrt_iv,
     to_real,
@@ -360,10 +362,7 @@ class Sqrt(CatalogFunction):
         x = xs[0]
         if real_sign(x) <= 0:
             return None
-        root = sqrt_real(x)
-        if isinstance(root, Fraction):
-            return [[1 / (2 * root)]]
-        return [[CertifiedReal(lambda b: Interval.from_fraction(Fraction(1, 2), b).divide(root.enclosure(b + 8), b))]]
+        return [[Fraction(1, 2) / sqrt_real(x)]]
 
     def kappa_closed(self, xs, bits: int = 192):
         if real_sign(xs[0]) == 0:
@@ -388,14 +387,8 @@ class Norm2(CatalogFunction):
         q = _sum_sq(xs)
         if q == 0:
             return None
-        nrm = sqrt_real(q)
-        out = []
-        for v in xs:
-            if isinstance(nrm, Fraction):
-                out.append(v / nrm)
-            else:
-                out.append(v * CertifiedReal(lambda b, n=nrm: Interval.from_fraction(Fraction(1), b).divide(n.enclosure(b + 8), b)))
-        return [out]
+        inv = 1 / sqrt_real(q)
+        return [[v * inv for v in xs]]
 
     def kappa_closed(self, xs, bits: int = 192):
         xs = _frac_only(xs, "norm kappa")
@@ -486,9 +479,7 @@ class Sin(CatalogFunction):
         x = xs[0]
 
         def fn(bits: int) -> Interval:
-            xi = as_interval(x, bits + 16)
-            xi = as_interval(x, bits + max(xi.mag_bits(), 1) + 16)
-            return cos_iv(xi, bits)
+            return cos_iv(relative_interval(x, bits), bits)
 
         return [[CertifiedReal(fn)]]
 
@@ -496,16 +487,19 @@ class Sin(CatalogFunction):
         x = xs[0]
         if real_sign(x) == 0:
             return Fraction(0)
-        for b in (bits, 2 * bits, 4 * bits):
-            xi = as_interval(x, b + 16)
-            xi = as_interval(x, b + max(xi.mag_bits(), 1) + 16)
+
+        def decide(b: int) -> Fraction | None:
+            xi = relative_interval(x, b)
             s = sin_iv(xi, b)
             if s.sign() in (-1, 1):
                 c = cos_iv(xi, b)
-                val = (xi * c).divide(s, b)
-                m = val.midpoint()
-                return abs(m)
-        return math.inf  # within rounding distance of a sine zero
+                return abs((xi * c).divide(s, b).midpoint())
+            return None
+
+        try:
+            return refine(decide, bits, "the sign of sin x")
+        except PrecisionError:
+            return math.inf  # within rounding distance of a sine zero
 
 
 # -- Strassen / matmul -------------------------------------------------------
@@ -738,9 +732,7 @@ def high_precision_sin(x: ExactReal, guard_bits: int = 0) -> ExactReal:
 
     def fn(bits: int) -> Interval:
         b = max(bits, guard_bits)
-        xi = as_interval(x, b + 16)
-        xi = as_interval(x, b + max(xi.mag_bits(), 1) + 16)
-        return sin_iv(xi, b)
+        return sin_iv(relative_interval(x, b), b)
 
     return CertifiedReal(fn)
 

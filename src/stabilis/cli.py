@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 computation error.
 
 from __future__ import annotations
 
+import decimal
 import inspect
 import json
 import math
@@ -325,21 +326,31 @@ def cond(function, point, sample, method, exponent, op, alpha, seed):
         rep = kappa_jacobian(f, pt)
     else:
         rep = kappa_closed_form(f, pt)
-    click.echo(f"function = {f.id}")
-    click.echo(f"point = {point}")
-    click.echo(f"method = {rep.method}")
-    click.echo(f"kappa = {_num(rep.kappa)}")
-    click.echo(f"kappa_tilde = {_num(rep.kappa_tilde)}")
+    lines = [
+        f"function = {f.id}",
+        f"point = {point}",
+        f"method = {rep.method}",
+        f"kappa = {_num(rep.kappa)}",
+        f"kappa_tilde = {_num(rep.kappa_tilde)}",
+    ]
     if not rep.converged:
-        click.echo("converged = false")
+        lines.append("converged = false")
     if rep.domain_failures:
-        click.echo(f"domain_failures = {rep.domain_failures}")
+        lines.append(f"domain_failures = {rep.domain_failures}")
+    click.echo("\n".join(lines))
 
 
 def _num(v) -> str:
+    """The repr of the nearest float, or 17 significant digits past the float range."""
     if v == math.inf:
         return "inf"
-    return repr(float(v))
+    if isinstance(v, CertifiedReal):
+        v = v.enclosure(96).midpoint()  # what float() of the enclosure rounds
+    try:
+        return repr(float(v))
+    except OverflowError:
+        v = Fraction(v)  # the exact quotient, rounded half to even
+        return f"{decimal.Context(prec=17, Emax=decimal.MAX_EMAX).divide(v.numerator, v.denominator):.16e}"
 
 
 @main.command()
@@ -359,20 +370,22 @@ def amen(function, point, constant, n, seed, exponent, op, alpha):
     if pt.dim != f.in_dim:
         raise click.UsageError(f"{f.id} expects {f.in_dim} coordinates, got {pt.dim}")
     v = amenability_probe(f, None, pt, Fraction(constant), n, seed)
-    click.echo(f"function = {f.id}")
-    click.echo(f"a = {constant}")
-    click.echo(f"kappa_tilde_at_x = {_num(v.kappa_tilde_at_x)}")
-    click.echo(f"samples_used = {v.samples_used}")
-    click.echo(f"A1_ok = {v.A1_ok}")
-    click.echo(f"A2_ok = {v.A2_ok}")
+    lines = [
+        f"function = {f.id}",
+        f"a = {constant}",
+        f"kappa_tilde_at_x = {_num(v.kappa_tilde_at_x)}",
+        f"samples_used = {v.samples_used}",
+        f"A1_ok = {v.A1_ok}",
+        f"A2_ok = {v.A2_ok}",
+    ]
     if v.passed:
-        click.echo("verdict = PASS")
+        lines.append("verdict = PASS")
     else:
-        click.echo("verdict = FAIL")
-        coords = ", ".join(repr(float(c)) for c in v.witness.coords)
-        click.echo(f"witness = {coords}")
+        lines.append("verdict = FAIL")
+        lines.append("witness = " + ", ".join(_num(c) for c in v.witness.coords))
         if v.witness_kappa_tilde is not None:
-            click.echo(f"witness_kappa_tilde = {_num(v.witness_kappa_tilde)}")
+            lines.append(f"witness_kappa_tilde = {_num(v.witness_kappa_tilde)}")
+    click.echo("\n".join(lines))
     sys.exit(0)
 
 
@@ -398,15 +411,18 @@ def excess(g_name, h_name, point, eps):
         raise click.UsageError(f"{h.id} expects {h.in_dim} coordinates, got {pt.dim}")
     g = _resolve_function(g_name, h.out_dim)
     rep = excess_factor(g, h, pt)
-    click.echo(f"g = {g.id}")
-    click.echo(f"h = {h.id}")
-    click.echo(f"kt_g_at_hx = {_num(rep.kt_g_at_hx)}")
-    click.echo(f"kt_h_at_x = {_num(rep.kt_h_at_x)}")
-    click.echo(f"kt_f_at_x = {_num(rep.kt_f_at_x)}")
+    lines = [
+        f"g = {g.id}",
+        f"h = {h.id}",
+        f"kt_g_at_hx = {_num(rep.kt_g_at_hx)}",
+        f"kt_h_at_x = {_num(rep.kt_h_at_x)}",
+        f"kt_f_at_x = {_num(rep.kt_f_at_x)}",
+    ]
     if rep.excess is None:
-        click.echo("excess = undefined (composite kappa is infinite)")
+        lines.append("excess = undefined (composite kappa is infinite)")
     else:
-        click.echo(f"excess = {_num(rep.excess)}")
+        lines.append(f"excess = {_num(rep.excess)}")
+    click.echo("\n".join(lines))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .reals import CertifiedReal, PrecisionError
+from .reals import CertifiedReal, refine
 
 
 class FpError(ArithmeticError):
@@ -232,20 +232,15 @@ def _round_fraction(x: Fraction, t: int) -> FpNumber:
     return FpNumber(sign, q, E)
 
 
-# Ziv's loop starts at t + 64 bits and doubles the width at most this many
-# times, up to 64 * (t + 64) bits.  A value that width cannot round is an
-# exact tie or nearly one, or too close to zero for that absolute resolution.
-_ZIV_DOUBLINGS = 6
-
-
 def round_to_nearest(x, p: Precision | int) -> FpNumber:
     """The roundoff map onto the precision-t grid (ties to even).
 
     Accepts integers, exact Fractions, floats (converted exactly),
     FpNumbers, and certified enclosures of irrational reals.  Enclosures
-    are refined with doubled guard bits until both endpoints round to the
-    same grid point; after ``_ZIV_DOUBLINGS`` doublings the rounding gives
-    up with a PrecisionError.
+    are refined by :func:`~stabilis.reals.refine` from t + 64 bits until
+    both endpoints round to the same grid point; a value no width can
+    round (an exact tie, or too close to zero for that absolute
+    resolution) raises a PrecisionError.
     """
     p = Precision.of(p)
     t = p.t
@@ -268,8 +263,9 @@ def round_to_nearest(x, p: Precision | int) -> FpNumber:
             return fp_zero()
         return _round_fraction(x, t)
     if isinstance(x, CertifiedReal):
-        for k in range(_ZIV_DOUBLINGS + 1):
-            iv = x.enclosure((t + 64) << k)
+
+        def decide(bits: int) -> FpNumber | None:
+            iv = x.enclosure(bits)
             s = iv.sign()
             if s == 0:
                 return fp_zero()
@@ -278,9 +274,9 @@ def round_to_nearest(x, p: Precision | int) -> FpNumber:
                 hi = _round_fraction(iv.upper(), t)
                 if lo == hi:
                     return lo
-        raise PrecisionError(
-            "enclosure too wide to round: the value is an exact tie, or too close to one"
-        )
+            return None
+
+        return refine(decide, t + 64, "a rounding: the value is an exact tie, or too close to one")
     raise TypeError(f"cannot round a {type(x).__name__}")
 
 

@@ -17,10 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import NumericalAlgorithm, sin_in_precision, high_precision_sin, strassen_input
+from .catalog import NumericalAlgorithm, Sin, sin_in_precision, high_precision_sin, strassen_input
 from .condition import ExtReal, kappa_closed_form
 from .fpcore import FpDivisionByZero, FpError, Precision, dyadic, fl, to_exact
-from .reals import CertifiedReal, Interval, log_iv, pi_iv, pi_real, sqrt_iv
+from .reals import CertifiedReal, Interval, PrecisionError, log_iv, pi_iv, pi_real, signed_interval, sqrt_iv
 from .relmetric import RelPoint, abs_dist, rel_dist, step_factors
 
 
@@ -267,12 +267,11 @@ def sine_true_input(k: int) -> CertifiedReal:
 
 def _log_lop(value: Fraction, ref: CertifiedReal, u: Fraction, bits: int) -> ExtReal:
     """|log(value/ref)| / u; complex-log magnitude when the signs differ."""
-    riv = ref.enclosure(bits)
-    k = 1
-    while riv.sign() is None and k < 8:
-        riv = ref.enclosure(bits << k)
-        k += 1
-    if riv.sign() is None or value == 0:
+    try:
+        riv = signed_interval(ref, bits)
+    except PrecisionError:
+        return math.inf
+    if value == 0:
         return math.inf
     same_sign = (value > 0) == (riv.sign() > 0)
     num = Interval.from_fraction(abs(value), bits + 16)
@@ -306,20 +305,6 @@ def sine_experiment(k_max: int, t_work: int = 53, guard_bits: int = 512) -> list
         rel = _log_lop(to_exact(shat), ref, p.u, max(guard_bits // 2, 192))
         refmid = ref.enclosure(guard_bits).midpoint()
         abs_lop = abs(to_exact(shat) - refmid) / p.u
-        kt = _sine_kappa_tilde(xk, k)
+        kt = Sin().kappa_closed((xk,)) + 1
         out.append(LopRecord(f"k={k}", k, p.u, rel, abs_lop, kt))
     return out
-
-
-def _sine_kappa_tilde(x: CertifiedReal, k: int) -> ExtReal:
-    bits = 192 + k
-    xi = x.enclosure(bits)
-    from .reals import cos_iv, sin_iv
-
-    s = sin_iv(xi, bits)
-    if s.sign() is None:
-        return math.inf
-    c = cos_iv(xi, bits)
-    val = (xi * c).divide(s, 160)
-    m = abs(val.midpoint())
-    return 1 + m

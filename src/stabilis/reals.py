@@ -15,11 +15,33 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, TypeVar, Union
+
+T = TypeVar("T")
 
 
 class PrecisionError(ArithmeticError):
     """An enclosure could not be refined enough to decide a predicate."""
+
+
+# Every certified decision (a sign, a rounding, an inequality) doubles its
+# working width at most this many times before it gives up.
+REFINE_DOUBLINGS = 8
+
+
+def refine(decide: Callable[[int], T | None], start: int, what: str) -> T:
+    """Ziv's strategy: the first ``decide(start << k)`` that is not None.
+
+    ``decide`` gets k = 0, 1, ..., REFINE_DOUBLINGS in turn.  When no width
+    settles it, the value is an exact zero, tie or boundary carried as an
+    enclosure (or too close to one), and a PrecisionError names ``what``
+    could not be decided.
+    """
+    for k in range(REFINE_DOUBLINGS + 1):
+        out = decide(start << k)
+        if out is not None:
+            return out
+    raise PrecisionError(f"cannot decide {what} at {start << REFINE_DOUBLINGS} bits")
 
 
 # ---------------------------------------------------------------------------
@@ -486,31 +508,11 @@ class CertifiedReal:
 
     def __truediv__(self, other) -> "CertifiedReal":
         o = to_real(other)
-
-        def fn(b: int) -> Interval:
-            num = self.enclosure(b + 8)
-            den = as_interval(o, b + 8)
-            k = 1
-            while den.sign() is None and k <= 8:
-                den = as_interval(o, (b + 8) << k)
-                k += 1
-            return num.divide(den, b)
-
-        return CertifiedReal(fn)
+        return CertifiedReal(lambda b: self.enclosure(b + 8).divide(signed_interval(o, b + 8), b))
 
     def __rtruediv__(self, other) -> "CertifiedReal":
         o = to_real(other)
-
-        def fn(b: int) -> Interval:
-            num = as_interval(o, b + 8)
-            den = self.enclosure(b + 8)
-            k = 1
-            while den.sign() is None and k <= 8:
-                den = self.enclosure((b + 8) << k)
-                k += 1
-            return num.divide(den, b)
-
-        return CertifiedReal(fn)
+        return CertifiedReal(lambda b: as_interval(o, b + 8).divide(signed_interval(self, b + 8), b))
 
     def __pow__(self, j: int) -> "CertifiedReal | Fraction":
         if not isinstance(j, int):
@@ -540,17 +542,9 @@ class CertifiedReal:
 
     # -- predicates ------------------------------------------------------
 
-    def sign(self, max_bits: int = 16384) -> int:
-        bits = 64
-        while bits <= max_bits:
-            s = self.enclosure(bits).sign()
-            if s is not None:
-                return s
-            bits *= 2
-        raise PrecisionError(
-            "cannot certify the sign of an enclosure; "
-            "exact zeros must be passed as rationals"
-        )
+    def sign(self) -> int:
+        """Certain sign; exact zeros must be passed as rationals."""
+        return signed_interval(self, 64).sign()
 
     def __float__(self) -> float:
         return float(self.enclosure(96).midpoint())
@@ -581,6 +575,26 @@ def as_interval(x: ExactReal, bits: int) -> Interval:
     return Interval.from_fraction(x, bits)
 
 
+def signed_interval(x: ExactReal, bits: int) -> Interval:
+    """An enclosure of x at ``bits`` or a doubling of it whose sign is certain."""
+
+    def decide(b: int) -> Interval | None:
+        iv = as_interval(x, b)
+        return iv if iv.sign() is not None else None
+
+    return refine(decide, bits, "the sign of an enclosure")
+
+
+def relative_interval(x: ExactReal, bits: int) -> Interval:
+    """An enclosure of x resolved to ``bits`` + 16 bits below its leading bit.
+
+    A first enclosure at ``bits`` + 16 measures the magnitude; the second
+    adds that many bits, so huge arguments keep their fractional part.
+    """
+    xi = as_interval(x, bits + 16)
+    return as_interval(x, bits + max(xi.mag_bits(), 1) + 16)
+
+
 def real_sign(x: ExactReal) -> int:
     if isinstance(x, CertifiedReal):
         return x.sign()
@@ -603,6 +617,9 @@ def nth_root_fraction(x: Fraction, k: int) -> Fraction | None:
     def iroot(n: int) -> int | None:
         if n == 0:
             return 0
+        if k == 2:
+            r = math.isqrt(n)
+            return r if r * r == n else None
         r = round(n ** (1.0 / k)) if n.bit_length() < 512 else 1 << (n.bit_length() // k)
         # Newton correction on integers
         for _ in range(128):

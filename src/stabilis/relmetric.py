@@ -31,6 +31,7 @@ from .reals import (
     log_iv,
     nth_root_fraction,
     real_sign,
+    signed_interval,
     sqrt_iv,
     to_real,
 )
@@ -89,16 +90,6 @@ class RelPoint:
         return f"RelPoint({vals})"
 
 
-def _signed_interval(x: ExactReal, bits: int) -> Interval:
-    iv = as_interval(x, bits)
-    while iv.sign() is None:
-        bits *= 2
-        if bits > 1 << 22:  # pragma: no cover - guarded by RelPoint signs
-            raise ArithmeticError("cannot separate a coordinate from zero")
-        iv = as_interval(x, bits)
-    return iv
-
-
 def _log_ratio_sq(x: ExactReal, y: ExactReal, bits: int) -> Interval | None:
     """Enclosure of log(x/y)**2 for same-sign nonzero x, y; None if zero."""
     if isinstance(x, Fraction) and isinstance(y, Fraction):
@@ -109,8 +100,8 @@ def _log_ratio_sq(x: ExactReal, y: ExactReal, bits: int) -> Interval | None:
         g = math.gcd(n, d)
         lg = log_iv(Fraction(n // g, d // g), bits)
     else:
-        ix = _signed_interval(x, bits + 8)
-        iy = _signed_interval(y, bits + 8)
+        ix = signed_interval(x, bits + 8)
+        iy = signed_interval(y, bits + 8)
         if ix.sign() < 0:
             ix, iy = -ix, -iy
         ratio_iv = ix.divide(iy, bits + 8)
@@ -203,8 +194,8 @@ def _interp(a: ExactReal, b: ExactReal, s: Fraction, bits: int) -> ExactReal:
             return a * root**s.numerator
 
     def fn(nbits: int) -> Interval:
-        ia = _signed_interval(a, nbits + 16)
-        ib = _signed_interval(b, nbits + 16)
+        ia = signed_interval(a, nbits + 16)
+        ib = signed_interval(b, nbits + 16)
         neg = ia.sign() < 0
         if neg:
             ia, ib = -ia, -ib

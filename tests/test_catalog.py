@@ -1,14 +1,17 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from stabilis.catalog import (
     ALGORITHMS,
     FUNCTIONS,
     DomainError,
+    Sin,
     algorithm,
     babylonian_sqrt,
     catalog_function,
@@ -17,8 +20,9 @@ from stabilis.catalog import (
     strassen_input,
 )
 from stabilis.cli import _resolve_function
+from stabilis.condition import kappa_jacobian
 from stabilis.fpcore import Precision, fl, to_exact
-from stabilis.reals import pi_real
+from stabilis.reals import pi_real, real_sign
 from stabilis.relmetric import RelPoint, rel_dist
 
 mp.mp.prec = 700
@@ -222,6 +226,11 @@ class TestSine:
             got = float(sin_in_precision(xf, t))
             assert got == pytest.approx(math.sin(xv), rel=1e-14, abs=1e-300)
 
+    def test_kappa_at_a_sine_zero_is_infinite_and_prompt(self):
+        t0 = time.perf_counter()
+        assert Sin().kappa_closed((pi_real(),)) == math.inf
+        assert time.perf_counter() - t0 < 3
+
     def test_huge_argument_reduction(self):
         t = 53
         x = fl(pi_real().scalb(40) + 1, t)
@@ -299,3 +308,79 @@ class TestRegistry:
         per = FUNCTIONS[name][1]
         for k in (1, 2, 5):
             assert _resolve_function(name, per * k).in_dim == per * k
+
+
+def _q(v, bits: int = 400) -> Fraction:
+    """An exact value, or the midpoint of a certified one at ``bits``."""
+    return v if isinstance(v, Fraction) else v.enclosure(bits).midpoint()
+
+
+_signed = st.builds(Fraction, st.integers(-1000, 1000).filter(bool), st.integers(1, 1000))
+# one binade around 1, no cancellation: every algorithm is then accurate to
+# far below 2^-150 at t = 192 (cancellation is what the stability tests study)
+_benign = st.fractions(min_value=Fraction(1, 2), max_value=Fraction(2), max_denominator=1000)
+
+
+class TestRegistryViews:
+    """Walk FUNCTIONS at random points: exact, jacobian, kappa_closed and the algorithms agree."""
+
+    F = Fraction
+    # one function name per class in FUNCTIONS -> constructor keywords
+    CASES = {
+        "product": dict(k=3),
+        "sum": dict(k=3),
+        "hadamard": dict(k=2),
+        "tensor_product": dict(k=2, l=3),
+        "linear_map": dict(rows=[[1, 2, F(1, 3)]]),
+        "inner_product": dict(k=2),
+        "copy": dict(k=2),
+        "squared_norm": dict(k=2),
+        "sqrt": dict(),
+        "norm2": dict(k=3),
+        "power": dict(exponent=-3),
+        "affine": dict(op="sub", alpha=F(3, 7)),
+        "sin": dict(),
+        "strassen_h": dict(),
+        "strassen_g": dict(),
+        "matmul_entry": dict(i=2, j=1),
+        "matmul_2x2": dict(),
+    }
+
+    def test_every_class_has_a_case(self):
+        assert {FUNCTIONS[n][0] for n in self.CASES} == {cls for cls, _ in FUNCTIONS.values()}
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @given(data=st.data())
+    @settings(max_examples=30)
+    def test_views_agree(self, name, data):
+        kw = self.CASES[name]
+        f = catalog_function(name, **kw)
+        xs = tuple(data.draw(st.lists(_signed, min_size=f.in_dim, max_size=f.in_dim), label="x"))
+        assume(f.in_domain(xs))
+        fx = f.exact(xs)
+        jac = f.jacobian(xs)
+        closed = f.kappa_closed(xs)
+        if jac is not None and closed not in (None, math.inf) and all(real_sign(v) for v in fx):
+            kj = kappa_jacobian(f, RelPoint(xs)).kappa
+            assert abs(closed - kj) <= kj / 2**90
+        if jac is not None:
+            # central differences are exact on the bilinear maps; elsewhere
+            # they are off by h^2/6 times a third derivative, far inside
+            # the tolerance for inputs between 1/1000 and 1000 in size
+            h = Fraction(1, 2**64)
+            for j in range(f.in_dim):
+                up, dn = list(xs), list(xs)
+                up[j] += h
+                dn[j] -= h
+                fu, fd = f.exact(tuple(up)), f.exact(tuple(dn))
+                for i in range(f.out_dim):
+                    dq = (_q(fu[i]) - _q(fd[i])) / (2 * h)
+                    d = _q(jac[i][j])
+                    assert abs(dq - d) <= (1 + abs(d)) / 2**60, (i, j)
+        ys = tuple(data.draw(st.lists(_benign, min_size=f.in_dim, max_size=f.in_dim), label="y"))
+        for aid, (fid, _) in ALGORITHMS.items():
+            if FUNCTIONS[fid][0] is type(f):
+                alg = algorithm(aid, **kw)
+                got = RelPoint(alg.evaluate([fl(c, 192) for c in ys], 192))
+                ref = RelPoint(alg.exact_reference(ys))
+                assert rel_dist(ref, got, bits=256) < Fraction(1, 2**150), aid

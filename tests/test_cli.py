@@ -1,11 +1,15 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+from stabilis import cli
 from stabilis.cli import main, parse_point, ExprError
+from stabilis.condition import ConditionReport
+from stabilis.reals import CertifiedReal, PrecisionError
 
 
 @pytest.fixture
@@ -78,6 +82,44 @@ class TestCond:
         r = runner.invoke(main, ["cond", "sqrt", "(-1)"])
         assert r.exit_code == 3
 
+    @pytest.mark.parametrize("method", ["auto", "jacobian"])
+    def test_kappa_past_the_float_range(self, runner, method):
+        # kappa = |x cot x| at x = pi*2^3000 + 1 is about 2^3001; mpmath at
+        # 12,000 bits gives 2.4816157693897506136e+903
+        r = runner.invoke(main, ["cond", "--method", method, "sin", "pi*2^3000+1"])
+        assert r.exit_code == 0, r.output
+        assert "kappa = 2.4816157693897506e+903\n" in r.stdout
+        assert "kappa_tilde = 2.4816157693897506e+903\n" in r.stdout
+
+    def test_tiny_coordinate_is_prompt(self, runner):
+        t0 = time.perf_counter()
+        r = runner.invoke(main, ["cond", "sum", "1e-300000,1"])
+        assert time.perf_counter() - t0 < 10
+        assert r.exit_code == 0
+        assert "kappa = 1.0\n" in r.stdout
+
+    @pytest.mark.parametrize("args", [
+        ["cond", "sqrt", "(-1)"],
+        ["cond", "sin", "pi-pi"],
+        ["cond", "sum", "1/(pi-pi),1"],
+        ["cond", "--method", "jacobian", "sqrt", "0"],
+    ])
+    def test_computation_error_writes_no_stdout(self, runner, args):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 3
+        assert r.stdout == ""
+        assert "computation error" in r.stderr
+
+    def test_failure_in_a_late_line_writes_no_stdout(self, runner, monkeypatch):
+        def undecidable(b):
+            raise PrecisionError("undecidable")
+
+        rep = ConditionReport(Fraction(1), CertifiedReal(undecidable), "closed_form", None)
+        monkeypatch.setattr(cli, "kappa_closed_form", lambda f, pt: rep)
+        r = runner.invoke(main, ["cond", "sum", "1,2"])
+        assert r.exit_code == 3
+        assert r.stdout == ""
+
     @pytest.mark.parametrize("name", ["tensor_product", "linear_map"])
     def test_functions_without_cli_sizing_are_not_offered(self, runner, name):
         r = runner.invoke(main, ["cond", name, "1,2"])
@@ -93,6 +135,27 @@ class TestCond:
         r = runner.invoke(main, ["cond", "matmul-entry", "1,2,3,4,5,6,7,8"])
         assert r.exit_code == 0
         assert r.output.startswith("function = matmul_entry[12]\n")
+
+
+class TestNum:
+    def test_float_range_keeps_the_float_repr(self):
+        for v in (Fraction(1, 3), Fraction(-7, 2), Fraction(10) ** 300, Fraction(1, 10**320)):
+            assert cli._num(v) == repr(float(v))
+        assert cli._num(math.inf) == "inf"
+        x = parse_point("pi").coords[0]
+        assert cli._num(x) == repr(float(x))
+
+    @pytest.mark.parametrize("v,text", [
+        (Fraction(10) ** 400, "1.0000000000000000e+400"),
+        (Fraction(10) ** 400 - 1, "1.0000000000000000e+400"),
+        (-(Fraction(2) ** 3001), "-2.4604638443222344e+903"),  # mpmath at 20,000 bits
+        # exact ties below the 17th digit go to even
+        (100000000000000005 * Fraction(10) ** 400, "1.0000000000000000e+417"),
+        (100000000000000015 * Fraction(10) ** 400, "1.0000000000000002e+417"),
+        (Fraction(10**2000 + 1, 3), "3.3333333333333333e+1999"),
+    ])
+    def test_past_the_float_range_prints_17_digits(self, v, text):
+        assert cli._num(v) == text
 
 
 class TestAmen:

@@ -12,8 +12,11 @@ iteration, before that change touched any source file.  The four composite
 and closed-form ``excess`` routes and the ``amen`` verdict were taken at the
 commit before the four name tables were folded into the ``catalog``
 registries (``FUNCTIONS``, ``ALGORITHMS``), before any source file of that
-change was edited.  Any later change that moves a single byte of these
-outputs fails here.
+change was edited.  The sine ``cond`` and ``amen`` queries, the two
+``--method jacobian`` queries and the digest of the exact sine-table lops
+were taken at the commit before the refinement loops were folded into
+``reals.refine``, before any source file of that change was edited.  Any
+later change that moves a single byte of these outputs fails here.
 """
 
 import hashlib
@@ -22,6 +25,7 @@ import pytest
 from click.testing import CliRunner
 
 from stabilis.cli import main
+from stabilis.harness import sine_experiment
 
 GOLDEN = {
     ("strassen", "--n-eps", "12", "--samples", "50", "--seed", "3"):
@@ -44,7 +48,21 @@ GOLDEN = {
         "83d639a4b9f9768724ab689a3cb1c2ed440a2edf57c59f5277220e84a788850e",
     ("amen", "sum", "--x", "1,2,3", "--a", "4"):
         "5ab0f201d954083e2d253d8826b3066072a1120c7ade941e5f582a8cdc662a48",
+    ("cond", "sin", "pi"):
+        "a1c14f40d89d40e0eb0e4c6a2ba0e61c8111ee8b662939f521e517ed18313887",
+    ("cond", "sin", "7/5"):
+        "41a3a985b8c47d7fd700272e3d0b950e08f70efef3199b6d28e2eec8aa5939c4",
+    ("cond", "--method", "jacobian", "sin", "pi/3"):
+        "aa8b4f69ee44cbc743e1f6fc2563dd425b8c16e1d60eb0e44fc89508394ea748",
+    ("cond", "--method", "jacobian", "sqrt", "pi"):
+        "b71b35376003c2db47e4c56f33e35fb7fee7396c1701438dbb6a925f6d12ee70",
+    ("amen", "sin", "--x", "pi/2+1000000*pi", "--a", "64", "--n", "50"):
+        "cbb492520d6c433586748c5f562abb29916f0cdae99b63f644c06a89a4405298",
 }
+
+# SHA-256 of repr([(rel_lop, abs_lop), ...]) over sine_experiment(100): the
+# exact Fractions, which the printed floats of the sine table round away
+SINE_LOPS = "df133a2ec25c0ee3dad50f9242ec1b0857bad4f0b01e972ca2f64be2f8ac6945"
 
 
 @pytest.mark.parametrize("args", sorted(GOLDEN), ids=lambda a: " ".join(a))
@@ -52,3 +70,9 @@ def test_table_bytes_unchanged(args):
     result = CliRunner().invoke(main, list(args))
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == GOLDEN[args]
+
+
+def test_exact_sine_lops_unchanged():
+    recs = sine_experiment(100)
+    text = repr([(r.rel_lop, r.abs_lop) for r in recs])
+    assert hashlib.sha256(text.encode()).hexdigest() == SINE_LOPS

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,6 +10,7 @@ import pytest
 from stabilis.catalog import algorithm, strassen_input
 from stabilis.fpcore import Precision, fl, to_exact
 from stabilis.harness import (
+    _log_lop,
     backward_check_product,
     forward_stability_check,
     log_spaced,
@@ -18,6 +20,7 @@ from stabilis.harness import (
     spearman_rho,
     strassen_experiment,
 )
+from stabilis.reals import pi_real
 from stabilis.relmetric import RelPoint
 
 rng = random.Random(31)
@@ -194,6 +197,20 @@ class TestSineExperiment:
                 ref = abs(mp.log(mp.sin(xhat) / mp.sin(1))) / u
                 got = recs[k - 1].rel_lop
                 assert abs(mp.mpf(got.numerator) / got.denominator / ref - 1) < 1e-9, k
+
+    def test_kappa_tilde_is_one_plus_x_cot_x(self):
+        recs = sine_experiment(320, 53, 512)
+        with mp.workprec(2400):
+            for k in (1, 10, 100, 320):
+                x = mp.pi * mp.mpf(2) ** k + 1
+                kt = recs[k - 1].kappa_tilde
+                got = mp.mpf(kt.numerator) / kt.denominator
+                assert abs(got / (1 + x * mp.cot(x)) - 1) < mp.mpf(2) ** -180, k
+
+    def test_lop_against_an_undecidable_reference_is_infinite(self):
+        t0 = time.perf_counter()
+        assert _log_lop(Fraction(1), pi_real() - pi_real(), Fraction(1, 2**53), 192) == math.inf
+        assert time.perf_counter() - t0 < 5
 
     def test_true_input_value(self):
         x = sine_true_input(3)

@@ -1,6 +1,7 @@
 """Certified enclosures checked against an independent implementation (mpmath)."""
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from stabilis.reals import (
     CertifiedReal,
     Interval,
+    REFINE_DOUBLINGS,
     PrecisionError,
     cos_iv,
     exp_iv,
@@ -19,6 +21,7 @@ from stabilis.reals import (
     pi_iv,
     pi_real,
     real_sign,
+    refine,
     sin_iv,
     sqrt_iv,
 )
@@ -208,12 +211,47 @@ class TestCertifiedReal:
     def test_sign_of_exact_zero_rejected(self):
         z = CertifiedReal(lambda b: Interval(-1, 1, b))
         with pytest.raises(PrecisionError):
-            z.sign(max_bits=256)
+            z.sign()
 
     def test_real_sign(self):
         assert real_sign(Fraction(-2, 7)) == -1
         assert real_sign(Fraction(0)) == 0
         assert real_sign(pi_real()) == 1
+
+
+class TestRefine:
+    """The one refinement loop: its schedule, and every caller's way out."""
+
+    def test_schedule_and_budget(self):
+        asked = []
+        assert refine(lambda b: asked.append(b) or (b if b >= 40 else None), 5, "x") == 40
+        assert asked == [5, 10, 20, 40]
+        asked.clear()
+        with pytest.raises(PrecisionError):
+            refine(lambda b: asked.append(b), 3, "x")
+        assert asked == [3 << k for k in range(REFINE_DOUBLINGS + 1)]
+
+    def test_false_is_a_decision(self):
+        assert refine(lambda b: False, 64, "x") is False
+
+    def test_sign_of_disguised_zero_gives_up_promptly(self):
+        t0 = time.perf_counter()
+        with pytest.raises(PrecisionError):
+            (pi_real() - pi_real()).sign()
+        assert time.perf_counter() - t0 < 5
+
+    @pytest.mark.parametrize("side", ["num", "den"])
+    def test_division_by_disguised_zero_gives_up_promptly(self, side):
+        zero = pi_real() - pi_real()
+        q = pi_real() / zero if side == "num" else Fraction(1) / zero
+        t0 = time.perf_counter()
+        with pytest.raises(PrecisionError):
+            q.enclosure(64)
+        assert time.perf_counter() - t0 < 5
+
+    def test_division_by_decided_zero_still_zero_division(self):
+        with pytest.raises(ZeroDivisionError):
+            (pi_real() / Fraction(0)).enclosure(64)
 
 
 class TestNthRoot:
@@ -225,6 +263,15 @@ class TestNthRoot:
     def test_irrational_returns_none(self):
         assert nth_root_fraction(Fraction(2), 2) is None
         assert nth_root_fraction(Fraction(10), 3) is None
+
+    @pytest.mark.parametrize("bits", [16, 128, 40_000, 1_000_000])
+    def test_square_roots_exact_iff_perfect(self, bits):
+        r = (1 << (bits // 2)) - 3  # r*r has about ``bits`` bits; r is odd and prime to 3
+        assert nth_root_fraction(Fraction(r * r), 2) == r
+        assert nth_root_fraction(Fraction(9, r * r), 2) == Fraction(3, r)
+        assert nth_root_fraction(Fraction(r * r + 1), 2) is None
+        assert nth_root_fraction(Fraction(r * r - 1), 2) is None
+        assert nth_root_fraction(Fraction(r * r, 2), 2) is None
 
     @given(st.integers(min_value=1, max_value=500), st.integers(min_value=2, max_value=6))
     @settings(max_examples=100)
