@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .catalog import CatalogFunction, DomainError, Product, Sin, Summation, _sqrt_mid, _sum_sq, composite_function
-from .condition import ConditionReport, ExtReal, kappa_closed_form, kappa_from_jacobian
+from .catalog import CatalogFunction, DomainError, Product, Sin, Summation, _sqrt_mid, _sum_sq, compose
+from .condition import ConditionReport, ExtReal, kappa_closed_form
 from .reals import Interval, cos_iv, refine, relative_interval, sin_iv, sqrt_iv
 from .relmetric import RelPoint, rel_ball_sample, rel_sphere_sample
 
@@ -195,38 +195,13 @@ class ExcessFactorReport:
         return self.excess is not None
 
 
-def _matmul_exact(a: Sequence[Sequence], b: Sequence[Sequence]):
-    rows = []
-    for ra in a:
-        row = []
-        for j in range(len(b[0])):
-            acc = None
-            for t, rb in zip(ra, b):
-                term = t * rb[j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        rows.append(row)
-    return rows
-
-
 def excess_factor(g: CatalogFunction, h: CatalogFunction, x: RelPoint) -> ExcessFactorReport:
     """kappa_tilde(g, h(x)) * kappa_tilde(h, x) / kappa_tilde(g o h, x)."""
-    if h.out_dim != g.in_dim:
-        raise ValueError(f"cannot compose {g.id} after {h.id}")
+    f = compose(g, h)
     hx = RelPoint(h.exact(x.coords))
     kt_h = kappa_closed_form(h, x).kappa_tilde
     kt_g = kappa_closed_form(g, hx).kappa_tilde
-    comp = composite_function(g, h)
-    if comp is not None:
-        kt_f = kappa_closed_form(comp, x).kappa_tilde
-    else:
-        jg = g.jacobian(hx.coords)
-        jh = h.jacobian(x.coords)
-        if jg is None or jh is None:
-            raise ValueError("no jacobians available for the composite")
-        jf = _matmul_exact(jg, jh)
-        fx = RelPoint(g.exact(hx.coords))
-        kt_f = kappa_from_jacobian(x, fx, jf).kappa_tilde
+    kt_f = kappa_closed_form(f, x).kappa_tilde
     if kt_f == math.inf:
         return ExcessFactorReport(kt_g, kt_h, kt_f, None)
     if kt_g == math.inf or kt_h == math.inf:

@@ -6,7 +6,8 @@ cross-checks against each other:
 * ``exact``     - reference semantics over exact reals (rational maps stay
                   rational; roots and sines become certified enclosures);
 * ``jacobian``  - hand-coded derivative matrix (these are polynomial or
-                  rational maps, so entries are exact);
+                  rational maps, so entries are exact), or the chain rule
+                  for a :class:`Composite`;
 * ``kappa_closed`` - the closed-form condition number in the relative
                   metric, where one exists (None falls back to the
                   spectral-norm path).
@@ -18,7 +19,9 @@ soft-float system at the requested precision, constants included.
 Two tables name everything: ``FUNCTIONS`` maps a function name (aliases
 included) to its class and the way the CLI sizes it, and ``ALGORITHMS``
 maps an algorithm name to the function it implements and its runner.
-``catalog_function`` and ``algorithm`` are lookups in them.
+``catalog_function`` and ``algorithm`` are lookups in them.  ``compose``
+is the one composition operator: g o h as a closed form the catalog knows,
+or as a :class:`Composite`.
 """
 
 from __future__ import annotations
@@ -125,6 +128,38 @@ class CatalogFunction:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.id} ({self.in_dim}->{self.out_dim})>"
+
+
+class Composite(CatalogFunction):
+    """g o h: ``exact`` feeds h's outputs to g, ``jacobian`` is the chain rule.
+
+    Without a closed form the spectral path takes the chain-rule Jacobian.
+    """
+
+    def __init__(self, g: CatalogFunction, h: CatalogFunction):
+        self.g, self.h = g, h
+        self.id = f"{g.id} o {h.id}"
+        self.in_dim, self.out_dim = h.in_dim, g.out_dim
+
+    def exact(self, xs):
+        return self.g.exact(self.h.exact(xs))
+
+    def jacobian(self, xs):
+        jg = self.g.jacobian(self.h.exact(xs))
+        jh = None if jg is None else self.h.jacobian(xs)
+        if jh is None:
+            return None
+        rows = []
+        for rg in jg:
+            row = []
+            for j in range(self.in_dim):
+                acc = None  # never adds an exact 0 to a certified real
+                for t, rh in zip(rg, jh):
+                    term = t * rh[j]
+                    acc = term if acc is None else acc + term
+                row.append(acc)
+            rows.append(row)
+        return rows
 
 
 class Product(CatalogFunction):
@@ -274,25 +309,13 @@ class LinearMap(CatalogFunction):
         return _sum_kappa([c * v for c, v in zip(self.rows[0], xs)], bits)
 
 
-class InnerProduct(CatalogFunction):
+class InnerProduct(Composite):
     """<x, y> with the two length-k arrays flattened to 2k inputs."""
 
     def __init__(self, k: int = 2):
+        super().__init__(Summation(k), Hadamard(k))
         self.id = f"inner_product[{k}]"
-        self.in_dim, self.out_dim = 2 * k, 1
         self.k = k
-
-    def exact(self, xs):
-        k = self.k
-        acc: ExactReal = Fraction(0)
-        for i in range(k):
-            acc = acc + xs[i] * xs[k + i]
-        return (acc,)
-
-    def jacobian(self, xs):
-        xs = _frac_only(xs, "inner product jacobian")
-        k = self.k
-        return [list(xs[k:]) + list(xs[:k])]
 
     def kappa_closed(self, xs, bits: int = 192):
         # a relative perturbation reaches each product through both factors,
@@ -322,21 +345,11 @@ class Copy(CatalogFunction):
         return _sqrt_mid(Fraction(2), bits)
 
 
-class SquaredNorm(CatalogFunction):
+class SquaredNorm(Composite):
     def __init__(self, k: int = 2):
+        super().__init__(InnerProduct(k), Copy(k))
         self.id = f"squared_norm[{k}]"
-        self.in_dim, self.out_dim = k, 1
         self.k = k
-
-    def exact(self, xs):
-        acc: ExactReal = Fraction(0)
-        for v in xs:
-            acc = acc + v * v
-        return (acc,)
-
-    def jacobian(self, xs):
-        xs = _frac_only(xs, "squared norm jacobian")
-        return [[2 * v for v in xs]]
 
     def kappa_closed(self, xs, bits: int = 192):
         xs = _frac_only(xs, "squared norm kappa")
@@ -370,25 +383,11 @@ class Sqrt(CatalogFunction):
         return Fraction(1, 2)
 
 
-class Norm2(CatalogFunction):
+class Norm2(Composite):
     def __init__(self, k: int = 2):
+        super().__init__(Sqrt(), SquaredNorm(k))
         self.id = f"norm2[{k}]"
-        self.in_dim, self.out_dim = k, 1
         self.k = k
-
-    def exact(self, xs):
-        acc: ExactReal = Fraction(0)
-        for v in xs:
-            acc = acc + v * v
-        return (sqrt_real(acc),)
-
-    def jacobian(self, xs):
-        xs = _frac_only(xs, "norm jacobian")
-        q = _sum_sq(xs)
-        if q == 0:
-            return None
-        inv = 1 / sqrt_real(q)
-        return [[v * inv for v in xs]]
 
     def kappa_closed(self, xs, bits: int = 192):
         xs = _frac_only(xs, "norm kappa")
@@ -625,15 +624,18 @@ class Matmul2x2(CatalogFunction):
         return [e.jacobian(xs)[0] for e in self._entries]
 
 
-def composite_function(g: CatalogFunction, h: CatalogFunction) -> CatalogFunction | None:
-    """Closed-form composite g o h where the catalog knows one."""
-    if isinstance(g, Summation) and isinstance(h, Hadamard) and g.k == h.k:
+def compose(g: CatalogFunction, h: CatalogFunction) -> CatalogFunction:
+    """g o h: the catalog's closed form where it knows one, else a Composite."""
+    if h.out_dim != g.in_dim:
+        raise ValueError(f"cannot compose {g.id} after {h.id}")
+    # matching dimensions already fix each stage's k to the other's
+    if isinstance(g, Summation) and isinstance(h, Hadamard):
         return InnerProduct(h.k)
-    if isinstance(g, InnerProduct) and isinstance(h, Copy) and g.k == h.k:
+    if isinstance(g, InnerProduct) and isinstance(h, Copy):
         return SquaredNorm(h.k)
     if isinstance(g, Sqrt) and isinstance(h, SquaredNorm):
         return Norm2(h.k)
-    if isinstance(g, Product) and isinstance(h, Hadamard) and g.k == h.k:
+    if isinstance(g, Product) and isinstance(h, Hadamard):
         return Product(2 * h.k)
     if isinstance(g, Power) and isinstance(h, Power):
         return Power(g.j * h.j)
@@ -641,7 +643,7 @@ def composite_function(g: CatalogFunction, h: CatalogFunction) -> CatalogFunctio
         return Affine("mul", g.alpha * h.alpha)
     if isinstance(g, StrassenG) and isinstance(h, StrassenH):
         return Matmul2x2()
-    return None
+    return Composite(g, h)
 
 
 # ---------------------------------------------------------------------------
@@ -790,18 +792,9 @@ def _fp_fold(op, vals, p):
     return reduce(lambda acc, v: op(acc, v, p), vals)
 
 
-def _fp_inner(us, vs, p):
-    """sum u_i * v_i, each product rounded, then added left to right."""
-    acc = None
-    for u, v in zip(us, vs):
-        uv = fp_mul(u, v, p)
-        acc = uv if acc is None else fp_add(acc, uv, p)
-    return acc
-
-
 def _fp_entry(e: MatmulEntry, xs, p):
     (a, b), (c, d) = e._pairs()
-    return _fp_inner((xs[a], xs[c]), (xs[b], xs[d]), p)
+    return _fp_fold(fp_add, [fp_mul(xs[a], xs[b], p), fp_mul(xs[c], xs[d], p)], p)
 
 
 def _fp_lin(xs, terms, p):
@@ -812,12 +805,14 @@ def _fp_lin(xs, terms, p):
     return acc
 
 
-def _fp_strassen_h(xs, p):
-    return tuple(fp_mul(_fp_lin(xs, at, p), _fp_lin(xs, bt, p), p) for at, bt in _H_TERMS)
+def _then(g: str, h: str) -> Callable:
+    """The runner of algorithm ``g`` applied to the outputs of algorithm ``h``.
 
-
-def _fp_strassen_g(ys, p):
-    return tuple(_fp_lin(ys, t, p) for t in _G_TERMS)
+    Both stages get the composite's function: a runner reads only ``f.k``
+    from ``f``, and each composite keeps its stages' k.  The runners are
+    looked up in ALGORITHMS at call time.
+    """
+    return lambda f, xs, p: ALGORITHMS[g][1](f, ALGORITHMS[h][1](f, xs, p), p)
 
 
 def _run_power(f: Power, xs, p):
@@ -875,16 +870,17 @@ ALGORITHMS: dict[str, tuple[str, Callable]] = {
         fp_mul(xs[i], xs[f.k + j], p) for i in range(f.k) for j in range(f.l))),
     "linear_map": ("linear_map", lambda f, xs, p: tuple(
         _fp_fold(fp_add, [fp_mul(fl(c, p), x, p) for c, x in zip(r, xs)], p) for r in f.rows)),
-    "inner_product": ("inner_product", lambda f, xs, p: (_fp_inner(xs[: f.k], xs[f.k :], p),)),
+    "inner_product": ("inner_product", _then("naive_sum", "hadamard")),
     "copy": ("copy", lambda f, xs, p: xs + xs),
-    "squared_norm": ("squared_norm", lambda f, xs, p: (_fp_inner(xs, xs, p),)),
-    "norm2": ("norm2", lambda f, xs, p: (babylonian_sqrt(_fp_inner(xs, xs, p), p),)),
+    "squared_norm": ("squared_norm", _then("inner_product", "copy")),
+    "norm2": ("norm2", _then("babylonian_sqrt", "squared_norm")),
     "babylonian_sqrt": ("sqrt", lambda f, xs, p: (babylonian_sqrt(xs[0], p),)),
     "power": ("power", _run_power),
     "scalar_affine": ("affine", _run_affine),
-    "strassen_h": ("strassen_h", lambda f, xs, p: _fp_strassen_h(xs, p)),
-    "strassen_g": ("strassen_g", lambda f, xs, p: _fp_strassen_g(xs, p)),
-    "strassen_2x2": ("matmul_2x2", lambda f, xs, p: _fp_strassen_g(_fp_strassen_h(xs, p), p)),
+    "strassen_h": ("strassen_h", lambda f, xs, p: tuple(
+        fp_mul(_fp_lin(xs, at, p), _fp_lin(xs, bt, p), p) for at, bt in _H_TERMS)),
+    "strassen_g": ("strassen_g", lambda f, xs, p: tuple(_fp_lin(xs, t, p) for t in _G_TERMS)),
+    "strassen_2x2": ("matmul_2x2", _then("strassen_g", "strassen_h")),
     "matmul_2x2": ("matmul_2x2", lambda f, xs, p: tuple(_fp_entry(e, xs, p) for e in f._entries)),
     "matmul_entry": ("matmul_entry", lambda f, xs, p: (_fp_entry(f, xs, p),)),
     "sin_working": ("sin", lambda f, xs, p: (sin_in_precision(xs[0], p),)),

@@ -24,8 +24,8 @@ import numpy as np
 
 from .catalog import CatalogFunction, DomainError, _sqrt_mid
 from .fpcore import fl, to_exact
-from .reals import ExactReal
-from .relmetric import RelPoint, rel_dist, rel_sphere_sample, rel_step
+from .reals import ExactReal, as_interval
+from .relmetric import SAMPLE_BITS, RelPoint, rel_dist, rel_sphere_sample, rel_step
 
 ExtReal = Fraction | float  # exact rational, or math.inf
 
@@ -163,14 +163,8 @@ def kappa_closed_form(f: CatalogFunction, x: RelPoint, bits: int = 192) -> Condi
 DEFAULT_RADII = (Fraction(1, 1000), Fraction(1, 10000), Fraction(1, 100000))
 
 
-def _evaluate(f, coords):
-    if hasattr(f, "exact"):
-        return f.exact(coords)
-    return f(coords)
-
-
 def kappa_sampled(
-    f,
+    f: CatalogFunction,
     x: RelPoint,
     radii: Sequence = DEFAULT_RADII,
     n_dirs: int = 200,
@@ -185,12 +179,14 @@ def kappa_sampled(
     The schedule must be decreasing; the estimate is accepted when the
     last two levels agree within 1%, otherwise the max is reported with
     ``converged=False``.  Sign-pattern breaks and blow-ups surface as an
-    infinite estimate.
+    infinite estimate.  Probes resolve 64 bits below the largest coordinate's
+    magnitude: with a coarser step factor every probe of x = pi*2^k + 1
+    would land on a multiple of pi plus 1, hiding the condition number.
     """
     radii = [Fraction(r) if not isinstance(r, Fraction) else r for r in radii]
-    fx_coords = _evaluate(f, x.coords)
-    fx = RelPoint(fx_coords)
+    fx = RelPoint(f.exact(x.coords))
     chi = x.chi()
+    bits = max([SAMPLE_BITS] + [as_interval(x.coords[i], 0).mag_bits() + 64 for i in chi])
     m = len(chi)
     failures = 0
     estimates: list[ExtReal] = []
@@ -201,7 +197,7 @@ def kappa_sampled(
         def measure(y: RelPoint):
             nonlocal best, failures
             try:
-                fy = RelPoint(_evaluate(f, y.coords))
+                fy = RelPoint(f.exact(y.coords))
             except (DomainError, ZeroDivisionError):
                 failures += 1
                 return None
@@ -216,16 +212,16 @@ def kappa_sampled(
 
         # axis probes double as local-map estimation
         for i in chi:
-            fy = measure(rel_step(x, [1], r, (i,)))
+            fy = measure(rel_step(x, [1], r, (i,), bits))
             if fy is not None and fy.pattern == fx.pattern:
                 col = [
                     _float_log_ratio(a, b) / float(r)
                     for a, b in zip(fy.coords, fx.coords)
                 ]
                 probe_logs.append(col)
-            measure(rel_step(x, [1], -r, (i,)))
+            measure(rel_step(x, [1], -r, (i,), bits))
         n_random = max(8, n_dirs - 2 * m - 1)
-        for y in rel_sphere_sample(x, r, n_random, seed + 7919 * level):
+        for y in rel_sphere_sample(x, r, n_random, seed + 7919 * level, bits):
             measure(y)
         # refined direction from the probe matrix
         if len(probe_logs) == m and m > 1:
@@ -239,8 +235,8 @@ def kappa_sampled(
                         break
                     v = w / nw
                 wfr = [Fraction(float(c)).limit_denominator(10**12) for c in v]
-                measure(rel_step(x, wfr, r, chi))
-                measure(rel_step(x, wfr, -r, chi))
+                measure(rel_step(x, wfr, r, chi, bits))
+                measure(rel_step(x, wfr, -r, chi, bits))
         estimates.append(best)
 
     if not estimates:

@@ -615,27 +615,16 @@ def nth_root_fraction(x: Fraction, k: int) -> Fraction | None:
         return Fraction(0)
 
     def iroot(n: int) -> int | None:
-        if n == 0:
-            return 0
         if k == 2:
             r = math.isqrt(n)
-            return r if r * r == n else None
-        r = round(n ** (1.0 / k)) if n.bit_length() < 512 else 1 << (n.bit_length() // k)
-        # Newton correction on integers
-        for _ in range(128):
-            if r <= 0:
-                r = 1
-            rk = r**k
-            if rk == n:
-                return r
-            nr = ((k - 1) * r + n // r ** (k - 1)) // k
-            if nr == r:
-                break
-            r = nr
-        for c in (r - 1, r, r + 1):
-            if c > 0 and c**k == n:
-                return c
-        return None
+        elif n.bit_length() <= k:
+            r = 1  # n < 2^k
+        else:
+            # integer Newton descends from an overestimate to the floor of the root
+            r = 1 << -(-n.bit_length() // k)
+            while (nr := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+                r = nr
+        return r if r**k == n else None
 
     rn = iroot(x.numerator)
     if rn is None:

@@ -16,11 +16,10 @@ import pytest
 
 from stabilis.amenability import (
     amenability_probe,
-    composite_function,
     gradient_criterion,
     strassen_excess_closed_form,
 )
-from stabilis.catalog import algorithm, catalog_function, strassen_input
+from stabilis.catalog import algorithm, catalog_function, compose, strassen_input
 from stabilis.condition import (
     kappa_closed_form,
     kappa_jacobian,
@@ -436,7 +435,7 @@ def test_criterion_10_composition_and_stacking():
             g = catalog_function("affine", op="mul", alpha=rand_frac(1, 100, 10))
             h = catalog_function("affine", op="mul", alpha=rand_frac(1, 100, 10))
             x = rand_point(1, signed=True)
-        comp = composite_function(g, h)
+        comp = compose(g, h)
         hx = RelPoint(h.exact(x.coords))
         kt_h = kappa_closed_form(h, x).kappa_tilde
         kt_g = kappa_closed_form(g, hx).kappa_tilde

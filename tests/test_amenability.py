@@ -6,13 +6,12 @@ import pytest
 
 from stabilis.amenability import (
     amenability_probe,
-    composite_function,
     excess_factor,
     gradient_criterion,
     smallest_passing_constant,
     strassen_excess_closed_form,
 )
-from stabilis.catalog import catalog_function, strassen_input
+from stabilis.catalog import Composite, catalog_function, compose, strassen_input
 from stabilis.condition import kappa_closed_form
 from stabilis.reals import pi_real
 from stabilis.relmetric import RelPoint
@@ -164,15 +163,39 @@ class TestCompositeRegistry:
     def test_known_pairs(self):
         g = catalog_function("sum", k=3)
         h = catalog_function("hadamard", k=3)
-        assert composite_function(g, h).id == "inner_product[3]"
-        assert composite_function(catalog_function("sqrt"), catalog_function("squared_norm", k=2)).id == "norm2[2]"
+        assert compose(g, h).id == "inner_product[3]"
+        assert compose(catalog_function("sqrt"), catalog_function("squared_norm", k=2)).id == "norm2[2]"
         p2 = catalog_function("power", exponent=2)
         p3 = catalog_function("power", exponent=3)
-        assert composite_function(p2, p3).id == "power[6]"
-        assert composite_function(catalog_function("strassen_g"), catalog_function("strassen_h")).id == "matmul_2x2"
+        assert compose(p2, p3).id == "power[6]"
+        assert compose(catalog_function("strassen_g"), catalog_function("strassen_h")).id == "matmul_2x2"
 
     def test_unknown_pair(self):
-        assert composite_function(catalog_function("sqrt"), catalog_function("copy", k=1)) is None
+        f = compose(catalog_function("sin"), catalog_function("sqrt"))
+        assert isinstance(f, Composite) and f.id == "sin o sqrt"
+        assert kappa_closed_form(f, RelPoint.of(2)).method == "jacobian"
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match=r"cannot compose sqrt after copy\[1\]"):
+            compose(catalog_function("sqrt"), catalog_function("copy", k=1))
+        with pytest.raises(ValueError, match="cannot compose"):
+            excess_factor(catalog_function("sum", k=3), catalog_function("hadamard", k=2),
+                          RelPoint.of(1, 2, 3, 4))
+
+    @pytest.mark.parametrize("g,h", [
+        (("sin", {}), ("sqrt", {})),
+        (("power", {"exponent": 3}), ("sin", {})),
+    ])
+    @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(7, 5), Fraction(2), Fraction(50)])
+    def test_chain_rule_matches_central_difference(self, g, h, x):
+        f = compose(catalog_function(g[0], **g[1]), catalog_function(h[0], **h[1]))
+        assert isinstance(f, Composite)
+        step = Fraction(1, 2**64)
+        up, dn = f.exact((x + step,))[0], f.exact((x - step,))[0]
+        dq = (up.enclosure(400).midpoint() - dn.enclosure(400).midpoint()) / (2 * step)
+        d = f.jacobian((x,))[0][0].enclosure(400).midpoint()
+        # the central difference is off by step^2/6 times a third derivative
+        assert abs(dq - d) <= (1 + abs(d)) / 2**60
 
 
 class TestStrassenClosedForms:

@@ -21,7 +21,7 @@ from stabilis.catalog import (
 )
 from stabilis.cli import _resolve_function
 from stabilis.condition import kappa_jacobian
-from stabilis.fpcore import Precision, fl, to_exact
+from stabilis.fpcore import Precision, fl, fp_add, fp_mul, fp_sub, to_exact
 from stabilis.reals import pi_real, real_sign
 from stabilis.relmetric import RelPoint, rel_dist
 
@@ -384,3 +384,53 @@ class TestRegistryViews:
                 got = RelPoint(alg.evaluate([fl(c, 192) for c in ys], 192))
                 ref = RelPoint(alg.exact_reference(ys))
                 assert rel_dist(ref, got, bits=256) < Fraction(1, 2**150), aid
+
+
+def _bits(ys):
+    return [(y.sign, y.mantissa, y.exponent) for y in ys]
+
+
+_fp_input = st.fractions(min_value=-100, max_value=100, max_denominator=10**6)
+
+
+class TestComposedAlgorithms:
+    """The four composed algorithms, bit for bit against their formulas written out."""
+
+    @staticmethod
+    def _inner(us, vs, p):
+        # each product rounded, then added left to right
+        acc = fp_mul(us[0], vs[0], p)
+        for u, v in zip(us[1:], vs[1:]):
+            acc = fp_add(acc, fp_mul(u, v, p), p)
+        return acc
+
+    @pytest.mark.parametrize("t", [24, 53, 113])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @given(data=st.data())
+    @settings(max_examples=20)
+    def test_inner_products_and_norms(self, t, k, data):
+        xs = [fl(v, t) for v in data.draw(st.lists(_fp_input, min_size=2 * k, max_size=2 * k))]
+        us, vs = xs[:k], xs[k:]
+        run = lambda aid, ins: _bits(algorithm(aid, k=k).evaluate(ins, t))  # noqa: E731
+        assert run("inner_product", xs) == _bits([self._inner(us, vs, t)])
+        assert run("squared_norm", us) == _bits([self._inner(us, us, t)])
+        assert run("norm2", us) == _bits([babylonian_sqrt(self._inner(us, us, t), t)])
+
+    @pytest.mark.parametrize("t", [24, 53, 113])
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_strassen(self, t, data):
+        xs = [fl(v, t) for v in data.draw(st.lists(_fp_input, min_size=8, max_size=8))]
+        a11, a12, a21, a22, b11, b12, b21, b22 = xs
+        add = lambda u, v: fp_add(u, v, t)  # noqa: E731
+        sub = lambda u, v: fp_sub(u, v, t)  # noqa: E731
+        mul = lambda u, v: fp_mul(u, v, t)  # noqa: E731
+        m1 = mul(add(a11, a22), add(b11, b22))
+        m2 = mul(add(a21, a22), b11)
+        m3 = mul(a11, sub(b12, b22))
+        m4 = mul(a22, sub(b21, b11))
+        m5 = mul(add(a11, a12), b22)
+        m6 = mul(sub(a21, a11), add(b11, b12))
+        m7 = mul(sub(a12, a22), add(b21, b22))
+        c = [add(sub(add(m1, m4), m5), m7), add(m3, m5), add(m2, m4), add(add(sub(m1, m2), m3), m6)]
+        assert _bits(algorithm("strassen_2x2").evaluate(xs, t)) == _bits(c)

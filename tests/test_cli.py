@@ -91,6 +91,16 @@ class TestCond:
         assert "kappa = 2.4816157693897506e+903\n" in r.stdout
         assert "kappa_tilde = 2.4816157693897506e+903\n" in r.stdout
 
+    def test_sampled_at_a_huge_sine_argument_does_not_converge(self, runner):
+        # probes at 176 bits would all land on pi*2^3000*F + F with F a dyadic
+        # step factor, an even multiple of pi plus F, and report |cot 1|
+        t0 = time.perf_counter()
+        r = runner.invoke(main, ["cond", "--sample", "sin", "pi*2^3000+1"])
+        assert time.perf_counter() - t0 < 30
+        assert r.exit_code == 0, r.output
+        assert "kappa = inf\n" in r.stdout
+        assert "converged = false\n" in r.stdout
+
     def test_tiny_coordinate_is_prompt(self, runner):
         t0 = time.perf_counter()
         r = runner.invoke(main, ["cond", "sum", "1e-300000,1"])

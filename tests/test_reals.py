@@ -273,6 +273,26 @@ class TestNthRoot:
         assert nth_root_fraction(Fraction(r * r - 1), 2) is None
         assert nth_root_fraction(Fraction(r * r, 2), 2) is None
 
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("bits", [16, 128, 3_000, 100_000])
+    def test_kth_roots_exact_iff_perfect(self, k, bits):
+        r = (1 << (bits // k)) + 1  # r**k has about ``bits`` bits; r is odd
+        n = r**k
+        t0 = time.perf_counter()
+        assert nth_root_fraction(Fraction(n), k) == r
+        assert nth_root_fraction(Fraction(2**k, n), k) == Fraction(2, r)
+        assert nth_root_fraction(Fraction(n + 1), k) is None
+        assert nth_root_fraction(Fraction(n - 1), k) is None
+        assert nth_root_fraction(Fraction(1, n - 1), k) is None
+        assert time.perf_counter() - t0 < 5
+
+    def test_root_below_two_is_prompt(self):
+        # with n < 2^k the root is 1 or irrational; 2**k is never formed
+        t0 = time.perf_counter()
+        assert nth_root_fraction(Fraction(1), 10**9) == 1
+        assert nth_root_fraction(Fraction(3, 2), 10**9) is None
+        assert time.perf_counter() - t0 < 1
+
     @given(st.integers(min_value=1, max_value=500), st.integers(min_value=2, max_value=6))
     @settings(max_examples=100)
     def test_roundtrip(self, base, k):
