@@ -23,7 +23,7 @@ from .amenability import amenability_probe, excess_factor
 from .catalog import FUNCTIONS, strassen_input
 from .condition import kappa_closed_form, kappa_jacobian, kappa_sampled
 from .harness import log_spaced, sine_experiment, strassen_experiment
-from .reals import CertifiedReal, ExactReal, PrecisionError, pi_real
+from .reals import CertifiedReal, ExactReal, pi_real
 from .relmetric import RelPoint
 
 
@@ -218,9 +218,9 @@ def _computation(op_name: str):
                 return fn(*a, **kw)
             except click.ClickException:
                 raise
-            except (ExprError,) as e:
+            except ExprError as e:
                 raise click.UsageError(str(e))
-            except (ArithmeticError, PrecisionError, ValueError, TypeError) as e:
+            except (ArithmeticError, ValueError, TypeError) as e:
                 click.echo(f"computation error in {op_name}: {e}", err=True)
                 sys.exit(3)
 

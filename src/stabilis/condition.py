@@ -183,7 +183,7 @@ def kappa_sampled(
     magnitude: with a coarser step factor every probe of x = pi*2^k + 1
     would land on a multiple of pi plus 1, hiding the condition number.
     """
-    radii = [Fraction(r) if not isinstance(r, Fraction) else r for r in radii]
+    radii = [Fraction(r) for r in radii]
     fx = RelPoint(f.exact(x.coords))
     chi = x.chi()
     bits = max([SAMPLE_BITS] + [as_interval(x.coords[i], 0).mag_bits() + 64 for i in chi])

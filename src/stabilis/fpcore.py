@@ -8,8 +8,11 @@ mathematical round-to-nearest (ties to even) onto the precision-t grid.
 
 The arithmetic here is a genuine soft-float implementation (aligned
 addition with a sticky path, double-width multiplication, division by
-integer quotient and remainder).  The test-suite checks every operation
-bit-for-bit against the independent compute-exactly-then-round oracle.
+integer quotient and remainder).  Every result goes through one rounding
+routine, ``_round_scaled``: the operations, rationals (a quotient with two
+guard bits and a sticky remainder) and the endpoints of an enclosure alike.
+The test-suite checks every operation bit-for-bit against the independent
+compute-exactly-then-round oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .reals import CertifiedReal, refine
+from .reals import CertifiedReal, refine, to_real
 
 
 class FpError(ArithmeticError):
@@ -204,43 +207,26 @@ def _round_scaled(sign: int, m: int, twoexp: int, t: int, exact: bool = True) ->
     return FpNumber(sign, keep, twoexp + L)
 
 
-def _round_fraction(x: Fraction, t: int) -> FpNumber:
-    num, den = x.numerator, x.denominator
-    sign = 1 if num > 0 else -1
-    n = abs(num)
-    if den == 1:
-        return _round_scaled(sign, n, 0, t)
-    E = n.bit_length() - den.bit_length()
-    # adjust so that 2**(E-1) <= n/den < 2**E
-    if E >= 0:
-        if n >= den << E:
-            E += 1
-    else:
-        if n << -E >= den:
-            E += 1
-    shift = t - E
-    N = n << shift if shift >= 0 else n
-    D = den if shift >= 0 else den << -shift
-    q, r = divmod(N, D)
-    if r == 0:
-        return _round_scaled(sign, q, E - t, t)
-    two_r = 2 * r
-    if two_r > D or (two_r == D and q & 1):
-        q += 1
-    if q == (1 << t):
-        return FpNumber(sign, 1 << (t - 1), E + 1)
-    return FpNumber(sign, q, E)
+def _round_quotient(sign: int, n: int, d: int, twoexp: int, t: int) -> FpNumber:
+    """Round sign*(n/d)*2**twoexp to t bits, for positive integers n and d.
+
+    The quotient is shifted to t+2 or t+3 bits: two guard bits plus a
+    sticky remainder decide round-to-nearest-even.
+    """
+    k = t + 2 - n.bit_length() + d.bit_length()
+    q, r = divmod(n << k, d) if k >= 0 else divmod(n, d << -k)
+    return _round_scaled(sign, q, twoexp - k, t, exact=not r)
 
 
 def round_to_nearest(x, p: Precision | int) -> FpNumber:
     """The roundoff map onto the precision-t grid (ties to even).
 
-    Accepts integers, exact Fractions, floats (converted exactly),
-    FpNumbers, and certified enclosures of irrational reals.  Enclosures
-    are refined by :func:`~stabilis.reals.refine` from t + 64 bits until
-    both endpoints round to the same grid point; a value no width can
-    round (an exact tie, or too close to zero for that absolute
-    resolution) raises a PrecisionError.
+    Accepts integers, exact Fractions, finite floats (converted exactly;
+    others raise ValueError), FpNumbers, and certified enclosures of
+    irrational reals.  Enclosures are refined by :func:`~stabilis.reals.refine`
+    from t + 64 bits until both endpoints round to the same grid point; a
+    value no width can round (an exact tie, or too close to zero for that
+    absolute resolution) raises a PrecisionError.
     """
     p = Precision.of(p)
     t = p.t
@@ -250,18 +236,17 @@ def round_to_nearest(x, p: Precision | int) -> FpNumber:
         if x.precision_bits <= t:
             return x
         return _round_scaled(x.sign, x.mantissa, x.exponent - x.precision_bits, t)
-    if isinstance(x, bool):  # pragma: no cover - guard against bool/int confusion
-        x = int(x)
     if isinstance(x, int):
         if x == 0:
             return fp_zero()
         return _round_scaled(1 if x > 0 else -1, abs(x), 0, t)
     if isinstance(x, float):
-        x = Fraction(x)
+        x = to_real(x)
     if isinstance(x, Fraction):
-        if x == 0:
+        n = x.numerator
+        if n == 0:
             return fp_zero()
-        return _round_fraction(x, t)
+        return _round_quotient(1 if n > 0 else -1, abs(n), x.denominator, 0, t)
     if isinstance(x, CertifiedReal):
 
         def decide(bits: int) -> FpNumber | None:
@@ -270,9 +255,8 @@ def round_to_nearest(x, p: Precision | int) -> FpNumber:
             if s == 0:
                 return fp_zero()
             if s is not None:
-                lo = _round_fraction(iv.lower(), t)
-                hi = _round_fraction(iv.upper(), t)
-                if lo == hi:
+                lo = _round_scaled(s, abs(iv.lo), -iv.scale, t)
+                if lo == _round_scaled(s, abs(iv.hi), -iv.scale, t):
                     return lo
             return None
 
@@ -338,17 +322,9 @@ def fp_mul(a: FpNumber, b: FpNumber, p: Precision | int) -> FpNumber:
 
 def fp_div(a: FpNumber, b: FpNumber, p: Precision | int) -> FpNumber:
     p = Precision.of(p)
-    t = p.t
     if b.is_zero:
         raise FpDivisionByZero("floating-point division by zero")
     if a.is_zero:
         return fp_zero()
-    sign = a.sign * b.sign
-    k = t + 2 - a.precision_bits + b.precision_bits
-    N = a.mantissa << k if k >= 0 else a.mantissa
-    D = b.mantissa if k >= 0 else b.mantissa << -k
-    q, r = divmod(N, D)
-    twoexp = (a.exponent - a.precision_bits) - (b.exponent - b.precision_bits) - k
-    if r == 0:
-        return _round_scaled(sign, q, twoexp, t)
-    return _round_scaled(sign, q, twoexp, t, exact=False)
+    twoexp = (a.exponent - a.precision_bits) - (b.exponent - b.precision_bits)
+    return _round_quotient(a.sign * b.sign, a.mantissa, b.mantissa, twoexp, p.t)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, TypeVar, Union
 
 T = TypeVar("T")
@@ -192,6 +193,7 @@ class Interval:
 # inputs are handled by a single evaluation path.
 
 
+@lru_cache(maxsize=64)
 def _pi_core(scale: int) -> tuple[int, int]:
     """Machin's formula: pi = 16 atan(1/5) - 4 atan(1/239)."""
 
@@ -215,22 +217,7 @@ def _pi_core(scale: int) -> tuple[int, int]:
     return 16 * s5 - 4 * s239, 16 * e5 + 4 * e239
 
 
-_PI_CACHE: dict[int, tuple[int, int]] = {}
-
-
-def pi_iv(bits: int) -> Interval:
-    """Enclosure of pi with width below 2**-bits."""
-    scale = ((bits + 63) // 64 + 1) * 64
-    cached = _PI_CACHE.get(scale)
-    if cached is None:
-        cached = _pi_core(scale)
-        if len(_PI_CACHE) > 64:
-            _PI_CACHE.clear()
-        _PI_CACHE[scale] = cached
-    s, e = cached
-    return Interval(s - e, s + e, scale)
-
-
+@lru_cache(maxsize=64)
 def _ln2_core(scale: int) -> tuple[int, int]:
     """ln 2 = 2 atanh(1/3) = 2 * sum 1/(3**(2j+1) (2j+1))."""
     num = (1 << scale) // 3
@@ -246,19 +233,20 @@ def _ln2_core(scale: int) -> tuple[int, int]:
     return 2 * total, 2 * (err + 2)
 
 
-_LN2_CACHE: dict[int, tuple[int, int]] = {}
+def _constant_iv(core: Callable[[int], tuple[int, int]], bits: int) -> Interval:
+    """A constant from its memoised core, at the first multiple of 64 bits >= ``bits`` + 64."""
+    scale = ((bits + 63) // 64 + 1) * 64
+    s, e = core(scale)
+    return Interval(s - e, s + e, scale)
+
+
+def pi_iv(bits: int) -> Interval:
+    """Enclosure of pi with width below 2**-bits."""
+    return _constant_iv(_pi_core, bits)
 
 
 def ln2_iv(bits: int) -> Interval:
-    scale = ((bits + 63) // 64 + 1) * 64
-    cached = _LN2_CACHE.get(scale)
-    if cached is None:
-        cached = _ln2_core(scale)
-        if len(_LN2_CACHE) > 64:
-            _LN2_CACHE.clear()
-        _LN2_CACHE[scale] = cached
-    s, e = cached
-    return Interval(s - e, s + e, scale)
+    return _constant_iv(_ln2_core, bits)
 
 
 def _atanh_core(Z: int, W: int, hw: int) -> tuple[int, int]:

@@ -86,7 +86,7 @@ class RelPoint:
         return iter(self.coords)
 
     def __repr__(self) -> str:
-        vals = ", ".join(f"{float(c) if isinstance(c, Fraction) else float(c):.6g}" for c in self.coords)
+        vals = ", ".join(f"{float(c):.6g}" for c in self.coords)
         return f"RelPoint({vals})"
 
 

@@ -9,11 +9,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stabilis.fpcore import (
     FpDivisionByZero,
+    FpNumber,
     Precision,
+    dyadic,
     fl,
     fp_add,
     fp_div,
@@ -104,6 +106,31 @@ class TestRounding:
         y = Fraction(5, 4) / Fraction(2) ** (2**20)
         assert to_exact(fl(y, 24)) == y
 
+    @pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_float_is_a_value_error(self, x):
+        with pytest.raises(ValueError):
+            fl(x, 53)
+
+    def test_bool_rounds_as_int(self):
+        assert fl(True, 53) == fl(1, 53)
+        assert fl(False, 53) == fl(0, 53)
+
+    @given(
+        st.integers(min_value=3, max_value=256),
+        st.integers(min_value=0, max_value=2**255),
+        st.sampled_from([0, 1]),
+        st.integers(min_value=-300, max_value=300),
+        st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=300)
+    def test_exact_ties_round_to_even(self, t, offset, parity, j, sign):
+        # (2m+1)/2^j with m of t bits lies halfway between m and m+1 ulps
+        m = (1 << (t - 1)) + (2 * offset + parity) % (1 << (t - 1))
+        x = sign * Fraction(2 * m + 1) / Fraction(2) ** j
+        r = fl(x, t)
+        assert to_exact(r) == oracle_round(x, t)
+        assert r.mantissa % 2 == 0
+
     def test_mantissa_normalized(self):
         for t in (3, 24, 53):
             for x in (Fraction(1, 10), Fraction(7, 3), Fraction(-355, 113)):
@@ -119,6 +146,22 @@ class TestZivBudget:
         with pytest.raises(PrecisionError):
             fl(x, 53)
         assert time.perf_counter() - t0 < 5
+
+    @given(
+        st.integers(min_value=1, max_value=2**64),
+        st.integers(min_value=1, max_value=2**64),
+        st.integers(min_value=-136, max_value=136),
+        st.sampled_from([1, -1]),
+        st.sampled_from([3, 11, 24, 53, 113, 256]),
+    )
+    @settings(max_examples=150)
+    def test_rational_disguised_as_enclosure(self, n, d, e, sign, t):
+        # the Ziv loop rounds the enclosure's endpoints; each must agree
+        # with the oracle on the exact rational it encloses
+        r = sign * Fraction(n, d) * Fraction(2) ** e
+        assume(not (oracle_round(r, t + 1) == r != oracle_round(r, t)))  # no ties
+        x = (pi_real() - pi_real()) + r
+        assert to_exact(fl(x, t)) == oracle_round(r, t)
 
     def test_near_tie_enclosure_still_rounds(self):
         x = (pi_real() - pi_real()) + 1 + Fraction(1, 2**53) + Fraction(1, 2**2000)
@@ -170,6 +213,41 @@ class TestArithmetic:
         assert fp_mul(a, b, t) == fl(va * vb, t)
         if not b.is_zero:
             assert fp_div(a, b, t) == fl(va / vb, t)
+
+    @given(
+        rationals,
+        rationals,
+        st.sampled_from([3, 256]),
+        st.sampled_from([-(2**20), 0, 2**20]),
+        st.sampled_from([-(2**20), 0, 2**20]),
+    )
+    @settings(max_examples=200)
+    def test_div_at_extreme_exponents(self, x, y, t, sa, sb):
+        # scaling by powers of two commutes with rounding when exponents
+        # are unbounded, so the oracle runs on the unscaled quotient
+        a, b = fl(x, t), fl(y, t)
+        big_a = FpNumber(a.sign, a.mantissa, a.exponent + sa)
+        big_b = FpNumber(b.sign, b.mantissa, b.exponent + sb)
+        q = fp_div(big_a, big_b, t)
+        unscaled = FpNumber(q.sign, q.mantissa, q.exponent - (sa - sb))
+        assert to_exact(unscaled) == oracle_round(to_exact(a) / to_exact(b), t)
+
+    @given(
+        st.integers(min_value=-(2**600), max_value=2**600).filter(bool),
+        st.integers(min_value=1, max_value=2**300),
+        st.integers(min_value=-500, max_value=500),
+        st.integers(min_value=-500, max_value=500),
+        precisions,
+        st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_div_mixed_widths(self, ma, mb, ea, eb, t, exact_quotient):
+        # operands of any width; with exact_quotient the division has no
+        # remainder, and a quotient wider than t bits may be an exact tie
+        if exact_quotient:
+            ma *= mb
+        a, b = dyadic(ma, ea), dyadic(mb, eb)
+        assert to_exact(fp_div(a, b, t)) == oracle_round(to_exact(a) / to_exact(b), t)
 
     @given(rationals, precisions, st.integers(min_value=-400, max_value=400))
     @settings(max_examples=200)
