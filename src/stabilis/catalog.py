@@ -731,12 +731,7 @@ def high_precision_sin(x: ExactReal, guard_bits: int = 0) -> ExactReal:
     x = to_real(x)
     if isinstance(x, Fraction) and x == 0:
         return Fraction(0)
-
-    def fn(bits: int) -> Interval:
-        b = max(bits, guard_bits)
-        return sin_iv(relative_interval(x, b), b)
-
-    return CertifiedReal(fn)
+    return CertifiedReal(lambda b: sin_iv(relative_interval(x, b), b), min_bits=guard_bits)
 
 
 def sin_in_precision(x: FpNumber, p: Precision | int) -> FpNumber:

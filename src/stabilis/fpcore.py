@@ -66,9 +66,9 @@ class FpNumber:
             sign, exponent = 1, 0
         elif sign not in (-1, 1):
             raise ValueError("sign must be -1 or +1")
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "mantissa", mantissa)
-        object.__setattr__(self, "exponent", exponent)
+        _set_sign(self, sign)
+        _set_mantissa(self, mantissa)
+        _set_exponent(self, exponent)
 
     def __setattr__(self, name, value):
         raise AttributeError("FpNumber is immutable")
@@ -93,8 +93,6 @@ class FpNumber:
         return Fraction(self.sign * self.mantissa, 1 << -k)
 
     def __float__(self) -> float:
-        if self.mantissa == 0:
-            return 0.0
         return float(self.to_fraction())
 
     def as_exact_string(self) -> str:
@@ -114,6 +112,10 @@ class FpNumber:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpNumber):
             return NotImplemented
+        if self.mantissa.bit_length() == other.mantissa.bit_length():
+            # equal widths: equal values have equal triples
+            return (self.mantissa == other.mantissa and self.exponent == other.exponent
+                    and self.sign == other.sign)
         return self._key() == other._key()
 
     def __hash__(self) -> int:
@@ -121,14 +123,11 @@ class FpNumber:
 
     def _cmp(self, other: "FpNumber") -> int:
         a, b = self, other
-        if a.is_zero and b.is_zero:
-            return 0
         sa = 0 if a.is_zero else a.sign
         sb = 0 if b.is_zero else b.sign
         if sa != sb:
             return -1 if sa < sb else 1
-        # same nonzero sign: compare magnitudes
-        c = 0
+        # same sign: compare magnitudes (two zeros are equal)
         if a.exponent != b.exponent:
             c = -1 if a.exponent < b.exponent else 1
         else:
@@ -152,12 +151,12 @@ class FpNumber:
     def __neg__(self) -> "FpNumber":
         if self.is_zero:
             return self
-        return FpNumber(-self.sign, self.mantissa, self.exponent)
+        return _fp(-self.sign, self.mantissa, self.exponent)
 
     def __abs__(self) -> "FpNumber":
         if self.is_zero or self.sign > 0:
             return self
-        return FpNumber(1, self.mantissa, self.exponent)
+        return _fp(1, self.mantissa, self.exponent)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -165,13 +164,30 @@ class FpNumber:
         return f"FpNumber({self.as_exact_string()})"
 
 
+_set_sign = FpNumber.sign.__set__
+_set_mantissa = FpNumber.mantissa.__set__
+_set_exponent = FpNumber.exponent.__set__
+_new = object.__new__
+
+
+def _fp(sign: int, m: int, e: int) -> FpNumber:
+    """A result already normalised (m > 0, or the zero 1, 0, 0), without ``__init__``'s checks."""
+    x = _new(FpNumber)
+    _set_sign(x, sign)
+    _set_mantissa(x, m)
+    _set_exponent(x, e)
+    return x
+
+
 def fp_zero() -> FpNumber:
-    return FpNumber(1, 0, 0)
+    return _fp(1, 0, 0)
 
 
 def dyadic(m: int, e: int) -> FpNumber:
     """The exact value m * 2**e, as an FpNumber as wide as m."""
-    return FpNumber(1 if m >= 0 else -1, abs(m), e + abs(m).bit_length())
+    if not m:
+        return fp_zero()
+    return _fp(1 if m > 0 else -1, abs(m), e + m.bit_length())
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +208,16 @@ def _round_scaled(sign: int, m: int, twoexp: int, t: int, exact: bool = True) ->
     if drop <= 0:
         if not exact:
             raise AssertionError("inexact rounding needs guard bits")
-        return FpNumber(sign, m << -drop, twoexp + L)
+        return _fp(sign, m << -drop, twoexp + L)
     keep = m >> drop
     rem = m - (keep << drop)
     half = 1 << (drop - 1)
-    if exact:
-        if rem > half or (rem == half and keep & 1):
-            keep += 1
-    else:
-        if rem >= half:
-            keep += 1
+    # an inexact value lies above m, so a remainder of half rounds up
+    if rem > half or (rem == half and (keep & 1 or not exact)):
+        keep += 1
     if keep == (1 << t):
-        return FpNumber(sign, 1 << (t - 1), twoexp + L + 1)
-    return FpNumber(sign, keep, twoexp + L)
+        return _fp(sign, 1 << (t - 1), twoexp + L + 1)
+    return _fp(sign, keep, twoexp + L)
 
 
 def _round_quotient(sign: int, n: int, d: int, twoexp: int, t: int) -> FpNumber:
@@ -228,14 +241,13 @@ def round_to_nearest(x, p: Precision | int) -> FpNumber:
     value no width can round (an exact tie, or too close to zero for that
     absolute resolution) raises a PrecisionError.
     """
-    p = Precision.of(p)
-    t = p.t
+    t = p.t if isinstance(p, Precision) else Precision.of(p).t
     if isinstance(x, FpNumber):
-        if x.is_zero:
+        m = x.mantissa
+        L = m.bit_length()
+        if L <= t:  # zero too
             return x
-        if x.precision_bits <= t:
-            return x
-        return _round_scaled(x.sign, x.mantissa, x.exponent - x.precision_bits, t)
+        return _round_scaled(x.sign, m, x.exponent - L, t)
     if isinstance(x, int):
         if x == 0:
             return fp_zero()
@@ -278,32 +290,28 @@ def to_exact(a: FpNumber) -> Fraction:
 
 
 def fp_add(a: FpNumber, b: FpNumber, p: Precision | int) -> FpNumber:
-    p = Precision.of(p)
-    t = p.t
-    if a.is_zero:
+    t = p.t if isinstance(p, Precision) else Precision.of(p).t
+    ma, mb = a.mantissa, b.mantissa
+    if not ma:
         return round_to_nearest(b, p)
-    if b.is_zero:
+    if not mb:
         return round_to_nearest(a, p)
-    ea = a.exponent - a.precision_bits
-    eb = b.exponent - b.precision_bits
+    la, lb = ma.bit_length(), mb.bit_length()
+    ea, eb = a.exponent - la, b.exponent - lb
     if ea >= eb:
-        hi, lo, ehi, elo = a, b, ea, eb
+        shi, mhi, ehi, slo, mlo, elo, llo = a.sign, ma, ea, b.sign, mb, eb, lb
     else:
-        hi, lo, ehi, elo = b, a, eb, ea
+        shi, mhi, ehi, slo, mlo, elo, llo = b.sign, mb, eb, a.sign, ma, ea, la
     shift = ehi - elo
     G = t + 4
-    if shift <= G + lo.precision_bits:
-        v = hi.sign * (hi.mantissa << shift) + lo.sign * lo.mantissa
-        if v == 0:
+    if shift <= G + llo:
+        v = shi * (mhi << shift) + slo * mlo
+        if not v:
             return fp_zero()
-        sign = 1 if v > 0 else -1
-        return _round_scaled(sign, abs(v), elo, t)
+        return _round_scaled(1 if v > 0 else -1, abs(v), elo, t)
     # the low operand is far below the rounding bits: sticky path
-    if hi.sign == lo.sign:
-        m = hi.mantissa << G
-    else:
-        m = (hi.mantissa << G) - 1
-    return _round_scaled(hi.sign, m, ehi - G, t, exact=False)
+    m = mhi << G if shi == slo else (mhi << G) - 1
+    return _round_scaled(shi, m, ehi - G, t, exact=False)
 
 
 def fp_sub(a: FpNumber, b: FpNumber, p: Precision | int) -> FpNumber:
@@ -311,20 +319,20 @@ def fp_sub(a: FpNumber, b: FpNumber, p: Precision | int) -> FpNumber:
 
 
 def fp_mul(a: FpNumber, b: FpNumber, p: Precision | int) -> FpNumber:
-    p = Precision.of(p)
-    if a.is_zero or b.is_zero:
+    t = p.t if isinstance(p, Precision) else Precision.of(p).t
+    ma, mb = a.mantissa, b.mantissa
+    if not ma or not mb:
         return fp_zero()
-    sign = a.sign * b.sign
-    m = a.mantissa * b.mantissa
-    twoexp = (a.exponent - a.precision_bits) + (b.exponent - b.precision_bits)
-    return _round_scaled(sign, m, twoexp, p.t)
+    twoexp = a.exponent - ma.bit_length() + b.exponent - mb.bit_length()
+    return _round_scaled(a.sign * b.sign, ma * mb, twoexp, t)
 
 
 def fp_div(a: FpNumber, b: FpNumber, p: Precision | int) -> FpNumber:
-    p = Precision.of(p)
-    if b.is_zero:
+    t = p.t if isinstance(p, Precision) else Precision.of(p).t
+    ma, mb = a.mantissa, b.mantissa
+    if not mb:
         raise FpDivisionByZero("floating-point division by zero")
-    if a.is_zero:
+    if not ma:
         return fp_zero()
-    twoexp = (a.exponent - a.precision_bits) - (b.exponent - b.precision_bits)
-    return _round_quotient(a.sign * b.sign, a.mantissa, b.mantissa, twoexp, p.t)
+    twoexp = a.exponent - ma.bit_length() - (b.exponent - mb.bit_length())
+    return _round_quotient(a.sign * b.sign, ma, mb, twoexp, t)

@@ -21,7 +21,7 @@ from .catalog import NumericalAlgorithm, Sin, sin_in_precision, high_precision_s
 from .condition import ExtReal, kappa_closed_form
 from .fpcore import FpError, Precision, dyadic, fl, to_exact
 from .reals import CertifiedReal, Interval, PrecisionError, log_iv, pi_iv, pi_real, signed_interval, sqrt_iv
-from .relmetric import RelPoint, abs_dist, rel_dist, step_factors
+from .relmetric import RelPoint, abs_dist, philox_stream, rel_dist, step_factors
 
 
 @dataclass
@@ -217,6 +217,7 @@ def strassen_experiment(
     p = Precision.of(t)
     alg = make_alg("strassen_2x2")
     half = Fraction(1, 2)
+    at = philox_stream(seed)
     rows: list[PercentileRow] = []
     for ei, eps in enumerate(eps_grid):
         eps = Fraction(eps)
@@ -224,8 +225,7 @@ def strassen_experiment(
         rel_lops: list[float] = []
         abs_lops: list[float] = []
         for si in range(samples_per_eps):
-            bg = np.random.Philox(key=seed & ((1 << 128) - 1), counter=[0, si, 2, ei])
-            draws = np.random.Generator(bg).standard_normal(8).tolist()
+            draws = at([0, si, 2, ei]).standard_normal(8).tolist()
             factors = step_factors(draws[:4], half, 176) + step_factors(draws[4:], half, 176)
             fp_in = [fl(_times(b, m, e), p) for b, (m, e) in zip(base, factors)]
             # the rounded matrices are the run's inputs; the reference

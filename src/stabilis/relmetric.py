@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -214,10 +214,20 @@ def _interp(a: ExactReal, b: ExactReal, s: Fraction, bits: int) -> ExactReal:
 # ---------------------------------------------------------------------------
 
 
-def _stream(seed: int, index: int, kind: int = 0) -> np.random.Generator:
-    key = seed & ((1 << 128) - 1)
-    bg = np.random.Philox(key=key, counter=[0, 0, kind, index & ((1 << 64) - 1)])
-    return np.random.Generator(bg)
+def philox_stream(seed: int) -> Callable[[Sequence[int]], np.random.Generator]:
+    """``at(counter)``: one shared generator, reset to the state of a new
+    ``Philox(key=seed, counter=counter)``, so it draws that stream bit for bit
+    (Salmon et al., SC'11) without the cost of building one."""
+    bg = np.random.Philox(key=seed & ((1 << 128) - 1))
+    gen = np.random.Generator(bg)
+    state = bg.state
+
+    def at(counter: Sequence[int]) -> np.random.Generator:
+        state["state"]["counter"] = np.array(counter, dtype=np.uint64)
+        bg.state = state
+        return gen
+
+    return at
 
 
 def _direction(gen: np.random.Generator, d: int) -> list[float]:
@@ -297,9 +307,10 @@ def rel_ball_sample(
     chi = x.chi()
     if not chi or rf == 0:
         return [x] * n
+    at = philox_stream(seed)
     out = []
     for i in range(n):
-        gen = _stream(seed, i, kind=0)
+        gen = at([0, 0, 0, i])
         ticks = int(gen.integers(0, 2**53))
         rho = rf * Fraction(ticks, 2**53)
         if rho == 0:
@@ -320,4 +331,5 @@ def rel_sphere_sample(
     if not chi:
         return [x] * n
     rho = rf * (1 - inset)
-    return [rel_step(x, _direction(_stream(seed, i, kind=1), len(chi)), rho, chi, bits) for i in range(n)]
+    at = philox_stream(seed)
+    return [rel_step(x, _direction(at([0, 0, 1, i]), len(chi)), rho, chi, bits) for i in range(n)]

@@ -296,3 +296,70 @@ class TestPrecision:
     def test_rejects_small_t(self):
         with pytest.raises(ValueError):
             Precision(2)
+
+
+wide_mantissas = st.integers(min_value=-(2**400), max_value=2**400)
+# oracle_round finds the binade with 2 ** E, a float for E < 0 that underflows
+# below 2**-1074: these exponents keep every product and quotient above that
+exponents = st.integers(min_value=-250, max_value=250)
+
+
+class TestKernel:
+    """The arithmetic builds its results without the constructor's checks;
+    these pin the results bit-for-bit and the checks the public API keeps."""
+
+    @given(wide_mantissas, exponents, wide_mantissas, exponents, precisions, st.booleans())
+    @settings(max_examples=300)
+    def test_wide_operands_match_oracle(self, ma, ea, mb, eb, t, as_precision):
+        # operands wider than t, as dyadic and the Strassen inputs build them
+        a, b = dyadic(ma, ea), dyadic(mb, eb)
+        va, vb = to_exact(a), to_exact(b)
+        p = Precision(t) if as_precision else t
+        assert to_exact(fl(a, p)) == oracle_round(va, t)
+        assert to_exact(fp_add(a, b, p)) == oracle_round(va + vb, t)
+        assert to_exact(fp_sub(a, b, p)) == oracle_round(va - vb, t)
+        assert to_exact(fp_mul(a, b, p)) == oracle_round(va * vb, t)
+        if vb:
+            assert to_exact(fp_div(a, b, p)) == oracle_round(va / vb, t)
+        for r in (fl(a, p), fp_add(a, b, p), fp_mul(a, b, p)):
+            assert r.mantissa.bit_length() <= t
+            assert r == FpNumber(r.sign, r.mantissa, r.exponent)
+
+    @pytest.mark.parametrize("p", [3, 53, Precision(53), Precision(256)])
+    def test_zeros(self, p):
+        z = fp_zero()
+        a = dyadic(-(3**70), -5)
+        for r in (dyadic(0, 9), -z, abs(z), fp_add(z, z, p), fp_sub(a, a, p),
+                  fp_mul(z, a, p), fp_mul(a, z, p), fp_div(z, a, p), fl(z, p)):
+            assert (r.sign, r.mantissa, r.exponent) == (1, 0, 0)
+            assert r == z and hash(r) == hash(z)
+        assert fp_add(z, a, p) == fl(a, p) == fp_add(a, z, p)
+        with pytest.raises(FpDivisionByZero):
+            fp_div(a, z, p)
+
+    def test_equal_values_of_different_widths(self):
+        a, b = FpNumber(1, 6, 3), FpNumber(1, 3, 3)  # both 6, mantissa widths 3 and 2
+        assert to_exact(a) == to_exact(b) == 6
+        assert a == b and hash(a) == hash(b)
+        assert FpNumber(1, 6, 3) != FpNumber(-1, 6, 3) and FpNumber(1, 6, 3) != FpNumber(1, 6, 4)
+        assert FpNumber(1, 6, 3) != FpNumber(1, 7, 3)
+
+    def test_results_are_immutable(self):
+        a = fl(Fraction(1, 3), 53)
+        for r in (a, -a, abs(-a), fp_add(a, a, 53), fp_mul(a, a, 53), dyadic(5, 2), fp_zero()):
+            with pytest.raises(AttributeError):
+                r.sign = -1
+            with pytest.raises(AttributeError):
+                setattr(r, "mantissa", 1)
+
+    def test_public_checks_kept(self):
+        with pytest.raises(ValueError):
+            FpNumber(-1, -1, 0)
+        with pytest.raises(ValueError):
+            FpNumber(2, 1, 0)
+        a = fl(1, 8)
+        for op in (fp_add, fp_sub, fp_mul, fp_div):
+            with pytest.raises(ValueError):
+                op(a, a, 2)
+        with pytest.raises(ValueError):
+            fl(a, 2)

@@ -207,6 +207,20 @@ class TestSineExperiment:
                 got = mp.mpf(kt.numerator) / kt.denominator
                 assert abs(got / (1 + x * mp.cot(x)) - 1) < mp.mpf(2) ** -180, k
 
+    def test_reference_is_computed_once_per_row(self, monkeypatch):
+        from stabilis import catalog
+
+        widths = []
+        sin_iv = catalog.sin_iv
+
+        def counting(x, bits):
+            widths.append(bits)
+            return sin_iv(x, bits)
+
+        monkeypatch.setattr(catalog, "sin_iv", counting)
+        sine_experiment(40, 53, 512)
+        assert sum(w >= 512 for w in widths) == 40
+
     def test_lop_against_an_undecidable_reference_is_infinite(self):
         t0 = time.perf_counter()
         assert _log_lop(Fraction(1), pi_real() - pi_real(), Fraction(1, 2**53), 192) == math.inf

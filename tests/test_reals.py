@@ -213,6 +213,19 @@ class TestCertifiedReal:
         with pytest.raises(PrecisionError):
             z.sign()
 
+    def test_min_bits_serves_narrower_requests_from_one_evaluation(self):
+        asked = []
+
+        def fn(bits):
+            asked.append(bits)
+            return Interval(-1, 1, bits)
+
+        x = CertifiedReal(fn, min_bits=1024)
+        assert x.enclosure(512) is x.enclosure(1024)
+        assert asked == [1024]
+        x.enclosure(1025)
+        assert asked == [1024, 1025]
+
     def test_real_sign(self):
         assert real_sign(Fraction(-2, 7)) == -1
         assert real_sign(Fraction(0)) == 0

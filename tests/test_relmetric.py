@@ -1,6 +1,8 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from stabilis.relmetric import (
     RelPoint,
     abs_dist,
     geodesic_point,
+    philox_stream,
     rel_ball_sample,
     rel_dist,
     rel_sphere_sample,
@@ -156,6 +159,41 @@ class TestAbsDist:
         d = abs_dist(a, c)
         assert abs(d * d - expected) < Fraction(1, 2**100)
         assert abs(float(d) - 0.14212670403551895) < 1e-15
+
+
+class TestPhiloxStream:
+    @staticmethod
+    def fresh(seed, counter):
+        return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+
+    def test_draws_match_fresh_generators(self):
+        rng = random.Random(7)
+        seed = rng.getrandbits(128)
+        at = philox_stream(seed)
+        for i in range(1000):
+            for kind in (0, 1, 2):
+                # words below 2**63: numpy reads a larger one through a float
+                counter = [0, rng.getrandbits(62) if i % 2 else i % 5, kind, i]
+                got = at(counter).standard_normal(8)
+                assert np.array_equal(got, self.fresh(seed, counter).standard_normal(8))
+
+    def test_ball_sample_order_with_a_redraw(self):
+        at = philox_stream(42)
+        for i in range(50):
+            counter = [0, 0, 0, i]
+            a, b = at(counter), self.fresh(42, counter)
+            # rel_ball_sample: the radius ticks, a direction, then a redrawn direction
+            assert int(a.integers(0, 2**53)) == int(b.integers(0, 2**53))
+            assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
+            assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
+
+    def test_reset_discards_buffered_output(self):
+        at = philox_stream(5)
+        gen = at([0, 0, 1, 3])
+        gen.random(dtype=np.float32)  # leaves half a 64-bit word buffered
+        assert gen.bit_generator.state["has_uint32"] == 1
+        assert np.array_equal(at([0, 0, 1, 4]).random(5, dtype=np.float32),
+                              self.fresh(5, [0, 0, 1, 4]).random(5, dtype=np.float32))
 
 
 class TestBallSampling:
