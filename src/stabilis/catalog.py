@@ -69,10 +69,34 @@ def _sqrt_mid(q: Fraction, bits: int = 192) -> Fraction:
     return sqrt_iv(q, bits).midpoint()
 
 
+def _over_lcm(vals: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(numerators, denominator) of ``vals`` over their least common denominator.
+
+    A sum of them is then one Fraction with one gcd, not a gcd per term.
+    """
+    den = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals], den
+
+
+def _sum(terms: Sequence[ExactReal]) -> ExactReal:
+    """Exact sum: over one common denominator when every term is a Fraction.
+
+    Otherwise left to right from 0: an enclosure's bits depend on the order
+    of the additions.
+    """
+    if all(isinstance(t, Fraction) for t in terms):
+        nums, den = _over_lcm(terms)
+        return Fraction(sum(nums), den)
+    out: ExactReal = Fraction(0)
+    for t in terms:
+        out = out + t
+    return out
+
+
 def _sum_sq(vals: Sequence[Fraction]) -> Fraction:
     """Sum of squares over one common denominator, with integer numerators."""
-    den = math.lcm(*(v.denominator for v in vals))
-    return Fraction(sum((v.numerator * (den // v.denominator)) ** 2 for v in vals), den * den)
+    nums, den = _over_lcm(vals)
+    return Fraction(sum(n * n for n in nums), den * den)
 
 
 def _sum_kappa(terms: Sequence[Fraction], bits: int, c: int = 1):
@@ -81,12 +105,13 @@ def _sum_kappa(terms: Sequence[Fraction], bits: int, c: int = 1):
     ``c`` counts the relative perturbations that reach each term (2 when a
     term is a product of two inputs).
     """
-    if all(t == 0 for t in terms):
+    nums, den = _over_lcm(terms)
+    if not any(nums):
         return Fraction(0)
-    s = sum(terms)
+    s = sum(nums)
     if s == 0:
         return math.inf
-    return _sqrt_mid(c * _sum_sq(terms), bits) / abs(s)
+    return _sqrt_mid(Fraction(c * sum(n * n for n in nums), den * den), bits) / Fraction(abs(s), den)
 
 
 def sqrt_real(x: ExactReal) -> ExactReal:
@@ -124,6 +149,8 @@ class CatalogFunction:
         return None
 
     def in_domain(self, xs: Coords) -> bool:
+        """Whether xs lies in the domain: on rational coordinates, False
+        exactly where ``exact`` raises DomainError or ZeroDivisionError."""
         return True
 
     def __repr__(self) -> str:
@@ -143,6 +170,12 @@ class Composite(CatalogFunction):
 
     def exact(self, xs):
         return self.g.exact(self.h.exact(xs))
+
+    def in_domain(self, xs):
+        if not self.h.in_domain(xs):
+            return False
+        # h(xs) is evaluated only when g restricts its domain
+        return type(self.g).in_domain is CatalogFunction.in_domain or self.g.in_domain(self.h.exact(xs))
 
     def jacobian(self, xs):
         jg = self.g.jacobian(self.h.exact(xs))
@@ -201,10 +234,7 @@ class Summation(CatalogFunction):
         self.k = k
 
     def exact(self, xs):
-        out: ExactReal = Fraction(0)
-        for v in xs:
-            out = out + v
-        return (out,)
+        return (_sum(xs),)
 
     def jacobian(self, xs):
         return [[Fraction(1)] * self.k]
@@ -290,14 +320,7 @@ class LinearMap(CatalogFunction):
         self.in_dim, self.out_dim = k, len(self.rows)
 
     def exact(self, xs):
-        out = []
-        for r in self.rows:
-            acc: ExactReal = Fraction(0)
-            for c, v in zip(r, xs):
-                if c:
-                    acc = acc + c * v
-            out.append(acc)
-        return tuple(out)
+        return tuple(_sum([c * v for c, v in zip(r, xs) if c]) for r in self.rows)
 
     def jacobian(self, xs):
         return [list(r) for r in self.rows]

@@ -59,6 +59,21 @@ class TestAmenabilityProbe:
         a = smallest_passing_constant(f, RelPoint.of(1, 2, 3), n=100, seed=2)
         assert a is not None and a <= 8
 
+    def test_ball_crossing_a_zero_sum_fails_A1(self):
+        # with a = 1/100 the ball is so wide that the negative coordinate
+        # outgrows the positive one: sqrt then leaves its domain (clause A.1)
+        f = compose(catalog_function("sqrt"), catalog_function("summation", k=2))
+        v = amenability_probe(f, None, RelPoint.of(1, Fraction(-1, 2)), Fraction(1, 100), 40, seed=0)
+        assert not v.A1_ok and v.A2_ok and not v.passed
+        assert v.samples_used == 1 and v.witness_kappa_tilde is None
+        assert sum(v.witness.coords) < 0
+        assert v.witness.coords == (
+            Fraction(27264982834428269951353537405397290127862554575902872040225312764787,
+                     62165404551223330269422781018352605012557018849668464680057997111644937126566671941632),
+            Fraction(-34161042854695484771754345654601222644890994840061884398117823899225,
+                     50216813883093446110686315385661331328818843555712276103168),
+        )
+
 
 class TestGradientCriterion:
     def test_product_any_q(self):

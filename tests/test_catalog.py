@@ -11,12 +11,19 @@ from stabilis.catalog import (
     ALGORITHMS,
     FUNCTIONS,
     DomainError,
+    LinearMap,
     Sin,
+    Summation,
+    _sqrt_mid,
+    _sum_kappa,
+    _sum_sq,
     algorithm,
     babylonian_sqrt,
     catalog_function,
+    compose,
     high_precision_sin,
     sin_in_precision,
+    sqrt_real,
     strassen_input,
 )
 from stabilis.cli import _resolve_function
@@ -384,6 +391,109 @@ class TestRegistryViews:
                 got = RelPoint(alg.evaluate([fl(c, 192) for c in ys], 192))
                 ref = RelPoint(alg.exact_reference(ys))
                 assert rel_dist(ref, got, bits=256) < Fraction(1, 2**150), aid
+
+
+# every FUNCTIONS name, aliases included, built as TestRegistryViews builds its
+# class, and the two composites whose outer stage restricts the domain
+_BY_CLASS = {FUNCTIONS[n][0]: kw for n, kw in TestRegistryViews.CASES.items()}
+DOMAIN_CASES = {n: lambda n=n: catalog_function(n, **_BY_CLASS[FUNCTIONS[n][0]]) for n in FUNCTIONS}
+DOMAIN_CASES["sqrt o sum"] = lambda: compose(catalog_function("sqrt"), catalog_function("sum", k=3))
+DOMAIN_CASES["power[-1] o sum"] = lambda: compose(
+    catalog_function("power", exponent=-1), catalog_function("sum", k=3))
+
+_with_zeros = st.one_of(st.just(Fraction(0)), _signed)
+
+
+def _raises_domain(f, xs) -> bool:
+    try:
+        f.exact(xs)
+    except (DomainError, ZeroDivisionError):
+        return True
+    return False
+
+
+class TestDomainContract:
+    """On rational points, in_domain is False exactly where exact raises.
+
+    The amenability probe decides clause A.1 by in_domain alone and never
+    evaluates f itself, so this contract is what keeps its verdicts.
+    """
+
+    @pytest.mark.parametrize("name", sorted(DOMAIN_CASES))
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_in_domain_iff_exact_does_not_raise(self, name, data):
+        f = DOMAIN_CASES[name]()
+        xs = data.draw(st.lists(_with_zeros, min_size=f.in_dim, max_size=f.in_dim), label="x")
+        if f.in_dim > 1 and data.draw(st.booleans(), label="cancel"):
+            xs[-1] = -sum(xs[:-1])  # a zero sum, the edge of both composites
+        assert f.in_domain(tuple(xs)) is not _raises_domain(f, tuple(xs))
+
+    def test_composites_reach_both_sides(self):
+        F = Fraction
+        for name, outside in (("sqrt o sum", (F(1), F(-3), F(1, 2))), ("power[-1] o sum", (F(1), F(-3), F(2)))):
+            f = DOMAIN_CASES[name]()
+            assert not f.in_domain(outside) and _raises_domain(f, outside)
+            assert f.in_domain((F(1), F(-1, 3), F(2))) and not _raises_domain(f, (F(1), F(-1, 3), F(2)))
+        # a squared norm is never negative, so norm2 is defined everywhere
+        assert catalog_function("norm2", k=2).in_domain((F(-1), F(0)))
+
+
+def _fold(vals):
+    """The left-to-right Fraction sum from 0: the reference for the common-denominator sums."""
+    acc = Fraction(0)
+    for v in vals:
+        acc = acc + v
+    return acc
+
+
+_wide = st.builds(Fraction, st.integers(-(2**300), 2**300), st.integers(1, 2**300))
+_kernel_terms = st.one_of(st.just(Fraction(0)), _signed, _wide)
+
+
+class TestCommonDenominatorSums:
+    """The integer-numerator sums against left-to-right Fraction folds."""
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_equal_to_the_fold(self, data):
+        vals = data.draw(st.lists(_kernel_terms, min_size=1, max_size=12), label="vals")
+        if data.draw(st.booleans(), label="cancel"):
+            vals.append(-_fold(vals))  # the sum cancels exactly: kappa is inf
+        k = len(vals)
+        assert Summation(k).exact(tuple(vals)) == (_fold(vals),)
+        assert _sum_sq(vals) == _fold(v * v for v in vals)
+        rows = [[1] * k, [(-1) ** i * (i + 1) for i in range(k)]]
+        assert LinearMap(rows).exact(tuple(vals)) == tuple(_fold(c * v for c, v in zip(r, vals)) for r in rows)
+        for c in (1, 2):
+            s = _fold(vals)
+            if all(v == 0 for v in vals):
+                want = Fraction(0)
+            elif s == 0:
+                want = math.inf
+            else:
+                want = _sqrt_mid(c * _fold(v * v for v in vals), 192) / abs(s)
+            assert _sum_kappa(vals, 192, c) == want
+
+    def test_cancelling_and_zero_terms(self):
+        F = Fraction
+        assert _sum_kappa([F(1, 3), F(-1, 3)], 192) == math.inf
+        assert _sum_kappa([F(0), F(0)], 192) == 0
+        assert Summation(3).exact((F(1, 2**300), F(0), F(-1, 2**300))) == (0,)
+
+    def test_certified_coordinates_keep_the_chain(self):
+        # enclosure bits depend on the order of the additions, so a certified
+        # coordinate keeps the fold from 0, bit for bit
+        F = Fraction
+        xs = (F(1, 3), pi_real(), F(-2, 7), sqrt_real(F(2)))
+        got = Summation(4).exact(xs)[0]
+        row = LinearMap([[2, 0, F(-1, 5), 3]]).exact(xs)[0]
+        want, want_row = _fold(xs), _fold([2 * xs[0], F(-1, 5) * xs[2], 3 * xs[3]])
+        for b in (64, 200, 1000):
+            e, w = got.enclosure(b), want.enclosure(b)
+            assert (e.lo, e.hi, e.scale) == (w.lo, w.hi, w.scale)
+            e, w = row.enclosure(b), want_row.enclosure(b)
+            assert (e.lo, e.hi, e.scale) == (w.lo, w.hi, w.scale)
 
 
 def _bits(ys):

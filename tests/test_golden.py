@@ -15,17 +15,27 @@ registries (``FUNCTIONS``, ``ALGORITHMS``), before any source file of that
 change was edited.  The sine ``cond`` and ``amen`` queries, the two
 ``--method jacobian`` queries and the digest of the exact sine-table lops
 were taken at the commit before the refinement loops were folded into
-``reals.refine``, before any source file of that change was edited.  Any
-later change that moves a single byte of these outputs fails here.
+``reals.refine``, before any source file of that change was edited.  The
+``amenability_probe`` verdicts and ``kappa_sampled`` reports were taken at
+the commit before the probe decided clause A.1 by ``in_domain`` alone and
+rational sums moved to one common denominator, before any source file of
+that change was edited.  Any later change that moves a single byte of these
+outputs fails here.
 """
 
 import hashlib
+import random
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+from stabilis.amenability import amenability_probe
+from stabilis.catalog import catalog_function
 from stabilis.cli import main
+from stabilis.condition import kappa_sampled
 from stabilis.harness import sine_experiment
+from stabilis.relmetric import RelPoint
 
 GOLDEN = {
     ("strassen", "--n-eps", "12", "--samples", "50", "--seed", "3"):
@@ -76,3 +86,59 @@ def test_exact_sine_lops_unchanged():
     recs = sine_experiment(100)
     text = repr([(r.rel_lop, r.abs_lop) for r in recs])
     assert hashlib.sha256(text.encode()).hexdigest() == SINE_LOPS
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _point(tag: str, dim: int, signed: bool, hi: float = 8.0) -> RelPoint:
+    """Coordinates in [0.1, hi] to six decimals, seeded by ``tag``."""
+    rng = random.Random(tag)
+    out = []
+    for _ in range(dim):
+        v = Fraction(rng.uniform(0.1, hi)).limit_denominator(10**6)
+        out.append(-v if signed and rng.random() < 0.5 else v)
+    return RelPoint(out)
+
+
+# SHA-256 of repr((verdict, witness coordinates)) of amenability_probe at
+# a = 8 and n = 120, the shape of acceptance Criterion 8
+PROBES = {
+    ("sum", 2): "448bfd8402a63cf2c06234fd272e169f2cb0ba3003ac8115a090df904d2d83ef",
+    ("sum", 8): "4e092122f459ae2facedec0d267289792b5d0ddc0c0aba764a09621e2057e5a3",
+    ("sum", 64): "1ddde663f8814355e64a2e3d1b4218eb679e0cf5db812868e14433a672db5993",
+    ("product", 2): "914a30a18552bf3cecd3af226749c402cbc52352d53403946a5ad7e0636c7f58",
+    ("product", 8): "fdc26e4465c1fa706f80df2a90ed2ad961277135dc18e522ae10b08781e60ad6",
+    ("product", 64): "842dd488214638c9b4d0362b077ef0abdcbbcc76e5f917b677e1d1cc2bb1a135",
+    ("inner_product", 2): "807720b4748bacc92cb8c3c7ae7b3f16e8ba34fa4ff5c240f784f31f1cfa3029",
+    ("inner_product", 8): "e8fedb8fd29b963b8e69e21f545ff096d7859d5734f89fb75dfe0d8874f7fdc8",
+    ("inner_product", 64): "b5201d924fc30fc2baae4383cdc1b3a119c9db6579005347caccf122b1477b17",
+}
+
+
+@pytest.mark.parametrize("fid,k", sorted(PROBES), ids=lambda v: str(v))
+def test_probe_verdicts_unchanged(fid, k):
+    dim = 2 * k if fid == "inner_product" else k
+    x = _point(f"{fid}[{k}]", dim, fid == "product")
+    v = amenability_probe(catalog_function(fid, k=k), None, x, 8, 120, seed=k)
+    assert _sha(repr((v, v.witness and v.witness.coords))) == PROBES[fid, k]
+
+
+# SHA-256 of repr(kappa_sampled(...)) with two radii and 64 directions
+SAMPLED = {
+    "sum": (dict(k=3), 3, False, 8.0, "de431d6a16f3d14b0686c93351559c4bff15a325dd53295702ca472465a826b5"),
+    "product": (dict(k=3), 3, True, 8.0, "b2f35e19e30d1a1c40bacf08fb199ab33067322422d5b5f6a292e76a7fe42e18"),
+    "hadamard": (dict(k=2), 4, True, 8.0, "aee18c3b032e5281c2931cd7ffdd296e5ee8e907a9d187c400f040581640daf2"),
+    "strassen_h": ({}, 8, False, 4.0, "06d031d4da06cc32c92757377be07f9cdb9853f7244b846a4892b7cb82eaa20c"),
+    "sqrt": ({}, 1, False, 8.0, "c7280d7baf05a402a5d4833ca60a0dfe5cf9e958560f9ca4765166cdaa238af8"),
+}
+
+
+@pytest.mark.parametrize("fid", sorted(SAMPLED))
+def test_sampled_kappa_unchanged(fid):
+    kw, dim, signed, hi, digest = SAMPLED[fid]
+    f = catalog_function(fid, **kw)
+    rep = kappa_sampled(f, _point(fid, dim, signed, hi), radii=(Fraction(1, 1000), Fraction(1, 10000)),
+                        n_dirs=64, seed=7)
+    assert _sha(repr(rep)) == digest
