@@ -99,13 +99,25 @@ def _sum_sq(vals: Sequence[Fraction]) -> Fraction:
     return Fraction(sum(n * n for n in nums), den * den)
 
 
+def _products_over(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(numerators, denominator) of the products x_i * y_i over the product
+    of the two sides' common denominators: no Fraction per product."""
+    nx, dx = _over_lcm(xs)
+    ny, dy = _over_lcm(ys)
+    return [a * b for a, b in zip(nx, ny)], dx * dy
+
+
 def _sum_kappa(terms: Sequence[Fraction], bits: int, c: int = 1):
     """Condition number sqrt(c * sum t^2) / |sum t| of summing ``terms``.
 
     ``c`` counts the relative perturbations that reach each term (2 when a
     term is a product of two inputs).
     """
-    nums, den = _over_lcm(terms)
+    return _kappa_of_sum(*_over_lcm(terms), bits, c)
+
+
+def _kappa_of_sum(nums: Sequence[int], den: int, bits: int, c: int = 1):
+    """:func:`_sum_kappa` of the terms nums[i] / den."""
     if not any(nums):
         return Fraction(0)
     s = sum(nums)
@@ -153,6 +165,11 @@ class CatalogFunction:
         exactly where ``exact`` raises DomainError or ZeroDivisionError."""
         return True
 
+    @property
+    def restricts(self) -> bool:
+        """Whether ``in_domain`` can be False anywhere."""
+        return type(self).in_domain is not CatalogFunction.in_domain
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.id} ({self.in_dim}->{self.out_dim})>"
 
@@ -171,11 +188,15 @@ class Composite(CatalogFunction):
     def exact(self, xs):
         return self.g.exact(self.h.exact(xs))
 
+    @property
+    def restricts(self) -> bool:
+        return self.h.restricts or self.g.restricts
+
     def in_domain(self, xs):
         if not self.h.in_domain(xs):
             return False
         # h(xs) is evaluated only when g restricts its domain
-        return type(self.g).in_domain is CatalogFunction.in_domain or self.g.in_domain(self.h.exact(xs))
+        return not self.g.restricts or self.g.in_domain(self.h.exact(xs))
 
     def jacobian(self, xs):
         jg = self.g.jacobian(self.h.exact(xs))
@@ -344,8 +365,7 @@ class InnerProduct(Composite):
         # a relative perturbation reaches each product through both factors,
         # hence the sqrt(2) on top of the summation-stage condition number
         xs = _frac_only(xs, "inner product kappa")
-        k = self.k
-        return _sum_kappa([xs[i] * xs[k + i] for i in range(k)], bits, 2)
+        return _kappa_of_sum(*_products_over(xs[:self.k], xs[self.k:]), bits, 2)
 
 
 class Copy(CatalogFunction):
@@ -629,7 +649,8 @@ class MatmulEntry(CatalogFunction):
     def kappa_closed(self, xs, bits: int = 192):
         # inner-product special case: both factors of each product perturb
         xs = _frac_only(xs, "matmul entry kappa")
-        return _sum_kappa([xs[a] * xs[b] for a, b in self._pairs()], bits, 2)
+        pairs = self._pairs()
+        return _kappa_of_sum(*_products_over([xs[a] for a, _ in pairs], [xs[b] for _, b in pairs]), bits, 2)
 
 
 class Matmul2x2(CatalogFunction):

@@ -19,9 +19,18 @@ import numpy as np
 
 from .catalog import NumericalAlgorithm, Sin, sin_in_precision, high_precision_sin, strassen_input
 from .condition import ExtReal, kappa_closed_form
-from .fpcore import FpError, Precision, dyadic, fl, to_exact
+from .fpcore import FpError, FpNumber, Precision, _round_quotient, _round_scaled, fl, fp_zero, to_exact
 from .reals import CertifiedReal, Interval, PrecisionError, log_iv, pi_iv, pi_real, signed_interval, sqrt_iv
-from .relmetric import RelPoint, abs_dist, philox_stream, rel_dist, step_factors
+from .relmetric import (
+    RelPoint,
+    abs_dist,
+    philox_stream,
+    rel_dist,
+    scaled_dists,
+    step_enclosures,
+    step_factors,
+    step_midpoint_error,
+)
 
 
 @dataclass
@@ -189,12 +198,55 @@ def log_spaced(lo: float, hi: float, n: int) -> list[Fraction]:
     return [Fraction(float(v)) for v in vals]
 
 
-def _times(b: Fraction, m: int, e: int):
-    """b * m * 2**e exactly: a wide FpNumber when b is dyadic, else a Fraction."""
-    d = b.denominator
+def _round_times(b: Fraction, m: int, e: int, t: int) -> FpNumber:
+    """fl(b * m * 2**e) at t bits, for an integer m > 0."""
+    n, d = b.numerator, b.denominator
+    if not n:
+        return fp_zero()
+    sign = 1 if n > 0 else -1
     if d & (d - 1):
-        return b * m * Fraction(2) ** e
-    return dyadic(b.numerator * m, e - d.bit_length() + 1)
+        return _round_quotient(sign, abs(n) * m, d, e, t)
+    return _round_scaled(sign, abs(n) * m, e - d.bit_length() + 1, t)
+
+
+# The perturbation factors are the midpoints of their STEP_BITS-bit enclosures;
+# a sample first tries to decide their roundings at t + LOW_GUARD bits.
+STEP_BITS = 176
+LOW_GUARD = 32
+_HALF = Fraction(1, 2)
+
+
+def _certified_inputs(base: Sequence[Fraction], draws: list[float], p: Precision) -> list[FpNumber] | None:
+    """The sample's inputs fl(b_i * M_i), M_i the STEP_BITS-bit factor midpoints,
+    decided from enclosures at t + LOW_GUARD bits; None when one is undecided.
+
+    Each low enclosure holds exp(w_i), and M_i lies within
+    2**-step_midpoint_error of it, so widened by that bound it holds M_i.
+    Rounding is monotone: when both ends of b_i times the widened enclosure
+    round alike, so does b_i * M_i.  The factors exceed e**-1/2, far above
+    the widening, so the lower end stays positive.
+    """
+    if p.t + LOW_GUARD >= STEP_BITS:
+        return None
+    out = []
+    for v, bs in ((draws[:4], base[:4]), (draws[4:], base[4:])):
+        k = step_midpoint_error(v, STEP_BITS)
+        for b, e in zip(bs, step_enclosures(v, _HALF, p.t + LOW_GUARD)):
+            pad = 1 << max(e.scale - k, 0)
+            x = _round_times(b, e.lo - pad, -e.scale, p.t)
+            if x != _round_times(b, e.hi + pad, -e.scale, p.t):
+                return None
+            out.append(x)
+    return out
+
+
+def _lop(d: Interval | float | None, t: int) -> float:
+    """float(midpoint of d) / 2**-t; 0 for None (distance 0), inf stays."""
+    if d is None:
+        return 0.0
+    if isinstance(d, float):
+        return d
+    return math.ldexp(float(d.lo + d.hi), t - d.scale - 1)
 
 
 def strassen_experiment(
@@ -206,17 +258,26 @@ def strassen_experiment(
     """Loss of precision of the 7-multiplication 2x2 scheme near A=B=[[1,e],[e,1]].
 
     Per sample both matrices take a relative step of length 1/2 along a
-    Gaussian direction (:func:`step_factors` at 176 bits), are rounded into the
-    working precision, and multiplied both by the fast scheme (in
-    floating point) and exactly; the per-epsilon rows aggregate rel/abs
-    lop percentiles.  Draws come from Philox streams with key=seed and
-    counter=[0, sample, 2, eps_index].
+    Gaussian direction, are rounded into the working precision, and
+    multiplied both by the fast scheme (in floating point) and exactly;
+    the per-epsilon rows aggregate rel/abs lop percentiles.  Draws come
+    from Philox streams with key=seed and counter=[0, sample, 2, eps_index].
+
+    The inputs are defined as fl(b * M) for M the midpoints of the
+    :func:`step_enclosures` at STEP_BITS = 176 bits (:func:`step_factors`),
+    but only their t-bit roundings are used.  So each sample first takes
+    the enclosures at t + 32 bits (when that is below 176), widens each by
+    :func:`step_midpoint_error`'s bound on how far the 176-bit midpoint
+    lies from the factor, and keeps an input when both ends of the widened
+    product round alike.  When any does not, the sample falls back on the
+    176-bit factors.  The lops come from the integer outputs on one binary
+    scale (:func:`scaled_dists`), at the enclosures of :func:`rel_dist` and
+    :func:`abs_dist`.  Every row is the same as at full width.
     """
     from .catalog import algorithm as make_alg
 
     p = Precision.of(t)
     alg = make_alg("strassen_2x2")
-    half = Fraction(1, 2)
     at = philox_stream(seed)
     rows: list[PercentileRow] = []
     for ei, eps in enumerate(eps_grid):
@@ -226,19 +287,25 @@ def strassen_experiment(
         abs_lops: list[float] = []
         for si in range(samples_per_eps):
             draws = at([0, si, 2, ei]).standard_normal(8).tolist()
-            factors = step_factors(draws[:4], half, 176) + step_factors(draws[4:], half, 176)
-            fp_in = [fl(_times(b, m, e), p) for b, (m, e) in zip(base, factors)]
+            fp_in = _certified_inputs(base, draws, p)
+            if fp_in is None:
+                factors = step_factors(draws[:4], _HALF, STEP_BITS) + step_factors(draws[4:], _HALF, STEP_BITS)
+                fp_in = [_round_times(b, m, e, t) for b, (m, e) in zip(base, factors)]
             # the rounded matrices are the run's inputs; the reference
             # multiplies exactly the same values, isolating algorithm error.
             # The product is bilinear, so it is formed from the integers
             # v * 2**-k at the inputs' finest binary scale 2**k and scaled
-            # back by 2**(2k).
+            # back by 2**(2k); the computed outputs join it on one scale.
             k = min(v.exponent - v.precision_bits for v in fp_in)
             ints = [v.sign * v.mantissa << (v.exponent - v.precision_bits - k) for v in fp_in]
-            ref = RelPoint([dyadic(c, 2 * k) for c in alg.exact_reference(ints)])
-            got = RelPoint(alg.evaluate(fp_in, p))
-            rel_lops.append(math.ldexp(float(rel_dist(ref, got)), t))
-            abs_lops.append(math.ldexp(float(abs_dist(ref, got)), t))
+            ref = alg.exact_reference(ints)
+            got = alg.evaluate(fp_in, p)
+            s = min([2 * k] + [g.exponent - g.precision_bits for g in got if g.mantissa])
+            ref = [c << (2 * k - s) for c in ref]
+            got = [g.sign * g.mantissa << (g.exponent - g.precision_bits - s) for g in got]
+            rel, dist = scaled_dists(ref, got, s)
+            rel_lops.append(_lop(rel, t))
+            abs_lops.append(_lop(dist, t))
         rel_lops.sort()
         abs_lops.sort()
         rows.append(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -90,23 +90,48 @@ class RelPoint:
         return f"RelPoint({vals})"
 
 
+def _log_sq(n: int, d: int, bits: int) -> Interval | None:
+    """Enclosure of log(n/d)**2 for positive integers n, d; None when n == d.
+
+    The ratio is reduced first, as Fraction division gives it: ``log_iv``
+    reduces its argument by the bit lengths of numerator and denominator.
+    """
+    if n == d:
+        return None
+    g = math.gcd(n, d)
+    lg = log_iv(Fraction(n // g, d // g), bits)
+    return (lg * lg).rescale(2 * bits + 16)
+
+
 def _log_ratio_sq(x: ExactReal, y: ExactReal, bits: int) -> Interval | None:
     """Enclosure of log(x/y)**2 for same-sign nonzero x, y; None if zero."""
     if isinstance(x, Fraction) and isinstance(y, Fraction):
-        # |x/y| in lowest terms from the integers, as Fraction division gives it
-        n, d = abs(x.numerator * y.denominator), abs(y.numerator * x.denominator)
-        if n == d:
-            return None
-        g = math.gcd(n, d)
-        lg = log_iv(Fraction(n // g, d // g), bits)
-    else:
-        ix = signed_interval(x, bits + 8)
-        iy = signed_interval(y, bits + 8)
-        if ix.sign() < 0:
-            ix, iy = -ix, -iy
-        ratio_iv = ix.divide(iy, bits + 8)
-        lg = log_iv(ratio_iv, bits)
+        return _log_sq(abs(x.numerator * y.denominator), abs(y.numerator * x.denominator), bits)
+    ix = signed_interval(x, bits + 8)
+    iy = signed_interval(y, bits + 8)
+    if ix.sign() < 0:
+        ix, iy = -ix, -iy
+    ratio_iv = ix.divide(iy, bits + 8)
+    lg = log_iv(ratio_iv, bits)
     return (lg * lg).rescale(2 * bits + 16)
+
+
+def _root_sum(sqs: Iterable[Interval | None], bits: int) -> Interval | None:
+    """sqrt_iv of the enclosures' sum, added in order at scale 2*bits + 16
+    (the Nones skipped); None when there is nothing to add."""
+    total: Interval | None = None
+    for sq in sqs:
+        if sq is not None:
+            total = sq if total is None else (total + sq).rescale(2 * bits + 16)
+    return None if total is None else sqrt_iv(total.clip_nonneg(), bits)
+
+
+def _root_ratio(num: int, den: int, bits: int) -> Interval:
+    """``sqrt_iv(Fraction(num, den), bits)`` from the integers: the floor of
+    the root depends on the value alone, so num/den need not be reduced."""
+    W = bits + 16
+    lo = math.isqrt((num << (2 * W)) // den)
+    return Interval(lo, lo + 1, W)
 
 
 def rel_dist(x: RelPoint, y: RelPoint, bits: int = DIST_BITS) -> ExtDist:
@@ -119,15 +144,8 @@ def rel_dist(x: RelPoint, y: RelPoint, bits: int = DIST_BITS) -> ExtDist:
         raise DimensionMismatch(f"dimension mismatch: {x.dim} != {y.dim}")
     if x.pattern != y.pattern:
         return math.inf
-    total: Interval | None = None
-    for i in x.chi():
-        sq = _log_ratio_sq(x.coords[i], y.coords[i], bits)
-        if sq is None:
-            continue
-        total = sq if total is None else (total + sq).rescale(2 * bits + 16)
-    if total is None:
-        return Fraction(0)
-    return sqrt_iv(total.clip_nonneg(), bits).midpoint()
+    iv = _root_sum((_log_ratio_sq(x.coords[i], y.coords[i], bits) for i in x.chi()), bits)
+    return Fraction(0) if iv is None else iv.midpoint()
 
 
 def abs_dist(x: RelPoint, y: RelPoint, bits: int = DIST_BITS) -> Fraction:
@@ -149,13 +167,35 @@ def abs_dist(x: RelPoint, y: RelPoint, bits: int = DIST_BITS) -> Fraction:
             d = as_interval(a, bits + 8) - as_interval(b, bits + 8)
             sq = (d * d).rescale(2 * bits + 16)
             iv_total = sq if iv_total is None else (iv_total + sq).rescale(2 * bits + 16)
-    exact = Fraction(num, den * den)
     if iv_total is None:
         if num == 0:
             return Fraction(0)
-        return sqrt_iv(exact, bits).midpoint()
-    total = iv_total + Interval.from_fraction(exact, iv_total.scale)
+        return _root_ratio(num, den * den, bits).midpoint()
+    total = iv_total + Interval.from_fraction(Fraction(num, den * den), iv_total.scale)
     return sqrt_iv(total.clip_nonneg(), bits).midpoint()
+
+
+def scaled_dists(xs: Sequence[int], ys: Sequence[int], scale: int,
+                 bits: int = DIST_BITS) -> tuple[Interval | float | None, Interval | None]:
+    """The enclosures of :func:`rel_dist` and :func:`abs_dist`, whose midpoints
+    those return, for the points xs * 2**scale and ys * 2**scale.
+
+    Integer vectors on one binary scale need no Fraction: the ratios are
+    the integers' own, and the squared differences sum to an integer.  The
+    relative distance is ``math.inf`` across components; either enclosure
+    is None where the distance is exactly 0.
+    """
+    if len(xs) != len(ys):
+        raise DimensionMismatch(f"dimension mismatch: {len(xs)} != {len(ys)}")
+    if any((a > 0) - (a < 0) != (b > 0) - (b < 0) for a, b in zip(xs, ys)):
+        rel: Interval | float | None = math.inf
+    else:
+        rel = _root_sum((_log_sq(abs(a), abs(b), bits) for a, b in zip(xs, ys) if a), bits)
+    num = sum((a - b) * (a - b) for a, b in zip(xs, ys))
+    if not num:
+        return rel, None
+    k = 2 * scale
+    return rel, _root_ratio(num << k, 1, bits) if k >= 0 else _root_ratio(num, 1 << -k, bits)
 
 
 def geodesic_point(x: RelPoint, y: RelPoint, s, bits: int = SAMPLE_BITS) -> RelPoint:
@@ -238,20 +278,19 @@ def _direction(gen: np.random.Generator, d: int) -> list[float]:
             return v
 
 
-def step_factors(v: Sequence, rho, bits: int) -> list[tuple[int, int]]:
-    """Factors exp(rho * v_i / ||v||) of a relative step of length rho along v.
+def step_enclosures(v: Sequence, rho, bits: int) -> list[Interval]:
+    """Enclosures of the factors exp(rho * v_i / ||v||) of a relative step of length rho along v.
 
     Scaling x_i by the factors moves x a relative distance rho along the
-    direction v (floats, ints or Fractions, not all zero).  Each factor is
-    the midpoint of ``exp_iv(w_i, bits)`` for the enclosure
+    direction v (floats, ints or Fractions, not all zero).  Each enclosure
+    is ``exp_iv(w_i, bits)`` for
 
         w_i = Interval.from_fraction(rho * v_i, bits).divide(sqrt_iv(sum v^2, bits), bits),
 
-    computed in integers with v at one common denominator and returned as
-    an exact dyadic (m, e) of value m * 2**e.  When the largest |v_i| lies
-    in [2**top, 2**(top+1)) with top outside [-32, 32], v is first divided
-    by 2**top, so that the floors keep their precision: only the direction
-    of v matters.
+    computed in integers with v at one common denominator.  When the
+    largest |v_i| lies in [2**top, 2**(top+1)) with top outside [-32, 32],
+    v is first divided by 2**top, so that the floors keep their precision:
+    only the direction of v matters.
     """
     ratios = [c.as_integer_ratio() for c in v]
     den = math.lcm(*(d for _, d in ratios))
@@ -272,9 +311,34 @@ def step_factors(v: Sequence, rho, bits: int) -> list[tuple[int, int]]:
     out = []
     for a in ns:
         lo, rem = divmod((p * a) << bits, q * den)
-        e = exp_iv(Interval(lo, lo + (rem != 0), bits).divide(nrm, bits), bits)
-        out.append((e.lo + e.hi, -e.scale - 1))
+        out.append(exp_iv(Interval(lo, lo + (rem != 0), bits).divide(nrm, bits), bits))
     return out
+
+
+def step_factors(v: Sequence, rho, bits: int) -> list[tuple[int, int]]:
+    """The midpoints of :func:`step_enclosures`, each an exact dyadic (m, e)
+    of value m * 2**e."""
+    return [(e.lo + e.hi, -e.scale - 1) for e in step_enclosures(v, rho, bits)]
+
+
+def step_midpoint_error(v: Sequence[float], bits: int) -> int:
+    """k such that each midpoint of ``step_factors(v, rho, bits)`` lies within
+    2**-k of its factor exp(w_i), for float directions v, |rho| <= 1 and
+    bits >= 64.
+
+    Let top be the binade of the largest |v_i|, s the norm of v as
+    :func:`step_enclosures` rescales it, and b = bits: s >= 2**-lost, with
+    lost = -top when -32 <= top < 0 and 0 otherwise.  The enclosure of rho * v_i is 2**-b wide and that of s 2**-(b+16), so
+    w_i's is below 2**-b * (2 + 2.001/s) after the two outward floors.
+    ``exp_iv`` at W = b + 32 reduces |w| <= 1 by n = -1, 0 or 1 multiples
+    of ln 2; its error is 1 + 6j + 8 ulps of 2**-W for the j <= 4W series
+    terms (below 2**-b in all), plus 3 times the reduced argument's
+    half-width, then scaled by 2**n <= 2.  The midpoint's distance, half the
+    enclosure's width, is thus below 2**-b * (8 + 6.003/s) < 2**(4 - b + lost);
+    k keeps one bit more.
+    """
+    top = math.frexp(max(abs(c) for c in v))[1] - 1
+    return bits - 5 - (-top if -32 <= top < 0 else 0)
 
 
 def rel_step(x: RelPoint, v: Sequence, rho, chi: Sequence[int] | None = None,

@@ -438,6 +438,17 @@ class TestDomainContract:
         # a squared norm is never negative, so norm2 is defined everywhere
         assert catalog_function("norm2", k=2).in_domain((F(-1), F(0)))
 
+    @pytest.mark.parametrize("name,calls", [("squared_norm", 0), ("norm2", 1)])
+    def test_inner_stage_runs_only_under_a_restricting_outer_stage(self, name, calls):
+        # squared_norm's outer stage (an inner product) is defined everywhere;
+        # norm2's (a square root) must see the squared norm
+        f = catalog_function(name, k=3)
+        n = []
+        inner = f.h.exact
+        f.h.exact = lambda xs: n.append(1) or inner(xs)
+        assert f.in_domain((Fraction(1), Fraction(-2), Fraction(1, 3)))
+        assert len(n) == calls
+
 
 def _fold(vals):
     """The left-to-right Fraction sum from 0: the reference for the common-denominator sums."""

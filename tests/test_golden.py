@@ -19,8 +19,12 @@ were taken at the commit before the refinement loops were folded into
 ``amenability_probe`` verdicts and ``kappa_sampled`` reports were taken at
 the commit before the probe decided clause A.1 by ``in_domain`` alone and
 rational sums moved to one common denominator, before any source file of
-that change was edited.  Any later change that moves a single byte of these
-outputs fails here.
+that change was edited.  The Strassen tables at t = 24 and t = 113 were
+taken at the commit before each sample's inputs were decided from
+low-width step enclosures and its lops from integer outputs, before any
+source file of that change was edited: the low width and the rate of
+fallbacks to full width both depend on t.  Any later change that moves a
+single byte of these outputs fails here.
 """
 
 import hashlib
@@ -40,6 +44,10 @@ from stabilis.relmetric import RelPoint
 GOLDEN = {
     ("strassen", "--n-eps", "12", "--samples", "50", "--seed", "3"):
         "b9f6e6b16911d7e33d4abe4dedb3273e46ff8267ab9a9ad86fa6775295d2ee3c",
+    ("strassen", "-t", "24", "--n-eps", "6", "--samples", "50", "--seed", "5"):
+        "90a1e7310be9698b534b7495d9e5a693b350663928e44c45ea010a39daf090da",
+    ("strassen", "-t", "113", "--n-eps", "6", "--samples", "50", "--seed", "5"):
+        "27bbc171e18be50a3755a6ee1fd6cdfb564bded52c58b603d0affff30f9a6f33",
     ("sine", "--k-max", "100"):
         "bf5ab5674d456975bace8fa3785906d9124e8839ac3c68402726c3c563333ec6",
     ("cond", "--method", "jacobian", "strassen_h", "1,2,3,4,5,6,7,8"):

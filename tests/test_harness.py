@@ -6,10 +6,13 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stabilis import harness
 from stabilis.catalog import algorithm, strassen_input
 from stabilis.fpcore import Precision, fl, to_exact
 from stabilis.harness import (
+    _certified_inputs,
     _log_lop,
     backward_check_product,
     forward_stability_check,
@@ -21,7 +24,7 @@ from stabilis.harness import (
     strassen_experiment,
 )
 from stabilis.reals import pi_real
-from stabilis.relmetric import RelPoint
+from stabilis.relmetric import RelPoint, step_factors
 
 rng = random.Random(31)
 
@@ -154,6 +157,58 @@ class TestStrassenExperiment:
         for r in rows:
             assert r.rel_p05 <= r.rel_med <= r.rel_p95
             assert r.abs_p05 <= r.abs_med <= r.abs_p95
+
+
+def full_width_inputs(base, draws, t):
+    """fl(b * M) for M the 176-bit factor midpoints, as the table defines its inputs."""
+    half = Fraction(1, 2)
+    factors = step_factors(draws[:4], half, 176) + step_factors(draws[4:], half, 176)
+    return [fl(b * m * Fraction(2) ** e, t) for b, (m, e) in zip(base, factors)]
+
+
+# a Gaussian-like half, or one whose largest entry sits far below 1, where
+# the bound on the 176-bit midpoints loses the most bits
+half_draws = st.one_of(
+    st.lists(st.floats(-8, 8, allow_nan=False), min_size=4, max_size=4),
+    st.tuples(st.lists(st.floats(-2, 2, allow_nan=False), min_size=4, max_size=4),
+              st.integers(-40, 4)).map(lambda p: [c * 2.0 ** p[1] for c in p[0]]),
+).filter(any)
+
+
+class TestLowWidthInputs:
+    """Inputs decided at t + 32 bits against the 176-bit definition."""
+
+    @given(half_draws, half_draws,
+           st.fractions(min_value=Fraction(1, 10**9), max_value=Fraction(1, 10), max_denominator=10**9),
+           st.sampled_from([24, 53, 113]))
+    @settings(max_examples=150, deadline=None)
+    def test_each_certified_input_is_the_full_width_rounding(self, a, b, eps, t):
+        base = strassen_input(eps)
+        got = _certified_inputs(base, a + b, Precision(t))
+        if got is not None:
+            want = full_width_inputs(base, a + b, t)
+            assert [(v.sign, v.mantissa, v.exponent) for v in got] == \
+                   [(v.sign, v.mantissa, v.exponent) for v in want]
+
+    @pytest.mark.parametrize("t", [24, 53, 113])
+    def test_non_dyadic_entries(self, t):
+        # eps = 1/3: the entries' products are rounded as quotients
+        base = strassen_input(Fraction(1, 3))
+        draws = np.random.default_rng(t).standard_normal(8).tolist()
+        got = _certified_inputs(base, draws, Precision(t))
+        assert got is not None and got == full_width_inputs(base, draws, t)
+
+    @pytest.mark.parametrize("t", [53, 113])
+    def test_forced_fallback_gives_the_same_rows(self, monkeypatch, t):
+        grid = log_spaced(1e-7, 1e-2, 3)
+        want = strassen_experiment(grid, 15, seed=9, t=t)
+        # below t bits no enclosure is narrow enough to certify a rounding
+        monkeypatch.setattr(harness, "LOW_GUARD", -20)
+        seen = []
+        inner = harness._certified_inputs
+        monkeypatch.setattr(harness, "_certified_inputs", lambda *a: seen.append(inner(*a)) or seen[-1])
+        assert strassen_experiment(grid, 15, seed=9, t=t) == want
+        assert len(seen) == 45 and all(x is None for x in seen)
 
 
 class TestSineExperiment:

@@ -19,7 +19,10 @@ from stabilis.relmetric import (
     rel_dist,
     rel_sphere_sample,
     rel_step,
+    scaled_dists,
+    step_enclosures,
     step_factors,
+    step_midpoint_error,
 )
 
 LOG2 = 0.6931471805599453
@@ -142,6 +145,19 @@ class TestIntegerPaths:
             d = x.coords[0] - y.coords[0]
             iv = Interval.from_fraction(d * d, 400) + Interval.from_fraction(exact - d * d, 400)
             assert abs(abs_dist(x, yc) - sqrt_iv(iv, 192).midpoint()) < Fraction(1, 2**180)
+
+    @given(st.lists(st.tuples(st.integers(-2**80, 2**80), st.integers(-2**80, 2**80)), min_size=1, max_size=5),
+           st.integers(-300, 300), st.booleans())
+    @settings(max_examples=150)
+    def test_scaled_integers_match_the_distances(self, pairs, scale, same):
+        xs = [a for a, _ in pairs]
+        # same: y's coordinates take x's signs, mostly one component
+        ys = [((a > 0) - (a < 0)) * abs(b) if same else b for a, b in pairs]
+        x, y = (RelPoint([Fraction(v) * Fraction(2) ** scale for v in vs]) for vs in (xs, ys))
+        rel, dist = scaled_dists(xs, ys, scale)
+        want = rel_dist(x, y)
+        assert rel == want if want == math.inf else (0 if rel is None else rel.midpoint()) == want
+        assert abs_dist(x, y) == (0 if dist is None else dist.midpoint())
 
 
 class TestAbsDist:
@@ -274,6 +290,14 @@ class TestRelStep:
         # far from 1, the direction is taken at the binade of its largest entry
         scaled = v if -32 <= k <= 32 else [Fraction(c) / Fraction(2) ** k for c in v]
         assert got == spec_factors(scaled, rho, bits)
+
+    @given(directions, radii.filter(lambda r: abs(r) <= 1), st.sampled_from([64, 176, 192]))
+    @settings(max_examples=200)
+    def test_midpoints_lie_within_the_error_bound(self, v, rho, bits):
+        # each midpoint lies within half its enclosure's width of the factor
+        k = step_midpoint_error(v, bits)
+        for e in step_enclosures(v, rho, bits):
+            assert Fraction(e.hi - e.lo, 2 ** (e.scale + 1)) <= Fraction(1, 2**k)
 
     def test_direction_length_does_not_matter_far_from_one(self):
         v = [3e-310, -1e-311, 2e-309]
