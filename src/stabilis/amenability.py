@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .catalog import CatalogFunction, Product, Sin, Summation, _sqrt_mid, _sum_sq, compose
-from .condition import ConditionReport, ExtReal, kappa_closed_form
-from .reals import Interval, cos_iv, refine, relative_interval, sin_iv, sqrt_iv
+from .catalog import CatalogFunction, Product, Sin, Summation, _frac_only, _over_lcm, _sqrt_mid, compose, sin_enclosures
+from .condition import ConditionReport, ExtReal, kappa_closed_form, kappa_inside
+from .reals import Interval, PrecisionError, real_sign, refine
 from .relmetric import RelPoint, rel_ball_sample, rel_sphere_sample
 
 
@@ -56,16 +56,19 @@ def amenability_probe(
 
     Half of the points sit at the ball boundary, where the growth clause
     fails first for every function in the catalog.  A.1 is decided by
-    ``f.in_domain`` alone, so a point's one evaluation is ``kappa_fn``.  The
-    first violation is returned as a witness; re-evaluating the witness
+    ``f.in_domain`` alone, so a point's one evaluation is ``kappa_fn``, by
+    default the closed form without a second domain check.  The first
+    violation is returned as a witness; re-evaluating the witness
     reproduces it.
     """
-    if kappa_fn is None:
-        kappa_fn = lambda pt: kappa_closed_form(f, pt)
     a = Fraction(a)
     if a <= 0:
         raise ValueError("the amenability constant must be positive")
-    kt_x = kappa_fn(x).kappa_tilde
+    if kappa_fn is None:
+        kt_x = kappa_closed_form(f, x).kappa_tilde
+        kappa_fn = lambda pt: kappa_inside(f, pt)
+    else:
+        kt_x = kappa_fn(x).kappa_tilde
     if kt_x == math.inf:
         raise ValueError("amenability is probed only where kappa_tilde is finite")
     radius = 1 / (a * Fraction(kt_x))
@@ -103,74 +106,63 @@ def smallest_passing_constant(
 # ---------------------------------------------------------------------------
 
 
-def _decide_le(lhs: Interval, rhs: Interval) -> bool | None:
-    if lhs.upper() <= rhs.lower():
-        return True
-    if lhs.lower() > rhs.upper():
-        return False
-    return None
-
-
-def gradient_criterion(f: CatalogFunction, x: RelPoint, q, bits: int = 160) -> bool:
+def gradient_criterion(f: CatalogFunction, x: RelPoint, q) -> bool:
     """Check  ||(x_i d(kappa)/dx_i)_i||_2  <=  q * kappa_tilde^2  at x.
 
     Supported for the functions whose condition number has a smooth
-    hand-coded formula: product, summation, and sin.  The comparison is
-    refined from ``bits`` up; when no width decides it, PrecisionError.
+    hand-coded formula: product, summation, and sin.  Product and
+    summation are decided exactly; sin refines enclosures from the width
+    at which the sign of sin x is settled (ValueError when none settles
+    it: kappa is infinite) until the comparison is decided, and raises
+    PrecisionError at a tie.
     """
     q = Fraction(q)
     if isinstance(f, Product):
         # kappa is locally constant, so its gradient vanishes
-        return q > 0
+        return q >= 0
     if isinstance(f, Summation):
-        xs = x.coords
-        if any(not isinstance(v, Fraction) for v in xs):
-            raise TypeError("summation gradient needs rational coordinates")
-        S = sum(xs)
-        if S == 0:
+        # over one denominator x_i = n_i/D, with s = sum n_i and N = sum n_i^2,
+        # x_i d(kappa)/dx_i = sgn(s) n_i (n_i s - N) / (sqrt(N) s^2), so the
+        # left side squared is W/(N s^4) and the right side q (sqrt(N)/|s| + 1)^2
+        ns, _ = _over_lcm(_frac_only(x.coords, "the summation gradient"))
+        s = sum(ns)
+        if s == 0:
             raise ValueError("kappa is infinite at this point")
-        Q = _sum_sq(xs)
-        if Q == 0:
-            return True  # x = 0: kappa locally 0
-
-        def decide_sum(b: int) -> bool | None:
-            rQ = sqrt_iv(Q, b)  # ||x||_2
-            # x_i d(kappa)/dx_i = x_i^2 / (|S| ||x||) - x_i ||x|| sgn(S)/S^2
-            sgn = 1 if S > 0 else -1
-            terms_sq = None
-            for v in xs:
-                t1 = Interval.from_fraction(v * v / abs(S), b + 16).divide(rQ, b + 16)
-                t2 = (rQ.mul_int(sgn) * Interval.from_fraction(v / (S * S), b + 16)).rescale(b + 16)
-                d = t1 - t2
-                sq = (d * d).rescale(2 * b)
-                terms_sq = sq if terms_sq is None else (terms_sq + sq).rescale(2 * b)
-            lhs = sqrt_iv(terms_sq.clip_nonneg(), b)
-            kappa_iv = rQ.divide(Interval.from_fraction(abs(S), b + 16), b + 16)
-            kt_iv = kappa_iv + Interval.from_fraction(1, b + 16)
-            rhs = ((kt_iv * kt_iv).rescale(b + 16) * Interval.from_fraction(q, b + 16)).rescale(b + 16)
-            return _decide_le(lhs, rhs)
-
-        return refine(decide_sum, bits, "the gradient criterion")
+        N = sum(n * n for n in ns)
+        W = sum(n * n * (n * s - N) ** 2 for n in ns)
+        a, b = q.numerator, q.denominator
+        if a <= 0:
+            return a == 0 and W == 0
+        # squared and times s^4 b^2: L <= 4 N a^2 sqrt(N) |s| (N + s^2), where
+        # (sqrt(N) + |s|)^4 = N^2 + 6 N s^2 + s^4 + 4 sqrt(N) |s| (N + s^2)
+        L = W * b * b - N * a * a * (N * N + 6 * N * s * s + s**4)
+        return L <= 0 or L * L <= 16 * N**3 * a**4 * (N + s * s) ** 2 * s * s
     if isinstance(f, Sin):
         xv = x.coords[0]
+        if real_sign(xv) == 0:
+            return q >= 0  # kappa is 0 on the component {0}
+        try:
+            start = sin_enclosures(xv)[0]
+        except PrecisionError:
+            raise ValueError("kappa is infinite at this point") from None
+        if q <= 0:
+            # x d(kappa)/dx = x (sin 2x / 2 - x) / sin^2 x is nonzero for x != 0
+            return False
 
-        def decide_sin(b: int) -> bool | None:
-            xi = relative_interval(xv, b)
-            s = sin_iv(xi, b)
-            if s.sign() not in (-1, 1):
-                raise ValueError("kappa is infinite at this point")
-            c = cos_iv(xi, b)
-            cot = c.divide(s, b)
-            kappa_iv = xi * cot
+        def decide_sin(w: int) -> bool | None:
+            b, xi, s, c = sin_enclosures(xv, w)
+            kappa_iv = (xi * c).divide(s, b)  # Sin.kappa_closed's enclosure
             # x d(kappa)/dx = x cos/sin - x^2/sin^2  (up to the sign of kappa)
             x_over_s = xi.divide(s, b)
-            lhs_iv = kappa_iv.rescale(b) - (x_over_s * x_over_s).rescale(b)
-            lhs = abs(lhs_iv)
-            kt_iv = abs(kappa_iv.rescale(b)) + Interval.from_fraction(1, b)
+            lhs = abs(kappa_iv - (x_over_s * x_over_s).rescale(b))
+            kt_iv = abs(kappa_iv) + Interval.from_fraction(1, b)
             rhs = ((kt_iv * kt_iv).rescale(b) * Interval.from_fraction(q, b)).rescale(b)
-            return _decide_le(lhs, rhs)
+            # both at scale b
+            if lhs.hi <= rhs.lo:
+                return True
+            return False if lhs.lo > rhs.hi else None
 
-        return refine(decide_sin, bits, "the gradient criterion")
+        return refine(decide_sin, start, "the gradient criterion")
     raise ValueError(f"no smooth condition-number formula registered for {f.id}")
 
 

@@ -61,12 +61,12 @@ def _frac_only(xs: Coords, what: str) -> tuple[Fraction, ...]:
     return xs  # type: ignore[return-value]
 
 
-def _sqrt_mid(q: Fraction, bits: int = 192) -> Fraction:
-    """Rational midpoint of a certified sqrt enclosure (exact when possible)."""
+def _sqrt_mid(q: Fraction) -> Fraction:
+    """Rational midpoint of a 192-bit certified sqrt enclosure (exact when possible)."""
     r = nth_root_fraction(q, 2)
     if r is not None:
         return r
-    return sqrt_iv(q, bits).midpoint()
+    return sqrt_iv(q, 192).midpoint()
 
 
 def _over_lcm(vals: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -107,23 +107,23 @@ def _products_over(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> tuple[list
     return [a * b for a, b in zip(nx, ny)], dx * dy
 
 
-def _sum_kappa(terms: Sequence[Fraction], bits: int, c: int = 1):
+def _sum_kappa(terms: Sequence[Fraction], c: int = 1):
     """Condition number sqrt(c * sum t^2) / |sum t| of summing ``terms``.
 
     ``c`` counts the relative perturbations that reach each term (2 when a
     term is a product of two inputs).
     """
-    return _kappa_of_sum(*_over_lcm(terms), bits, c)
+    return _kappa_of_sum(*_over_lcm(terms), c)
 
 
-def _kappa_of_sum(nums: Sequence[int], den: int, bits: int, c: int = 1):
+def _kappa_of_sum(nums: Sequence[int], den: int, c: int = 1):
     """:func:`_sum_kappa` of the terms nums[i] / den."""
     if not any(nums):
         return Fraction(0)
     s = sum(nums)
     if s == 0:
         return math.inf
-    return _sqrt_mid(Fraction(c * sum(n * n for n in nums), den * den), bits) / Fraction(abs(s), den)
+    return _sqrt_mid(Fraction(c * sum(n * n for n in nums), den * den)) / Fraction(abs(s), den)
 
 
 def sqrt_real(x: ExactReal) -> ExactReal:
@@ -156,7 +156,7 @@ class CatalogFunction:
     def jacobian(self, xs: Coords) -> list[list[ExactReal]] | None:
         return None
 
-    def kappa_closed(self, xs: Coords, bits: int = 192):
+    def kappa_closed(self, xs: Coords):
         """Closed-form condition number, or None if only the spectral path applies."""
         return None
 
@@ -241,11 +241,11 @@ class Product(CatalogFunction):
         rows.append(row)
         return rows
 
-    def kappa_closed(self, xs, bits: int = 192):
+    def kappa_closed(self, xs):
         signs = [real_sign(v) for v in xs]
         if any(s == 0 for s in signs):
             return Fraction(0)  # locally constant zero
-        return _sqrt_mid(Fraction(self.k), bits)
+        return _sqrt_mid(Fraction(self.k))
 
 
 class Summation(CatalogFunction):
@@ -260,8 +260,8 @@ class Summation(CatalogFunction):
     def jacobian(self, xs):
         return [[Fraction(1)] * self.k]
 
-    def kappa_closed(self, xs, bits: int = 192):
-        return _sum_kappa(_frac_only(xs, "summation kappa"), bits)
+    def kappa_closed(self, xs):
+        return _sum_kappa(_frac_only(xs, "summation kappa"))
 
 
 class Hadamard(CatalogFunction):
@@ -287,12 +287,12 @@ class Hadamard(CatalogFunction):
             rows.append(row)
         return rows
 
-    def kappa_closed(self, xs, bits: int = 192):
+    def kappa_closed(self, xs):
         k = self.k
         alive = any(real_sign(xs[i]) != 0 and real_sign(xs[k + i]) != 0 for i in range(k))
         if not alive:
             return Fraction(0)
-        return _sqrt_mid(Fraction(2), bits)
+        return _sqrt_mid(Fraction(2))
 
 
 class TensorProduct(CatalogFunction):
@@ -320,13 +320,13 @@ class TensorProduct(CatalogFunction):
                 rows.append(row)
         return rows
 
-    def kappa_closed(self, xs, bits: int = 192):
+    def kappa_closed(self, xs):
         k, l = self.k, self.l
         cx = sum(1 for i in range(k) if real_sign(xs[i]) != 0)
         cy = sum(1 for j in range(l) if real_sign(xs[k + j]) != 0)
         if cx == 0 or cy == 0:
             return Fraction(0)
-        return _sqrt_mid(Fraction(cx + cy), bits)
+        return _sqrt_mid(Fraction(cx + cy))
 
 
 class LinearMap(CatalogFunction):
@@ -346,11 +346,11 @@ class LinearMap(CatalogFunction):
     def jacobian(self, xs):
         return [list(r) for r in self.rows]
 
-    def kappa_closed(self, xs, bits: int = 192):
+    def kappa_closed(self, xs):
         if self.out_dim != 1:
             return None  # stacked rows go through the spectral path
         xs = _frac_only(xs, "linear map kappa")
-        return _sum_kappa([c * v for c, v in zip(self.rows[0], xs)], bits)
+        return _sum_kappa([c * v for c, v in zip(self.rows[0], xs)])
 
 
 class InnerProduct(Composite):
@@ -361,11 +361,11 @@ class InnerProduct(Composite):
         self.id = f"inner_product[{k}]"
         self.k = k
 
-    def kappa_closed(self, xs, bits: int = 192):
+    def kappa_closed(self, xs):
         # a relative perturbation reaches each product through both factors,
         # hence the sqrt(2) on top of the summation-stage condition number
         xs = _frac_only(xs, "inner product kappa")
-        return _kappa_of_sum(*_products_over(xs[:self.k], xs[self.k:]), bits, 2)
+        return _kappa_of_sum(*_products_over(xs[:self.k], xs[self.k:]), 2)
 
 
 class Copy(CatalogFunction):
@@ -382,10 +382,10 @@ class Copy(CatalogFunction):
         eye = [[Fraction(1) if i == j else Fraction(0) for j in range(k)] for i in range(k)]
         return eye + eye
 
-    def kappa_closed(self, xs, bits: int = 192):
+    def kappa_closed(self, xs):
         if all(real_sign(v) == 0 for v in xs):
             return Fraction(0)
-        return _sqrt_mid(Fraction(2), bits)
+        return _sqrt_mid(Fraction(2))
 
 
 class SquaredNorm(Composite):
@@ -394,13 +394,13 @@ class SquaredNorm(Composite):
         self.id = f"squared_norm[{k}]"
         self.k = k
 
-    def kappa_closed(self, xs, bits: int = 192):
+    def kappa_closed(self, xs):
         xs = _frac_only(xs, "squared norm kappa")
         q = _sum_sq(xs)
         if q == 0:
             return Fraction(0)
         q4 = _sum_sq([v * v for v in xs])
-        return 2 * _sqrt_mid(q4, bits) / q
+        return 2 * _sqrt_mid(q4) / q
 
 
 class Sqrt(CatalogFunction):
@@ -420,7 +420,7 @@ class Sqrt(CatalogFunction):
             return None
         return [[Fraction(1, 2) / sqrt_real(x)]]
 
-    def kappa_closed(self, xs, bits: int = 192):
+    def kappa_closed(self, xs):
         if real_sign(xs[0]) == 0:
             return Fraction(0)  # isolated point of the domain
         return Fraction(1, 2)
@@ -432,13 +432,9 @@ class Norm2(Composite):
         self.id = f"norm2[{k}]"
         self.k = k
 
-    def kappa_closed(self, xs, bits: int = 192):
-        xs = _frac_only(xs, "norm kappa")
-        q = _sum_sq(xs)
-        if q == 0:
-            return Fraction(0)
-        q4 = _sum_sq([v * v for v in xs])
-        return _sqrt_mid(q4, bits) / q
+    def kappa_closed(self, xs):
+        # sqrt has condition number 1/2 wherever it is differentiable
+        return self.h.kappa_closed(xs) / 2
 
 
 class Power(CatalogFunction):
@@ -459,7 +455,7 @@ class Power(CatalogFunction):
             return [[Fraction(0)]]
         return [[self.j * x ** (self.j - 1)]]
 
-    def kappa_closed(self, xs, bits: int = 192):
+    def kappa_closed(self, xs):
         if real_sign(xs[0]) == 0:
             return Fraction(0)
         return Fraction(abs(self.j)) if self.j != 0 else Fraction(0)
@@ -496,7 +492,7 @@ class Affine(CatalogFunction):
             return [[self.alpha]]
         return [[1 / self.alpha]]
 
-    def kappa_closed(self, xs, bits: int = 192):
+    def kappa_closed(self, xs):
         x = xs[0]
         if real_sign(x) == 0:
             return Fraction(0)
@@ -525,23 +521,32 @@ class Sin(CatalogFunction):
 
         return [[CertifiedReal(fn)]]
 
-    def kappa_closed(self, xs, bits: int = 192):
+    def kappa_closed(self, xs):
         x = xs[0]
         if real_sign(x) == 0:
             return Fraction(0)
-
-        def decide(b: int) -> Fraction | None:
-            xi = relative_interval(x, b)
-            s = sin_iv(xi, b)
-            if s.sign() in (-1, 1):
-                c = cos_iv(xi, b)
-                return abs((xi * c).divide(s, b).midpoint())
-            return None
-
         try:
-            return refine(decide, bits, "the sign of sin x")
+            b, xi, s, c = sin_enclosures(x)
         except PrecisionError:
             return math.inf  # within rounding distance of a sine zero
+        return abs((xi * c).divide(s, b).midpoint())
+
+
+def sin_enclosures(x: ExactReal, start: int = 192) -> tuple[int, Interval, Interval, Interval]:
+    """(b, x, sin x, cos x): the first width b from ``start`` on, doubling,
+    at which sin x has a certain sign, with the three enclosures at b.
+
+    PrecisionError when no width in ``refine``'s budget settles the sign.
+    """
+
+    def decide(b: int):
+        xi = relative_interval(x, b)
+        s = sin_iv(xi, b)
+        if s.sign() in (-1, 1):
+            return b, xi, s, cos_iv(xi, b)
+        return None
+
+    return refine(decide, start, "the sign of sin x")
 
 
 # -- Strassen / matmul -------------------------------------------------------
@@ -646,11 +651,11 @@ class MatmulEntry(CatalogFunction):
         row[s] += xs[r]
         return [row]
 
-    def kappa_closed(self, xs, bits: int = 192):
+    def kappa_closed(self, xs):
         # inner-product special case: both factors of each product perturb
         xs = _frac_only(xs, "matmul entry kappa")
         pairs = self._pairs()
-        return _kappa_of_sum(*_products_over([xs[a] for a, _ in pairs], [xs[b] for _, b in pairs]), bits, 2)
+        return _kappa_of_sum(*_products_over([xs[a] for a, _ in pairs], [xs[b] for _, b in pairs]), 2)
 
 
 class Matmul2x2(CatalogFunction):

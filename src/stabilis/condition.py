@@ -146,11 +146,16 @@ def kappa_jacobian(f: CatalogFunction, x: RelPoint) -> ConditionReport:
     return kappa_from_jacobian(x, fx, jac)
 
 
-def kappa_closed_form(f: CatalogFunction, x: RelPoint, bits: int = 192) -> ConditionReport:
+def kappa_closed_form(f: CatalogFunction, x: RelPoint) -> ConditionReport:
     """Catalog closed form; falls back to the derivative route when absent."""
     if not f.in_domain(x.coords):
         raise DomainError(f"{f.id}: point outside the domain")
-    v = f.kappa_closed(x.coords, bits)
+    return kappa_inside(f, x)
+
+
+def kappa_inside(f: CatalogFunction, x: RelPoint) -> ConditionReport:
+    """:func:`kappa_closed_form` at a point already known to be in the domain."""
+    v = f.kappa_closed(x.coords)
     if v is None:
         return kappa_jacobian(f, x)
     return ConditionReport.make(v, "closed_form", x)

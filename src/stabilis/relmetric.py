@@ -155,7 +155,7 @@ def abs_dist(x: RelPoint, y: RelPoint, bits: int = DIST_BITS) -> Fraction:
     # squared differences of rational coordinates, summed exactly in
     # integers: their sum is num / den**2
     num, den = 0, 1
-    iv_total: Interval | None = None
+    sqs: list[Interval] = []
     for a, b in zip(x.coords, y.coords):
         if isinstance(a, Fraction) and isinstance(b, Fraction):
             dd = a.denominator * b.denominator
@@ -165,14 +165,13 @@ def abs_dist(x: RelPoint, y: RelPoint, bits: int = DIST_BITS) -> Fraction:
             den = den // g * dd
         else:
             d = as_interval(a, bits + 8) - as_interval(b, bits + 8)
-            sq = (d * d).rescale(2 * bits + 16)
-            iv_total = sq if iv_total is None else (iv_total + sq).rescale(2 * bits + 16)
-    if iv_total is None:
+            sqs.append((d * d).rescale(2 * bits + 16))
+    if not sqs:
         if num == 0:
             return Fraction(0)
         return _root_ratio(num, den * den, bits).midpoint()
-    total = iv_total + Interval.from_fraction(Fraction(num, den * den), iv_total.scale)
-    return sqrt_iv(total.clip_nonneg(), bits).midpoint()
+    sqs.append(Interval.from_fraction(Fraction(num, den * den), 2 * bits + 16))
+    return _root_sum(sqs, bits).midpoint()
 
 
 def scaled_dists(xs: Sequence[int], ys: Sequence[int], scale: int,
@@ -305,9 +304,7 @@ def step_enclosures(v: Sequence, rho, bits: int) -> list[Interval]:
     elif top < -32:
         ns = [a << -top for a in ns]
     p, q = rho.as_integer_ratio()
-    W = bits + 16
-    root = math.isqrt((sum(a * a for a in ns) << (2 * W)) // (den * den))
-    nrm = Interval(root, root + 1, W)
+    nrm = _root_ratio(sum(a * a for a in ns), den * den, bits)
     out = []
     for a in ns:
         lo, rem = divmod((p * a) << bits, q * den)

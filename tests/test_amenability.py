@@ -2,7 +2,9 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from stabilis.amenability import (
     amenability_probe,
@@ -11,8 +13,9 @@ from stabilis.amenability import (
     smallest_passing_constant,
     strassen_excess_closed_form,
 )
-from stabilis.catalog import Composite, catalog_function, compose, strassen_input
+from stabilis.catalog import Composite, Sin, SquaredNorm, catalog_function, compose, strassen_input
 from stabilis.condition import kappa_closed_form
+from stabilis.fpcore import fl, to_exact
 from stabilis.reals import pi_real
 from stabilis.relmetric import RelPoint
 
@@ -48,6 +51,16 @@ class TestAmenabilityProbe:
         v = amenability_probe(f, None, x, 64, 200, seed=9)
         kt_w = kappa_closed_form(f, v.witness).kappa_tilde
         assert kt_w == math.inf or kt_w > 64 * Fraction(v.kappa_tilde_at_x)
+
+    def test_each_sampled_point_is_evaluated_once(self, monkeypatch):
+        # norm2's domain check evaluates its inner squared_norm stage once:
+        # at x, then at each of the 60 points, and never again for kappa
+        calls = []
+        exact = SquaredNorm.exact
+        monkeypatch.setattr(SquaredNorm, "exact", lambda self, xs: calls.append(xs) or exact(self, xs))
+        v = amenability_probe(catalog_function("norm2", k=3), None, RelPoint.of(1, 2, 3), 8, 60, seed=1)
+        assert v.passed and v.samples_used == 60
+        assert len(calls) == 61
 
     def test_requires_finite_condition(self):
         f = catalog_function("sum", k=2)
@@ -99,6 +112,52 @@ class TestGradientCriterion:
         for num in range(33, 62, 4):  # x in (pi, 2 pi) roughly: 3.3 .. 6.1
             x = RelPoint.of(Fraction(num, 10))
             assert gradient_criterion(f, x, q)
+
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_sum_matches_a_400_digit_oracle(self, data):
+        k = data.draw(st.integers(1, 8), label="k")
+        coord = st.fractions(min_value=-20, max_value=20, max_denominator=50)
+        xs = data.draw(st.lists(coord, min_size=k, max_size=k), label="x")
+        assume(sum(xs) != 0)
+        with mpmath.workdps(400):
+            mx = [mpmath.mpf(v.numerator) / v.denominator for v in xs]
+            S = mpmath.fsum(mx)
+            nrm = mpmath.sqrt(mpmath.fsum(v * v for v in mx))
+            # x_i d(kappa)/dx_i for kappa = ||x|| / |S|
+            grads = [v * v / (nrm * abs(S)) - v * nrm * mpmath.sign(S) / (S * S) for v in mx]
+            lhs = mpmath.sqrt(mpmath.fsum(g * g for g in grads))
+            kt2 = (nrm / abs(S) + 1) ** 2
+            if data.draw(st.booleans(), label="near the boundary"):
+                q = Fraction(str(mpmath.nstr(lhs / kt2, 12))).limit_denominator(10**9)
+            else:
+                q = data.draw(st.fractions(min_value=-1, max_value=4 * k, max_denominator=20), label="q")
+            rhs = (mpmath.mpf(q.numerator) / q.denominator) * kt2
+            gap = lhs - rhs
+            assume(abs(gap) > mpmath.mpf(10) ** -350 * (abs(lhs) + abs(rhs) + 1))
+        assert gradient_criterion(catalog_function("sum", k=k), RelPoint(xs), q) == (gap < 0)
+
+    def test_ties_decide_exactly(self):
+        for fn in ("sum", "product"):
+            for pt in (RelPoint.of(1, 1), RelPoint.of(Fraction(-3, 7), Fraction(-3, 7), Fraction(-3, 7))):
+                f = catalog_function(fn, k=pt.dim)
+                assert gradient_criterion(f, pt, 0) is True
+                assert gradient_criterion(f, pt, -1) is False
+        assert gradient_criterion(catalog_function("sum", k=2), RelPoint.of(1, 2), 0) is False
+        assert gradient_criterion(catalog_function("sin"), RelPoint.of(1), 0) is False
+        assert gradient_criterion(catalog_function("sin"), RelPoint.of(0), 0) is True
+
+    def test_sin_near_a_zero_of_sine(self):
+        # sin x ~ 2^-200 here; kappa is finite, and x d(kappa)/dx ~ (x/sin x)^2
+        # ~ kappa^2, so the verdict turns between q = 1/2 and q = 2
+        x = RelPoint.of(to_exact(fl(pi_real(), 200)))
+        assert Sin().kappa_closed(x.coords) < math.inf
+        assert gradient_criterion(Sin(), x, Fraction(1, 2)) is False
+        assert gradient_criterion(Sin(), x, 2) is True
+
+    def test_sin_at_a_zero_of_sine_is_infinite(self):
+        with pytest.raises(ValueError, match="kappa is infinite"):
+            gradient_criterion(catalog_function("sin"), RelPoint.of(pi_real()), 2)
 
     def test_unsupported_function(self):
         f = catalog_function("copy", k=2)

@@ -483,13 +483,13 @@ class TestCommonDenominatorSums:
             elif s == 0:
                 want = math.inf
             else:
-                want = _sqrt_mid(c * _fold(v * v for v in vals), 192) / abs(s)
-            assert _sum_kappa(vals, 192, c) == want
+                want = _sqrt_mid(c * _fold(v * v for v in vals)) / abs(s)
+            assert _sum_kappa(vals, c) == want
 
     def test_cancelling_and_zero_terms(self):
         F = Fraction
-        assert _sum_kappa([F(1, 3), F(-1, 3)], 192) == math.inf
-        assert _sum_kappa([F(0), F(0)], 192) == 0
+        assert _sum_kappa([F(1, 3), F(-1, 3)]) == math.inf
+        assert _sum_kappa([F(0), F(0)]) == 0
         assert Summation(3).exact((F(1, 2**300), F(0), F(-1, 2**300))) == (0,)
 
     def test_certified_coordinates_keep_the_chain(self):
