@@ -6,6 +6,11 @@ Three routes are provided and cross-checked against each other:
 * the scaled-Jacobian spectral formula (the derivative route), and
 * a black-box sampling estimator of the defining limit.
 
+The estimator decides most of its probes from float bounds on the two
+distances (:func:`dist_bounds`) and computes the exact 192-bit distances
+only for a probe whose ratio could raise the running sup, so its reports
+are those of the exact computation.
+
 The spectral norm is certified: the largest eigenvalue of the exact
 integer Gram matrix is bracketed by Rayleigh quotients from below and by
 exact inertia tests (fraction-free elimination) from above, so condition
@@ -167,6 +172,65 @@ def kappa_inside(f: CatalogFunction, x: RelPoint) -> ConditionReport:
 
 DEFAULT_RADII = (Fraction(1, 1000), Fraction(1, 10000), Fraction(1, 100000))
 
+# dist_bounds leaves a distance below this to the exact path: the offset of
+# rel_dist's 192-bit midpoint is bounded relative to the distance only above it
+FLOAT_FLOOR = 2.0**-60
+
+
+def dist_bounds(x: RelPoint, y: RelPoint) -> tuple[float, float] | None:
+    """Floats lo <= rel_dist(x, y) <= hi, or None.
+
+    None when the sign patterns differ, a coordinate is a certified real,
+    some ratio a/b lies outside (1/3, 3), or the distance may be below
+    ``FLOAT_FLOOR`` (every |z| below it, so every distance under 2**-60).
+
+    For Fraction coordinates a, b of one sign let p = |a.num * b.den| and
+    q = |b.num * a.den|: log(a/b) = 2 atanh z with z = (p - q)/(p + q), and
+    for |z| < 1/2, 2|z| <= |2 atanh z| <= 2|z| c(z), c(z) = 1 + z^2/(3(1 - z^2))
+    (the tail of z + z^3/3 + z^5/5 + ... is below the geometric series
+    z^3/3 (1 + z^2 + ...)); c increases with |z|.  So the distance D lies in
+    [2 S, 2 c(z_max) S] for S the Euclidean norm of z.
+
+    Float error, for n coordinates and u = 2**-53.  Int true division
+    rounds each |z| correctly, however large the integers: within u
+    relative, or 2**-1075 absolute below 2**-1022.  The float sum of squares
+    is then within (n + 3) u of sum z^2, the absolute terms adding under
+    n 2**-954 of it because z_max >= 2**-60; its root is within (n + 6) u
+    of S, and c and the last products add a few u more.  The margin
+    m = (n + 16) 2**-48 = 32 (n + 16) u covers all of it and the midpoint's
+    offset below.
+
+    Midpoint offset.  ``rel_dist`` returns the midpoint M of an enclosure
+    [L, H] of D, so |M - D| <= H - L.  With a ratio in (1/3, 3),
+    ``log_iv(., 192)`` adds at most 3 multiples of ln 2 (below 2**-300
+    wide) to 2 atanh of a reduced |z| < 1/3 at W = 224 bits, whose series
+    has at most 71 terms, err <= 9 + 6*71 units and width 4 err < 2**11
+    units of 2**-224: each log enclosure is below w = 2**-212 wide.  Its
+    square is below 2 w |l_i| + 2 w**2 wide plus 2 units of 2**-400 for the
+    rescale, so the sum T is below 2 w sqrt(n) D + n 2**-398 wide
+    (sum |l_i| <= sqrt(n) D), and ``sqrt_iv(T, 192)`` at 208 bits is below
+    (T_hi - T_lo)/D + 2**-207 wide.  For D >= 2**-60 that is, relative to D,
+    2**-151 sqrt(n) + n 2**-278 + 2**-147 < 2**-100 for any n below 2**90.
+    """
+    if x.pattern != y.pattern:
+        return None
+    ss = top = 0.0
+    for a, b in zip(x.coords, y.coords):
+        if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
+            return None
+        p = abs(a.numerator * b.denominator)
+        q = abs(b.numerator * a.denominator)
+        if p != q:
+            z = abs(p - q) / (p + q)
+            ss += z * z
+            if z > top:
+                top = z
+    if not FLOAT_FLOOR <= top < 0.5:
+        return None
+    m = (len(x.coords) + 16) * 2.0**-48
+    d = 2 * math.sqrt(ss)
+    return d * (1 - m), d * (1 + top * top / (3 - 3 * top * top)) * (1 + m)
+
 
 def kappa_sampled(
     f: CatalogFunction,
@@ -180,15 +244,27 @@ def kappa_sampled(
     For each radius the estimator takes the sup of the measured distance
     ratio over sampled points: coordinate-axis probes, random directions,
     and one refined direction aligned with the top singular direction of
-    the probe-estimated local map (all measured exactly at distance ~r).
-    The schedule must be decreasing; the estimate is accepted when the
+    the probe-estimated local map (all at distance ~r).
+    The schedule must be nonempty and strictly decreasing, with positive
+    radii (ValueError otherwise); the estimate is accepted when the
     last two levels agree within 1%, otherwise the max is reported with
     ``converged=False``.  Sign-pattern breaks and blow-ups surface as an
     infinite estimate.  Probes resolve 64 bits below the largest coordinate's
     magnitude: with a coarser step factor every probe of x = pi*2^k + 1
     would land on a multiple of pi plus 1, hiding the condition number.
+
+    Only a probe whose ratio exceeds the running sup changes the report.
+    Once the sup is positive, a probe with :func:`dist_bounds` for both
+    pairs whose upper ratio bound is certainly below the sup (or any probe
+    with bounds on x, y once the sup is infinite) skips the exact
+    distances; its distance to x is then known to be nonzero and finite,
+    as the exact path would find.  Every other probe (flat ratios that tie
+    the sup, certified-real coordinates) is measured exactly, so the report
+    is the exact computation's, bit for bit.
     """
     radii = [Fraction(r) for r in radii]
+    if not radii or radii[-1] <= 0 or any(a <= b for a, b in zip(radii, radii[1:])):
+        raise ValueError("the radii must be positive and strictly decreasing")
     fx = RelPoint(f.exact(x.coords))
     chi = x.chi()
     bits = max([SAMPLE_BITS] + [as_interval(x.coords[i], 0).mag_bits() + 64 for i in chi])
@@ -206,6 +282,14 @@ def kappa_sampled(
             except (DomainError, ZeroDivisionError):
                 failures += 1
                 return None
+            if best > 0:
+                bxy = dist_bounds(x, y)
+                if bxy is not None:
+                    if best == math.inf:
+                        return fy
+                    bff = dist_bounds(fx, fy)
+                    if bff is not None and bff[1] < best * Fraction(bxy[0]):
+                        return fy
             dxy = rel_dist(x, y)
             if dxy == 0 or dxy == math.inf:
                 return None
@@ -244,8 +328,6 @@ def kappa_sampled(
                 measure(rel_step(x, wfr, -r, chi, bits))
         estimates.append(best)
 
-    if not estimates:
-        return ConditionReport.make(Fraction(0), "sampled", x, converged=False)
     kappa: ExtReal
     converged = False
     if len(estimates) >= 2:

@@ -6,10 +6,13 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from stabilis import condition
 from stabilis.catalog import catalog_function, sqrt_real, strassen_input
 from stabilis.condition import (
+    FLOAT_FLOOR,
     _dominates,
     composition_upper_bound,
+    dist_bounds,
     kappa_closed_form,
     kappa_from_jacobian,
     kappa_jacobian,
@@ -19,7 +22,8 @@ from stabilis.condition import (
 )
 from stabilis.fpcore import fl, to_exact
 from stabilis.reals import pi_real
-from stabilis.relmetric import RelPoint
+from stabilis.relmetric import RelPoint, rel_dist
+from test_acceptance import CATALOG_FOR_CROSSCHECK
 
 rng = random.Random(91)
 
@@ -270,6 +274,134 @@ class TestSampledEstimator:
             ref = kappa_closed_form(f, x).kappa
             rep = kappa_sampled(f, x, n_dirs=120, seed=7)
             assert abs(rep.kappa - ref) <= Fraction(5, 100) * max(ref, Fraction(1, 100)), fid
+
+
+class TestSchedule:
+    """kappa_sampled rejects a schedule it cannot converge on, before sampling."""
+
+    @staticmethod
+    def _reject(radii, monkeypatch):
+        f = catalog_function("product", k=2)
+
+        def unreachable(xs):
+            raise AssertionError("sampled before the schedule was checked")
+
+        monkeypatch.setattr(f, "exact", unreachable)
+        with pytest.raises(ValueError, match="radii"):
+            kappa_sampled(f, RelPoint.of(1, 2), radii=radii, n_dirs=16)
+
+    def test_empty_schedule(self, monkeypatch):
+        self._reject((), monkeypatch)
+
+    def test_nonpositive_radius(self, monkeypatch):
+        self._reject((Fraction(1, 1000), Fraction(0)), monkeypatch)
+        self._reject((Fraction(-1, 1000),), monkeypatch)
+
+    def test_schedule_not_strictly_decreasing(self, monkeypatch):
+        self._reject((Fraction(1, 10000), Fraction(1, 1000)), monkeypatch)
+        self._reject((Fraction(1, 1000), Fraction(1, 1000)), monkeypatch)
+
+
+def _sampled(f, x, seed):
+    return kappa_sampled(f, x, radii=(Fraction(1, 1000), Fraction(1, 10000)), n_dirs=32, seed=seed)
+
+
+class TestFloatDecisions:
+    """Probes decided from ``dist_bounds`` leave every report as the exact path makes it."""
+
+    @pytest.mark.parametrize("fid,kw,dim,signed,span", CATALOG_FOR_CROSSCHECK,
+                             ids=[c[0] for c in CATALOG_FOR_CROSSCHECK])
+    def test_reports_equal_the_exact_path(self, fid, kw, dim, signed, span, monkeypatch):
+        f = catalog_function(fid, **kw)
+        pick = random.Random(fid)
+        for seed in (1, 2):
+            x = RelPoint([Fraction(pick.uniform(*span)).limit_denominator(10**6)
+                          * (-1 if signed and pick.random() < 0.5 else 1) for _ in range(dim)])
+            fast = _sampled(f, x, seed)
+            with monkeypatch.context() as m:
+                m.setattr(condition, "dist_bounds", lambda x, y: None)
+                exact = _sampled(f, x, seed)
+            assert repr(fast) == repr(exact)
+
+    def test_skip_fires_on_strassen_h(self, monkeypatch):
+        f = catalog_function("strassen_h")
+        x = RelPoint.of(1, 2, 3, 4, 5, 6, 7, 8)
+        calls = [0]
+
+        def counted(x, y):
+            calls[0] += 1
+            return rel_dist(x, y)
+
+        monkeypatch.setattr(condition, "rel_dist", counted)
+        fast = _sampled(f, x, 3)
+        n_fast, calls[0] = calls[0], 0
+        monkeypatch.setattr(condition, "dist_bounds", lambda x, y: None)
+        exact = _sampled(f, x, 3)
+        assert repr(fast) == repr(exact)
+        assert 2 * n_fast < calls[0]
+
+
+def _ratios():
+    """Ratios b/a: equal, within the floor, near 1, near 3 and 1/3 (|z| near 1/2), far."""
+    tiny = st.integers(62, 90).map(lambda j: Fraction(1, 2**j))
+    small = st.fractions(Fraction(-1, 10), Fraction(1, 10)).filter(lambda v: v != 0)
+    return st.one_of(
+        st.just(Fraction(1)),
+        tiny.map(lambda e: 1 + e),
+        small.map(lambda e: 1 + e),
+        st.integers(1, 60).map(lambda j: 3 - Fraction(1, 2**j)),
+        st.integers(1, 60).map(lambda j: 3 + Fraction(1, 2**j)),
+        st.integers(1, 60).map(lambda j: Fraction(1, 3) + Fraction(1, 2**j)),
+        st.sampled_from([Fraction(3), Fraction(1, 3), Fraction(10), Fraction(1, 1000)]),
+    )
+
+
+@st.composite
+def _pairs(draw):
+    """Points x, y of one sign pattern; coordinates up to 2,100 bits."""
+    dim = draw(st.integers(1, 4))
+    width = st.sampled_from([8, 60, 2100])
+    xs, ys = [], []
+    for _ in range(dim):
+        n = draw(st.integers(0, 2**draw(width)))
+        d = draw(st.integers(1, 2**draw(width)))
+        a = Fraction(n, d) * draw(st.sampled_from([1, -1]))
+        xs.append(a)
+        ys.append(a * draw(_ratios()))
+    if draw(st.booleans()):  # one coordinate differs
+        ys = list(xs)
+        ys[-1] = xs[-1] * draw(_ratios())
+    return RelPoint(xs), RelPoint(ys)
+
+
+class TestDistBounds:
+    @settings(max_examples=300)
+    @given(_pairs())
+    def test_bounds_enclose_rel_dist(self, pair):
+        x, y = pair
+        d = rel_dist(x, y)
+        b = dist_bounds(x, y)
+        if b is None:
+            return
+        lo, hi = b
+        assert Fraction(lo) <= d <= Fraction(hi)
+        assert d >= FLOAT_FLOOR  # a distance under the floor gives None
+
+    def test_overflowing_coordinates(self):
+        a = Fraction(3**1400 + 1, 2**3 + 5)
+        for e in (Fraction(1, 10**6), Fraction(1, 2), Fraction(-1, 3)):
+            x, y = RelPoint.of(a, -a), RelPoint.of(a * (1 + e), -a)
+            lo, hi = dist_bounds(x, y)
+            assert Fraction(lo) <= rel_dist(x, y) <= Fraction(hi)
+            assert hi - lo <= 0.05 * lo
+
+    def test_none_cases(self):
+        x = RelPoint.of(1, 2)
+        assert dist_bounds(x, x) is None  # equal points: distance 0
+        assert dist_bounds(x, RelPoint.of(1, -2)) is None  # across components
+        assert dist_bounds(x, RelPoint.of(3, 2)) is None  # |z| = 1/2
+        assert dist_bounds(x, RelPoint.of(1, 2 + Fraction(1, 2**70))) is None  # under the floor
+        assert dist_bounds(RelPoint.of(sqrt_real(Fraction(2)), 2), RelPoint.of(1, 2)) is None  # certified
 
 
 class TestBounds:

@@ -23,8 +23,14 @@ that change was edited.  The Strassen tables at t = 24 and t = 113 were
 taken at the commit before each sample's inputs were decided from
 low-width step enclosures and its lops from integer outputs, before any
 source file of that change was edited: the low width and the rate of
-fallbacks to full width both depend on t.  Any later change that moves a
-single byte of these outputs fails here.
+fallbacks to full width both depend on t.  The ``kappa_sampled`` reports
+on ``copy``, ``power``, ``norm2``, ``matmul_2x2`` and the signed
+``product[4]`` were taken at the commit before most probes were decided
+from float bounds on their distances, before any source file of that
+change was edited: they cover probes that tie the sup (``copy``,
+``power``), a certified-real output (``norm2``), eight coordinates
+(``matmul_2x2``) and outputs with huge denominators (``product[4]``).  Any
+later change that moves a single byte of these outputs fails here.
 """
 
 import hashlib
@@ -133,20 +139,26 @@ def test_probe_verdicts_unchanged(fid, k):
     assert _sha(repr((v, v.witness and v.witness.coords))) == PROBES[fid, k]
 
 
-# SHA-256 of repr(kappa_sampled(...)) with two radii and 64 directions
+# SHA-256 of repr(kappa_sampled(...)) with two radii and 64 directions; a
+# tag "fid[k]" names the function fid, and seeds the point with the tag
 SAMPLED = {
     "sum": (dict(k=3), 3, False, 8.0, "de431d6a16f3d14b0686c93351559c4bff15a325dd53295702ca472465a826b5"),
     "product": (dict(k=3), 3, True, 8.0, "b2f35e19e30d1a1c40bacf08fb199ab33067322422d5b5f6a292e76a7fe42e18"),
     "hadamard": (dict(k=2), 4, True, 8.0, "aee18c3b032e5281c2931cd7ffdd296e5ee8e907a9d187c400f040581640daf2"),
     "strassen_h": ({}, 8, False, 4.0, "06d031d4da06cc32c92757377be07f9cdb9853f7244b846a4892b7cb82eaa20c"),
     "sqrt": ({}, 1, False, 8.0, "c7280d7baf05a402a5d4833ca60a0dfe5cf9e958560f9ca4765166cdaa238af8"),
+    "copy": (dict(k=3), 3, True, 8.0, "3160bbd96cd5f77b86872e981d6b9d253ffc87801b66cc3da94e4859f6f85c72"),
+    "power": (dict(exponent=3), 1, True, 8.0, "ec20730f4a97835838407cc11353cd9a99d80f804950068a6858891cd08e4009"),
+    "norm2": (dict(k=3), 3, True, 8.0, "eca40f2b2c241153b6ee50bd521bd7f49959baad990da49e0355a2d8d9588f30"),
+    "matmul_2x2": ({}, 8, False, 4.0, "5526b4a412748348cf57912bb9e60a3071820288e55d727d0d26043f2b7b66f1"),
+    "product[4]": (dict(k=4), 4, True, 8.0, "0ec184914f446536e9248c1d0012c61f477e05406477d28daa03e4be5837897e"),
 }
 
 
-@pytest.mark.parametrize("fid", sorted(SAMPLED))
-def test_sampled_kappa_unchanged(fid):
-    kw, dim, signed, hi, digest = SAMPLED[fid]
-    f = catalog_function(fid, **kw)
-    rep = kappa_sampled(f, _point(fid, dim, signed, hi), radii=(Fraction(1, 1000), Fraction(1, 10000)),
+@pytest.mark.parametrize("tag", sorted(SAMPLED))
+def test_sampled_kappa_unchanged(tag):
+    kw, dim, signed, hi, digest = SAMPLED[tag]
+    f = catalog_function(tag.split("[")[0], **kw)
+    rep = kappa_sampled(f, _point(tag, dim, signed, hi), radii=(Fraction(1, 1000), Fraction(1, 10000)),
                         n_dirs=64, seed=7)
     assert _sha(repr(rep)) == digest
