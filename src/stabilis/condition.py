@@ -30,7 +30,7 @@ import numpy as np
 from .catalog import CatalogFunction, DomainError, _sqrt_mid
 from .fpcore import fl, to_exact
 from .reals import ExactReal, as_interval
-from .relmetric import SAMPLE_BITS, RelPoint, rel_dist, rel_sphere_sample, rel_step
+from .relmetric import SAMPLE_BITS, RelPoint, rel_dist, rel_factors, rel_sphere_sample, rel_step
 
 ExtReal = Fraction | float  # exact rational, or math.inf
 
@@ -299,16 +299,18 @@ def kappa_sampled(
                 best = ratio
             return fy
 
-        # axis probes double as local-map estimation
+        # axis probes double as local-map estimation; each scales one
+        # coordinate by rel_step's factor exp(r) or exp(-r), taken once
+        up, down = rel_factors([1], r, bits), rel_factors([1], -r, bits)
         for i in chi:
-            fy = measure(rel_step(x, [1], r, (i,), bits))
+            fy = measure(x.scaled((i,), up))
             if fy is not None and fy.pattern == fx.pattern:
                 col = [
                     _float_log_ratio(a, b) / float(r)
                     for a, b in zip(fy.coords, fx.coords)
                 ]
                 probe_logs.append(col)
-            measure(rel_step(x, [1], -r, (i,), bits))
+            measure(x.scaled((i,), down))
         n_random = max(8, n_dirs - 2 * m - 1)
         for y in rel_sphere_sample(x, r, n_random, seed + 7919 * level, bits):
             measure(y)

@@ -314,35 +314,13 @@ def log_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
 _LN2_Q128 = _ln2_core(128)[0]
 
 
-def exp_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
-    """Enclosure of exp(x)."""
-    if not isinstance(x, Interval):
-        x = Interval.from_fraction(x, bits + 32)
-    W = bits + 32
-    # range-reduce by n = round(mid / ln 2), in integers at any magnitude
-    mag = x.mag_bits()
-    if mag <= 60:
-        c, c_scale = _LN2_Q128, 128  # ln 2 ~ c * 2**-c_scale
-    else:
-        c_iv = ln2_iv(mag + 64)
-        c, c_scale = (c_iv.lo + c_iv.hi) >> 1, c_iv.scale
-    k = c_scale - x.scale - 1  # mid / ln 2 ~ (lo + hi) * 2**k / c
-    num, den = (x.lo + x.hi) << max(k, 0), c << max(-k, 0)
-    n = (2 * num + den) // (2 * den)
-    if n != 0:
-        l2 = ln2_iv(W + n.bit_length() + 8)
-        y = x - l2.mul_int(n)
-    else:
-        y = x
-    y = y.rescale(W)
-    if y.lo < -(3 << (W - 2)) or y.hi > (3 << (W - 2)):
-        # |y| should be <= ~0.75; fall back on endpoint splitting
-        lo = exp_iv(x.lower(), bits)
-        hi = exp_iv(x.upper(), bits)
-        s = max(lo.scale, hi.scale)
-        return Interval(lo.rescale(s).lo, hi.rescale(s).hi, s)
-    M = (y.lo + y.hi) // 2
-    hw = (y.hi - y.lo) // 2 + 1
+def _exp_enclosure(M: int, hw: int, W: int) -> Interval:
+    """exp on [M - hw, M + hw] * 2**-W at scale W, for |M| + hw <= 0.75 * 2**W.
+
+    The Taylor series at M, each term truncated from the last: 6 ulps per
+    term, 8 for the tail (the remaining ratio is < 1/2), and the half-width
+    via exp(y) <= e^0.75 < 2.2.  The package's one exp series.
+    """
     term = total = 1 << W
     for j in range(1, 4 * W):
         term = ((term * M) >> W) // j
@@ -351,11 +329,53 @@ def exp_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
         total += term
     else:  # pragma: no cover - safety net
         raise PrecisionError("exp series failed to converge")
-    # 6 ulps per term, 8 for the tail (|y| <= 0.75, so the remaining ratio
-    # is < 1/2), and the input half-width via exp(y) <= e^0.75 < 2.2
     err = 1 + 6 * j + 8 + 3 * hw
-    res = Interval(total - err, total + err, W)
-    return res.scalb(n)
+    return Interval(total - err, total + err, W)
+
+
+def exp_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
+    """Enclosure of exp(x).
+
+    With W = bits + 32, x is reduced to y = x - n ln 2 for n = round(x / ln 2)
+    and exp(y) summed by :func:`_exp_enclosure` at scale W, then scaled by 2**n.
+    When |x| < 1/4 (``mag_bits`` <= -2), n is 0 by construction, since
+    |x / ln 2| < 0.37, so the reduction is skipped: y is x at scale W.
+    """
+    if not isinstance(x, Interval):
+        x = Interval.from_fraction(x, bits + 32)
+    W = bits + 32
+    y = x
+    n = 0
+    mag = x.mag_bits()
+    if mag > -2:
+        # range-reduce by n = round(mid / ln 2), in integers at any magnitude
+        if mag <= 60:
+            c, c_scale = _LN2_Q128, 128  # ln 2 ~ c * 2**-c_scale
+        else:
+            c_iv = ln2_iv(mag + 64)
+            c, c_scale = (c_iv.lo + c_iv.hi) >> 1, c_iv.scale
+        k = c_scale - x.scale - 1  # mid / ln 2 ~ (lo + hi) * 2**k / c
+        num, den = (x.lo + x.hi) << max(k, 0), c << max(-k, 0)
+        n = (2 * num + den) // (2 * den)
+        if n != 0:
+            y = x - ln2_iv(W + n.bit_length() + 8).mul_int(n)
+    y = y.rescale(W)
+    if y.lo < -(3 << (W - 2)) or y.hi > (3 << (W - 2)):
+        # |y| should be <= ~0.75; fall back on endpoint splitting
+        lo = exp_iv(x.lower(), bits)
+        hi = exp_iv(x.upper(), bits)
+        s = max(lo.scale, hi.scale)
+        return Interval(lo.rescale(s).lo, hi.rescale(s).hi, s)
+    return _exp_enclosure((y.lo + y.hi) // 2, (y.hi - y.lo) // 2 + 1, W).scalb(n)
+
+
+def exp_ends(lo: int, hi: int, bits: int) -> Interval:
+    """``exp_iv(Interval(lo, hi, bits), bits)``, with no Interval built where
+    |x| < 1/4: there exp_iv skips its reduction and sums the series at the
+    midpoint, here taken straight from the integers at W = bits + 32."""
+    if max(-lo, hi).bit_length() > bits - 2:  # mag_bits > -2, as in exp_iv
+        return exp_iv(Interval(lo, hi, bits), bits)
+    return _exp_enclosure((lo + hi) << 31, ((hi - lo) << 31) + 1, bits + 32)
 
 
 def _sincos_taylor(M: int, W: int, kind: str) -> tuple[int, int]:

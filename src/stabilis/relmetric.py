@@ -27,6 +27,7 @@ from .reals import (
     ExactReal,
     Interval,
     as_interval,
+    exp_ends,
     exp_iv,
     log_iv,
     nth_root_fraction,
@@ -78,6 +79,26 @@ class RelPoint:
     def chi(self) -> tuple[int, ...]:
         """Indices of the nonzero coordinates."""
         return tuple(i for i, s in enumerate(self.pattern) if s != 0)
+
+    def scaled(self, chi: Sequence[int], factors: Sequence[tuple[int, int]]) -> "RelPoint":
+        """The point with coordinate chi[k] multiplied by factors[k] = (m, e),
+        the dyadic m * 2**e > 0, and every other coordinate kept.
+
+        Positive factors keep every sign, so the point has this one's
+        pattern and its coordinates need no coercion or sign decision.  A
+        rational coordinate is built in one normalisation.
+        """
+        coords = list(self.coords)
+        for i, (m, e) in zip(chi, factors):
+            c = coords[i]
+            if isinstance(c, Fraction):
+                coords[i] = Fraction(c.numerator * m << max(e, 0), c.denominator << max(-e, 0))
+            else:
+                coords[i] = c * Fraction(m << max(e, 0), 1 << max(-e, 0))
+        out = object.__new__(RelPoint)
+        out.coords = tuple(coords)
+        out.pattern = self.pattern
+        return out
 
     def same_component(self, other: "RelPoint") -> bool:
         return self.pattern == other.pattern
@@ -289,7 +310,9 @@ def step_enclosures(v: Sequence, rho, bits: int) -> list[Interval]:
     computed in integers with v at one common denominator.  When the
     largest |v_i| lies in [2**top, 2**(top+1)) with top outside [-32, 32],
     v is first divided by 2**top, so that the floors keep their precision:
-    only the direction of v matters.
+    only the direction of v matters.  The quotient's two floors are taken
+    here, and ``reals.exp_ends`` sums the series straight from them where
+    |w_i| < 1/4.
     """
     ratios = [c.as_integer_ratio() for c in v]
     den = math.lcm(*(d for _, d in ratios))
@@ -304,17 +327,21 @@ def step_enclosures(v: Sequence, rho, bits: int) -> list[Interval]:
     elif top < -32:
         ns = [a << -top for a in ns]
     p, q = rho.as_integer_ratio()
-    nrm = _root_ratio(sum(a * a for a in ns), den * den, bits)
+    # the norm's enclosure is [r, r + 1] * 2**-(bits + 16); each end of the
+    # quotient is floored outward by the divisor's far end, as divide does
+    r = _root_ratio(sum(a * a for a in ns), den * den, bits).lo
     out = []
     for a in ns:
         lo, rem = divmod((p * a) << bits, q * den)
-        out.append(exp_iv(Interval(lo, lo + (rem != 0), bits).divide(nrm, bits), bits))
+        hi = lo + (rem != 0)
+        out.append(exp_ends((lo << (bits + 16)) // (r + 1 if lo >= 0 else r),
+                            -((-hi << (bits + 16)) // (r if hi >= 0 else r + 1)), bits))
     return out
 
 
 def step_factors(v: Sequence, rho, bits: int) -> list[tuple[int, int]]:
     """The midpoints of :func:`step_enclosures`, each an exact dyadic (m, e)
-    of value m * 2**e."""
+    of value m * 2**e > 0."""
     return [(e.lo + e.hi, -e.scale - 1) for e in step_enclosures(v, rho, bits)]
 
 
@@ -327,10 +354,11 @@ def step_midpoint_error(v: Sequence[float], bits: int) -> int:
     :func:`step_enclosures` rescales it, and b = bits: s >= 2**-lost, with
     lost = -top when -32 <= top < 0 and 0 otherwise.  The enclosure of rho * v_i is 2**-b wide and that of s 2**-(b+16), so
     w_i's is below 2**-b * (2 + 2.001/s) after the two outward floors.
-    ``exp_iv`` at W = b + 32 reduces |w| <= 1 by n = -1, 0 or 1 multiples
-    of ln 2; its error is 1 + 6j + 8 ulps of 2**-W for the j <= 4W series
-    terms (below 2**-b in all), plus 3 times the reduced argument's
-    half-width, then scaled by 2**n <= 2.  The midpoint's distance, half the
+    ``exp_ends``, as ``exp_iv`` at W = b + 32, reduces |w| <= 1 by n = -1,
+    0 or 1 multiples of ln 2 (n = 0 without computing it for |w| < 1/4, at
+    the same integers); its error is 1 + 6j + 8 ulps of 2**-W for the
+    j <= 4W series terms (below 2**-b in all), plus 3 times the reduced
+    argument's half-width, then scaled by 2**n <= 2.  The midpoint's distance, half the
     enclosure's width, is thus below 2**-b * (8 + 6.003/s) < 2**(4 - b + lost);
     k keeps one bit more.
     """
@@ -342,14 +370,16 @@ def rel_step(x: RelPoint, v: Sequence, rho, chi: Sequence[int] | None = None,
              bits: int = SAMPLE_BITS) -> RelPoint:
     """x moved a relative distance rho along v, which spans the coordinates chi.
 
-    chi defaults to the nonzero coordinates of x; the factors come from
-    :func:`step_factors` at bits + 16.
+    chi defaults to the nonzero coordinates of x; :meth:`RelPoint.scaled`
+    applies the factors of :func:`rel_factors`.
     """
-    chi = x.chi() if chi is None else chi
-    coords = list(x.coords)
-    for i, (m, e) in zip(chi, step_factors(v, rho, bits + 16)):
-        coords[i] = coords[i] * (Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e))
-    return RelPoint(coords)
+    return x.scaled(x.chi() if chi is None else chi, rel_factors(v, rho, bits))
+
+
+def rel_factors(v: Sequence, rho, bits: int = SAMPLE_BITS) -> list[tuple[int, int]]:
+    """The factors by which :func:`rel_step` at ``bits`` scales the coordinates:
+    :func:`step_factors` at bits + 16."""
+    return step_factors(v, rho, bits + 16)
 
 
 def rel_ball_sample(

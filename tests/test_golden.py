@@ -29,8 +29,15 @@ on ``copy``, ``power``, ``norm2``, ``matmul_2x2`` and the signed
 from float bounds on their distances, before any source file of that
 change was edited: they cover probes that tie the sup (``copy``,
 ``power``), a certified-real output (``norm2``), eight coordinates
-(``matmul_2x2``) and outputs with huge denominators (``product[4]``).  Any
-later change that moves a single byte of these outputs fails here.
+(``matmul_2x2``) and outputs with huge denominators (``product[4]``).  The
+coordinates drawn by ``rel_sphere_sample`` and ``rel_ball_sample`` and the
+``step_enclosures`` at Strassen's low widths were taken at the commit
+before the relative-step primitive summed its factors' series straight
+from integers, built its rational coordinates in one normalisation and
+kept the point's sign pattern, before any source file of that change was
+edited: radius 1/2 sends some exponents past 1/4 and past ln 2 / 2, where
+``exp_iv`` still reduces them.  Any later change that moves a single byte
+of these outputs fails here.
 """
 
 import hashlib
@@ -45,7 +52,8 @@ from stabilis.catalog import catalog_function
 from stabilis.cli import main
 from stabilis.condition import kappa_sampled
 from stabilis.harness import sine_experiment
-from stabilis.relmetric import RelPoint
+from stabilis.reals import CertifiedReal, pi_real
+from stabilis.relmetric import RelPoint, philox_stream, rel_ball_sample, rel_sphere_sample, step_enclosures
 
 GOLDEN = {
     ("strassen", "--n-eps", "12", "--samples", "50", "--seed", "3"):
@@ -162,3 +170,61 @@ def test_sampled_kappa_unchanged(tag):
     rep = kappa_sampled(f, _point(tag, dim, signed, hi), radii=(Fraction(1, 1000), Fraction(1, 10000)),
                         n_dirs=64, seed=7)
     assert _sha(repr(rep)) == digest
+
+
+# SHA-256 of the coordinates of rel_sphere_sample then rel_ball_sample (8
+# points each, 3 in 128 dimensions, seed 13) around a point and radius; a
+# certified-real coordinate enters by its 256-bit enclosure
+SAMPLER = {
+    ("x[1]", "1/10000"): "d636cae93c36fd35f4e6e8a1607ce503cb94eb0324240885146c3972a9d04be2",
+    ("x[1]", "1/8"): "ee8f6e005c6f983ed35d384cf38152599e99fa772a7dd5e4142f291314872ec5",
+    ("x[1]", "1/2"): "c41f0857caae695bf8b55d280aeab25ce7df1d120571411c133b2a0dd2656a7d",
+    ("x[3]", "1/10000"): "19be0eda4ff9abc6bcf662fa06eddf837e27edd83adb9a651d4988a05b449495",
+    ("x[3]", "1/8"): "bc46312dfc24715ffe2b3ad424009a3fc64e8bf9532c98d937bcbbdb99fe51cf",
+    ("x[3]", "1/2"): "db2a127be895414cb566f8f343ba5fd64562c11775c9f413305d06e58306ee79",
+    ("signed[3]", "1/10000"): "4087c3563bb0cec7b0308e4b7e846cbd946ccecbf08aa848227d582b14bd02fe",
+    ("signed[3]", "1/8"): "ba5c6004acf777dfd7c592faea8180a0e5ab3941d7a26f12dafd5158b9de696d",
+    ("signed[3]", "1/2"): "a9609f2c01e04b1184d223abfa8a1ac53956917fa36c0a80909f4c874a09a648",
+    ("real[3]", "1/10000"): "1c3d0f4d7a7d7b201443a8a75c9c15e8aa75e0d724803531b5b4ebd2e967adb9",
+    ("real[3]", "1/8"): "c7802069f419635780bf4ecb99e10705f421f51e36a7f7e20c400082c4c5341c",
+    ("real[3]", "1/2"): "a40f2ceec7cc42c37f35d315f64975191cbd732389df22d9dd384b87a7c06db5",
+    ("signed[128]", "1/10000"): "684b5f90139b0fd6d55d3bb30c71d99fb3146d770dacb54f6db7c53e1c385fcd",
+    ("signed[128]", "1/8"): "c7602405ead0c8fcde214f4acbb6f23a79e6f5108d5685574907880480098414",
+    ("signed[128]", "1/2"): "05faed1d63a8b834b4f85c1e3a8558528599856a5bd09d0017af30f1b9fa3e28",
+}
+
+
+def _sampler_point(tag: str) -> RelPoint:
+    if tag == "real[3]":
+        return RelPoint.of(pi_real(), Fraction(-7, 5), -(pi_real() / 3))
+    return _point(tag, int(tag.split("[")[1][:-1]), tag.startswith("signed"))
+
+
+@pytest.mark.parametrize("tag,r", sorted(SAMPLER))
+def test_sampler_coordinates_unchanged(tag, r):
+    x = _sampler_point(tag)
+    n = 3 if tag.endswith("[128]") else 8
+    pts = rel_sphere_sample(x, Fraction(r), n, seed=13) + rel_ball_sample(x, Fraction(r), n, seed=13)
+    text = repr([[(c.enclosure(256).lo, c.enclosure(256).hi) if isinstance(c, CertifiedReal) else c
+                  for c in p.coords] for p in pts])
+    assert _sha(text) == SAMPLER[tag, r]
+
+
+# SHA-256 of the (lo, hi, scale) of step_enclosures(v, 1/2, bits) for the
+# two 4-vectors of Strassen's draws [0, sample, 2, 0], samples 0-39, seed 5
+STEPS = {
+    56: "7e8ae78d2e14b1422d7afebb243397d12045357b13d5af13f37ca71772765417",
+    85: "5ce28ca674ad4a3c9691b24c7ccf74d5228a3aabbeef2edc7403e72cfe86a2f4",
+    145: "70bc6636676bf2e438681da8f144c9da7caad40776afdc20fe4853aceee23761",
+}
+
+
+@pytest.mark.parametrize("bits", sorted(STEPS))
+def test_step_enclosures_unchanged(bits):
+    at = philox_stream(5)
+    out = []
+    for si in range(40):
+        draws = at([0, si, 2, 0]).standard_normal(8).tolist()
+        for v in (draws[:4], draws[4:]):
+            out.append([(e.lo, e.hi, e.scale) for e in step_enclosures(v, Fraction(1, 2), bits)])
+    assert _sha(repr(out)) == STEPS[bits]

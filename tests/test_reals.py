@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabilis.reals import (
+    _LN2_Q128,
     CertifiedReal,
     Interval,
     REFINE_DOUBLINGS,
     PrecisionError,
     cos_iv,
+    exp_ends,
     exp_iv,
     ln2_iv,
     log_iv,
@@ -122,6 +124,105 @@ class TestElementary:
         x = Interval.from_fraction(Fraction(3, 7), 100)
         assert contains(log_iv(x, 90), mp.log(mp.mpf(3) / 7))
         assert contains(exp_iv(x, 90), mp.exp(mp.mpf(3) / 7))
+
+
+def reference_exp_iv(x, bits):
+    """``exp_iv`` as it stood before the shared series core and the skipped
+    reduction for |x| < 1/4, kept verbatim as the oracle for both."""
+    if not isinstance(x, Interval):
+        x = Interval.from_fraction(x, bits + 32)
+    W = bits + 32
+    # range-reduce by n = round(mid / ln 2), in integers at any magnitude
+    mag = x.mag_bits()
+    if mag <= 60:
+        c, c_scale = _LN2_Q128, 128  # ln 2 ~ c * 2**-c_scale
+    else:
+        c_iv = ln2_iv(mag + 64)
+        c, c_scale = (c_iv.lo + c_iv.hi) >> 1, c_iv.scale
+    k = c_scale - x.scale - 1  # mid / ln 2 ~ (lo + hi) * 2**k / c
+    num, den = (x.lo + x.hi) << max(k, 0), c << max(-k, 0)
+    n = (2 * num + den) // (2 * den)
+    if n != 0:
+        l2 = ln2_iv(W + n.bit_length() + 8)
+        y = x - l2.mul_int(n)
+    else:
+        y = x
+    y = y.rescale(W)
+    if y.lo < -(3 << (W - 2)) or y.hi > (3 << (W - 2)):
+        # |y| should be <= ~0.75; fall back on endpoint splitting
+        lo = reference_exp_iv(x.lower(), bits)
+        hi = reference_exp_iv(x.upper(), bits)
+        s = max(lo.scale, hi.scale)
+        return Interval(lo.rescale(s).lo, hi.rescale(s).hi, s)
+    M = (y.lo + y.hi) // 2
+    hw = (y.hi - y.lo) // 2 + 1
+    term = total = 1 << W
+    for j in range(1, 4 * W):
+        term = ((term * M) >> W) // j
+        if not term:
+            break
+        total += term
+    else:  # pragma: no cover - safety net
+        raise PrecisionError("exp series failed to converge")
+    # 6 ulps per term, 8 for the tail (|y| <= 0.75, so the remaining ratio
+    # is < 1/2), and the input half-width via exp(y) <= e^0.75 < 2.2
+    err = 1 + 6 * j + 8 + 3 * hw
+    res = Interval(total - err, total + err, W)
+    return res.scalb(n)
+
+
+# ln 2 / 2 to 300 bits: the midpoint where round(x / ln 2) turns from 0 to 1
+HALF_LN2 = Fraction(int(mp.log(2) * 2**300), 2**301)
+# the existing huge-argument cases
+HUGE = st.sampled_from([10**400, -10**400])
+near = st.builds(
+    lambda c, sign, k, j: sign * c + Fraction(k, 2**j),
+    st.sampled_from([Fraction(1, 4), Fraction(1, 3), HALF_LN2]),
+    st.sampled_from([1, -1]),
+    st.integers(-8, 8),
+    st.integers(20, 280),
+)
+unit = near | st.fractions(min_value=-1, max_value=1, max_denominator=10**12)
+
+
+def _interval_of(a, b, scale):
+    lo, hi = sorted((a, b))
+    return Interval(math.floor(lo * 2**scale), math.ceil(hi * 2**scale), scale)
+
+
+exp_args = st.one_of(
+    unit,
+    st.integers(-1, 1),
+    HUGE,
+    HUGE.map(Fraction),
+    st.builds(_interval_of, unit, unit, st.sampled_from([24, 60, 128, 200, 260, 300])),
+    st.builds(lambda a, w, scale: _interval_of(a, a + Fraction(w, 2**scale), scale),
+              near, st.integers(0, 4), st.sampled_from([56, 85, 145, 176, 192, 256])),
+)
+
+
+class TestExpAgainstReference:
+    @given(exp_args, st.sampled_from([24, 56, 64, 85, 145, 176, 192, 256]))
+    @settings(max_examples=400)
+    def test_equals_the_reference_bit_for_bit(self, x, bits):
+        got, ref = exp_iv(x, bits), reference_exp_iv(x, bits)
+        assert (got.lo, got.hi, got.scale) == (ref.lo, ref.hi, ref.scale)
+
+    @pytest.mark.parametrize("bits", [24, 85, 192])
+    @pytest.mark.parametrize("x", [Fraction(1, 4), -Fraction(1, 4), Fraction(1, 4) - Fraction(1, 2**300),
+                                   HALF_LN2, -HALF_LN2, Fraction(1), -1, 0])
+    def test_at_the_reduction_thresholds(self, x, bits):
+        got, ref = exp_iv(x, bits), reference_exp_iv(x, bits)
+        assert (got.lo, got.hi, got.scale) == (ref.lo, ref.hi, ref.scale)
+
+    @given(st.sampled_from([56, 85, 145, 192]), st.integers(-7, 7), st.integers(-3, 3), st.integers(0, 8))
+    @settings(max_examples=300)
+    def test_ends_equal_the_reference(self, bits, eighths, k, w):
+        """exp_ends(lo, hi, bits) within a few ulps of each multiple of 1/8 in
+        (-1, 1), +-1/4 among them, is exp_iv(Interval(lo, hi, bits), bits)."""
+        lo = (eighths << (bits - 3)) + k
+        got, ref = exp_ends(lo, lo + w, bits), reference_exp_iv(Interval(lo, lo + w, bits), bits)
+        assert (got.lo, got.hi, got.scale) == (ref.lo, ref.hi, ref.scale)
 
 
 class TestIntervalArithmetic:

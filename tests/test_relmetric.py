@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stabilis.fpcore import Precision, fl, to_exact
 from stabilis.reals import CertifiedReal, Interval, exp_iv, log_iv, pi_real, sqrt_iv
@@ -322,3 +322,46 @@ class TestRelStep:
         y = rel_step(x, [1], Fraction(1, 8), chi=(2,))
         assert y.coords[:2] == x.coords[:2] and y.coords[2] < -1
         assert abs(rel_dist(x, y) - Fraction(1, 8)) < Fraction(1, 2**150)
+
+
+class TestRelStepSigns:
+    """rel_step keeps x's sign pattern without deciding any sign."""
+
+    @staticmethod
+    def point():
+        return RelPoint.of(Fraction(-3, 7), 5, pi_real(), -(pi_real() / 3), Fraction(1, 2**40), 0)
+
+    @pytest.mark.parametrize("chi", [None, (2,), (0, 3), (1, 2, 4), (3, 5), (0, 1, 2, 3, 4, 5)])
+    @given(st.lists(st.floats(min_value=-8, max_value=8, allow_nan=False), min_size=6, max_size=6).filter(any),
+           radii)
+    @settings(max_examples=25)
+    def test_pattern_and_coordinates(self, chi, v, rho):
+        x = self.point()
+        idx = x.chi() if chi is None else chi
+        v = v[:len(idx)]
+        assume(any(v))
+        y = rel_step(x, v, rho, chi)
+        assert y.pattern == x.pattern == RelPoint(y.coords).pattern
+        factors = dict(zip(idx, step_factors(v, rho, 176 + 16)))
+        for i, (c, got) in enumerate(zip(x.coords, y.coords)):
+            if i not in factors:
+                assert got is c
+                continue
+            m, e = factors[i]
+            want = c * (Fraction(m) * Fraction(2) ** e)
+            if isinstance(c, Fraction):
+                assert got == want
+            else:
+                a, b = got.enclosure(256), want.enclosure(256)
+                assert (a.lo, a.hi, a.scale) == (b.lo, b.hi, b.scale)
+
+    @pytest.mark.parametrize("chi", [None, (2,), (2, 3)])
+    def test_no_enclosure_is_requested(self, chi, monkeypatch):
+        x = self.point()
+        asked = []
+        enclosure = CertifiedReal.enclosure
+        monkeypatch.setattr(CertifiedReal, "enclosure", lambda self, bits: asked.append(bits) or enclosure(self, bits))
+        y = rel_step(x, [0.5, -1.25, 2.0, 0.75][:len(x.chi() if chi is None else chi)], Fraction(1, 8), chi)
+        assert asked == []
+        assert RelPoint(y.coords).pattern == x.pattern
+        assert asked  # the check above decides the certified-real signs
