@@ -64,6 +64,8 @@ def amenability_probe(
     a = Fraction(a)
     if a <= 0:
         raise ValueError("the amenability constant must be positive")
+    if n < 1:
+        raise ValueError("the probe needs at least one sample")
     if kappa_fn is None:
         kt_x = kappa_closed_form(f, x).kappa_tilde
         kappa_fn = lambda pt: kappa_inside(f, pt)

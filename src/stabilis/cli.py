@@ -8,10 +8,13 @@ Exit codes: 0 success, 2 invalid configuration, 3 computation error.
 
 from __future__ import annotations
 
+import ast
 import decimal
 import inspect
 import json
 import math
+import operator
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,112 +39,49 @@ class ExprError(ValueError):
     pass
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+_NUMBER = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_EXPONENT = re.compile(r"[+-]?[0-9]+")
 
-    def _skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def _peek(self) -> str:
-        self._skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _divide(v: ExactReal, d: ExactReal) -> ExactReal:
+    """v / d; a certified v is scaled by the exact reciprocal of a rational d."""
+    return v * (1 / d) if isinstance(v, CertifiedReal) and isinstance(d, Fraction) else v / d
 
-    def _take(self, tok: str) -> bool:
-        self._skip()
-        if self.text.startswith(tok, self.pos):
-            self.pos += len(tok)
-            return True
-        return False
 
-    def parse(self) -> ExactReal:
-        v = self.expr()
-        self._skip()
-        if self.pos != len(self.text):
-            raise ExprError(f"trailing input at {self.text[self.pos:]!r}")
-        return v
+_UNARY = {ast.UAdd: lambda v: v, ast.USub: operator.neg}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: _divide}
 
-    def expr(self) -> ExactReal:
-        v = self.term()
-        while True:
-            if self._take("+"):
-                v = v + self.term()
-            elif self._take("-"):
-                v = v - self.term()
-            else:
-                return v
 
-    def term(self) -> ExactReal:
-        v = self.factor()
-        while True:
-            if self._take("**"):
-                raise ExprError("power binds to a factor; write a^k or a**k after an atom")
-            if self._take("*"):
-                v = v * self.factor()
-            elif self._take("/"):
-                d = self.factor()
-                if isinstance(v, Fraction) and isinstance(d, Fraction):
-                    if d == 0:
-                        raise ExprError("division by zero")
-                    v = v / d
-                elif isinstance(d, Fraction):
-                    v = v * (1 / d)
-                else:
-                    v = v / d if isinstance(v, CertifiedReal) else d.__rtruediv__(v)
-            else:
-                return v
+def _value(node: ast.expr, src: str) -> ExactReal:
+    """Evaluate a node of ``ast.parse(src)``: number literals, pi, unary + and -,
+    + - * /, and powers by an integer written in decimal digits."""
+    text = ast.get_source_segment(src, node)
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(text):
+        return Fraction(text)  # the literal's own digits, so 1e-300000 stays exact
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return pi_real()
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_value(node.operand, src))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        e = ast.get_source_segment(src, node.right)
+        if _EXPONENT.fullmatch(e):
+            return _value(node.left, src) ** int(e)
+    elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_value(node.left, src), _value(node.right, src))
+    raise ExprError(f"not a point expression: {text!r}")
 
-    def factor(self) -> ExactReal:
-        if self._take("-"):
-            return -self.factor()
-        if self._take("+"):
-            return self.factor()
-        v = self.atom()
-        if self._take("^") or self._take("**"):
-            e = self.integer()
-            v = v**e
-        return v
 
-    def integer(self) -> int:
-        self._skip()
-        start = self.pos
-        if self._peek() in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ExprError("expected an integer exponent")
-        return int(self.text[start : self.pos])
-
-    def atom(self) -> ExactReal:
-        self._skip()
-        if self._take("("):
-            v = self.expr()
-            if not self._take(")"):
-                raise ExprError("missing closing parenthesis")
-            return v
-        if self.text.startswith("pi", self.pos):
-            self.pos += 2
-            return pi_real()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isdigit() or self.text[self.pos] in ".eE"):
-            c = self.text[self.pos]
-            if c in "eE":
-                nxt = self.text[self.pos + 1 : self.pos + 2]
-                if not (nxt.isdigit() or nxt in "+-"):
-                    break
-                self.pos += 2
-                continue
-            self.pos += 1
-        lit = self.text[start : self.pos]
-        if not lit:
-            raise ExprError(f"unexpected input at {self.text[self.pos:]!r}")
-        try:
-            return Fraction(lit)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ExprError(f"bad number {lit!r}") from e
+def _coordinate(text: str) -> ExactReal:
+    """One coordinate, read by Python's expression grammar with ``^`` as ``**``."""
+    src = text.strip().replace("^", "**")
+    try:
+        return _value(ast.parse(src, mode="eval").body, src)
+    except SyntaxError as e:
+        raise ExprError(f"cannot parse {text.strip()!r}: {e.msg}") from e
+    except ZeroDivisionError as e:  # only rationals are computed here; enclosures are lazy
+        raise ExprError("division by zero") from e
+    except (RecursionError, MemoryError) as e:  # the parser reports a stack overflow as MemoryError
+        raise ExprError("expression nested too deeply") from e
 
 
 def parse_point(text: str) -> RelPoint:
@@ -149,7 +89,7 @@ def parse_point(text: str) -> RelPoint:
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
         raise ExprError("empty point")
-    return RelPoint([_Parser(p).parse() for p in parts])
+    return RelPoint([_coordinate(p) for p in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +156,6 @@ def _computation(op_name: str):
         def wrapped(*a, **kw):
             try:
                 return fn(*a, **kw)
-            except click.ClickException:
-                raise
             except ExprError as e:
                 raise click.UsageError(str(e))
             except (ArithmeticError, ValueError, TypeError) as e:
@@ -287,7 +225,7 @@ def sine(k_max, t_work, guard, fmt, output):
 
 
 def _resolve_function(name: str, dim: int, **kw):
-    """Build a catalog function, inferring dims from the given dimension."""
+    """Build a catalog function taking ``dim`` coordinates, sizing it from ``dim``."""
     fid = name.replace("-", "_")
     cls, per = FUNCTIONS.get(fid, (None, None))
     if per is None:
@@ -301,7 +239,42 @@ def _resolve_function(name: str, dim: int, **kw):
             args[param.name] = kw[param.name]
         elif param.default is param.empty:
             raise click.UsageError(f"function {name!r} needs option {param.name!r}")
-    return cls(**args)
+    try:
+        f = cls(**args)
+    except (ValueError, ArithmeticError) as e:
+        raise click.UsageError(f"function {name!r}: {e}")
+    if f.in_dim != dim:
+        raise click.UsageError(f"{f.id} expects {f.in_dim} coordinates, got {dim}")
+    return f
+
+
+def _function_at(name: str, point: str, **kw):
+    """FUNCTION and POINT of a query: the catalog function sized to the parsed point."""
+    pt = parse_point(point)
+    return _resolve_function(name, pt.dim, **kw), pt
+
+
+def _positive(name: str, text: str, read=Fraction, below=math.inf) -> Fraction:
+    """The value of option --name read by ``read``; a usage error unless 0 < value < below."""
+    try:
+        v = read(text)
+    except (ValueError, ArithmeticError):
+        v = None
+    if v is None or not 0 < v < below:
+        raise click.UsageError(f"--{name} must be a number in (0, {below})")
+    return v
+
+
+def _function_options(cmd):
+    """The options shared by the point queries: the catalog constants and the seed."""
+    for option in reversed([
+        click.option("--exponent", type=int, default=2, help="Exponent for the power map."),
+        click.option("--op", type=click.Choice(["add", "sub", "mul", "div"]), default="add"),
+        click.option("--alpha", default="1", help="Constant for affine maps."),
+        click.option("--seed", type=int, default=0, envvar="STABILIS_SEED"),
+    ]):
+        cmd = option(cmd)
+    return cmd
 
 
 @main.command()
@@ -309,35 +282,25 @@ def _resolve_function(name: str, dim: int, **kw):
 @click.argument("point")
 @click.option("--sample", is_flag=True, help="Use the black-box sampling estimator.")
 @click.option("--method", type=click.Choice(["auto", "closed", "jacobian", "sampled"]), default="auto")
-@click.option("--exponent", type=int, default=2, help="Exponent for the power map.")
-@click.option("--op", type=click.Choice(["add", "sub", "mul", "div"]), default="add")
-@click.option("--alpha", type=str, default="1", help="Constant for affine maps.")
-@click.option("--seed", type=int, default=0, envvar="STABILIS_SEED")
+@_function_options
 @_computation("condition_number")
-def cond(function, point, sample, method, exponent, op, alpha, seed):
+def cond(function, point, sample, method, seed, **kw):
     """Condition number of FUNCTION at POINT (e.g. `cond product 1,2,3`)."""
-    pt = parse_point(point)
-    f = _resolve_function(function, pt.dim, exponent=exponent, op=op, alpha=alpha)
-    if pt.dim != f.in_dim:
-        raise click.UsageError(f"{f.id} expects {f.in_dim} coordinates, got {pt.dim}")
+    f, pt = _function_at(function, point, **kw)
     if sample or method == "sampled":
         rep = kappa_sampled(f, pt, seed=seed)
     elif method == "jacobian":
         rep = kappa_jacobian(f, pt)
     else:
         rep = kappa_closed_form(f, pt)
-    lines = [
-        f"function = {f.id}",
-        f"point = {point}",
-        f"method = {rep.method}",
-        f"kappa = {_num(rep.kappa)}",
-        f"kappa_tilde = {_num(rep.kappa_tilde)}",
-    ]
-    if not rep.converged:
-        lines.append("converged = false")
-    if rep.domain_failures:
-        lines.append(f"domain_failures = {rep.domain_failures}")
-    click.echo("\n".join(lines))
+    _report(function=f.id, point=point, method=rep.method, kappa=_num(rep.kappa),
+            kappa_tilde=_num(rep.kappa_tilde), converged=None if rep.converged else "false",
+            domain_failures=rep.domain_failures or None)
+
+
+def _report(**fields):
+    """A query's answer: one ``name = value`` line per field that is not None."""
+    click.echo("\n".join(f"{k} = {v}" for k, v in fields.items() if v is not None))
 
 
 def _num(v) -> str:
@@ -356,37 +319,20 @@ def _num(v) -> str:
 @main.command()
 @click.argument("function")
 @click.option("--x", "point", required=True, help="Probe point.")
-@click.option("--a", "constant", type=str, required=True, help="Amenability constant.")
-@click.option("--n", type=int, default=200, show_default=True)
-@click.option("--seed", type=int, default=0, envvar="STABILIS_SEED")
-@click.option("--exponent", type=int, default=2)
-@click.option("--op", type=click.Choice(["add", "sub", "mul", "div"]), default="add")
-@click.option("--alpha", type=str, default="1")
+@click.option("--a", "constant", required=True, help="Amenability constant.")
+@click.option("--n", type=click.IntRange(min=1), default=200, show_default=True)
+@_function_options
 @_computation("amenability_probe")
-def amen(function, point, constant, n, seed, exponent, op, alpha):
+def amen(function, point, constant, n, seed, **kw):
     """Probe the amenability clauses of FUNCTION at a point."""
-    pt = parse_point(point)
-    f = _resolve_function(function, pt.dim, exponent=exponent, op=op, alpha=alpha)
-    if pt.dim != f.in_dim:
-        raise click.UsageError(f"{f.id} expects {f.in_dim} coordinates, got {pt.dim}")
-    v = amenability_probe(f, None, pt, Fraction(constant), n, seed)
-    lines = [
-        f"function = {f.id}",
-        f"a = {constant}",
-        f"kappa_tilde_at_x = {_num(v.kappa_tilde_at_x)}",
-        f"samples_used = {v.samples_used}",
-        f"A1_ok = {v.A1_ok}",
-        f"A2_ok = {v.A2_ok}",
-    ]
-    if v.passed:
-        lines.append("verdict = PASS")
-    else:
-        lines.append("verdict = FAIL")
-        lines.append("witness = " + ", ".join(_num(c) for c in v.witness.coords))
-        if v.witness_kappa_tilde is not None:
-            lines.append(f"witness_kappa_tilde = {_num(v.witness_kappa_tilde)}")
-    click.echo("\n".join(lines))
-    sys.exit(0)
+    a = _positive("a", constant)
+    f, pt = _function_at(function, point, **kw)
+    v = amenability_probe(f, None, pt, a, n, seed)
+    _report(function=f.id, a=constant, kappa_tilde_at_x=_num(v.kappa_tilde_at_x),
+            samples_used=v.samples_used, A1_ok=v.A1_ok, A2_ok=v.A2_ok,
+            verdict="PASS" if v.passed else "FAIL",
+            witness=None if v.passed else ", ".join(_num(c) for c in v.witness.coords),
+            witness_kappa_tilde=None if v.witness_kappa_tilde is None else _num(v.witness_kappa_tilde))
 
 
 @main.command()
@@ -400,29 +346,16 @@ def excess(g_name, h_name, point, eps):
     if (point is None) == (eps is None):
         raise click.UsageError("give exactly one of --x or --eps")
     if eps is not None:
-        e = Fraction(eps) if "/" in eps else Fraction(float(eps))
-        if not (0 < e < 1):
-            raise click.UsageError("eps must lie in (0, 1)")
-        pt = RelPoint(strassen_input(e))
+        read = lambda s: Fraction(s) if "/" in s else Fraction(float(s))  # noqa: E731
+        pt = RelPoint(strassen_input(_positive("eps", eps, read, below=1)))
     else:
         pt = parse_point(point)
     h = _resolve_function(h_name, pt.dim)
-    if h.in_dim != pt.dim:
-        raise click.UsageError(f"{h.id} expects {h.in_dim} coordinates, got {pt.dim}")
     g = _resolve_function(g_name, h.out_dim)
     rep = excess_factor(g, h, pt)
-    lines = [
-        f"g = {g.id}",
-        f"h = {h.id}",
-        f"kt_g_at_hx = {_num(rep.kt_g_at_hx)}",
-        f"kt_h_at_x = {_num(rep.kt_h_at_x)}",
-        f"kt_f_at_x = {_num(rep.kt_f_at_x)}",
-    ]
-    if rep.excess is None:
-        lines.append("excess = undefined (composite kappa is infinite)")
-    else:
-        lines.append(f"excess = {_num(rep.excess)}")
-    click.echo("\n".join(lines))
+    _report(g=g.id, h=h.id, kt_g_at_hx=_num(rep.kt_g_at_hx), kt_h_at_x=_num(rep.kt_h_at_x),
+            kt_f_at_x=_num(rep.kt_f_at_x),
+            excess="undefined (composite kappa is infinite)" if rep.excess is None else _num(rep.excess))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -39,6 +39,7 @@ from .reals import (
 
 DIST_BITS = 192
 SAMPLE_BITS = 176
+SPHERE_INSET = Fraction(1, 2**64)  # sphere samples sit this relative fraction inside the radius
 
 SignPattern = tuple[int, ...]
 ExtDist = Union[Fraction, float]  # exact-rational midpoint, or math.inf
@@ -218,7 +219,7 @@ def scaled_dists(xs: Sequence[int], ys: Sequence[int], scale: int,
     return rel, _root_ratio(num << k, 1, bits) if k >= 0 else _root_ratio(num, 1 << -k, bits)
 
 
-def geodesic_point(x: RelPoint, y: RelPoint, s, bits: int = SAMPLE_BITS) -> RelPoint:
+def geodesic_point(x: RelPoint, y: RelPoint, s) -> RelPoint:
     """Point at parameter s on the minimizing geodesic from x to y.
 
     Coordinatewise log-linear interpolation ``z_i = x_i (y_i/x_i)**s``;
@@ -240,11 +241,11 @@ def geodesic_point(x: RelPoint, y: RelPoint, s, bits: int = SAMPLE_BITS) -> RelP
         if x.pattern[i] == 0:
             coords.append(Fraction(0))
             continue
-        coords.append(_interp(a, b, sf, bits))
+        coords.append(_interp(a, b, sf))
     return RelPoint(coords)
 
 
-def _interp(a: ExactReal, b: ExactReal, s: Fraction, bits: int) -> ExactReal:
+def _interp(a: ExactReal, b: ExactReal, s: Fraction) -> ExactReal:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         ratio = b / a
         if ratio == 1:
@@ -411,16 +412,14 @@ def rel_ball_sample(
     return out
 
 
-def rel_sphere_sample(
-    x: RelPoint, r, n: int, seed: int, bits: int = SAMPLE_BITS, inset: Fraction = Fraction(1, 2**64)
-) -> list[RelPoint]:
-    """n points at relative distance ~r (shrunk by `inset` to stay inside)."""
+def rel_sphere_sample(x: RelPoint, r, n: int, seed: int, bits: int = SAMPLE_BITS) -> list[RelPoint]:
+    """n points at relative distance ~r (shrunk by SPHERE_INSET to stay inside)."""
     rf = to_real(r)
     if not isinstance(rf, Fraction) or rf <= 0:
         raise ValueError("sphere radius must be a positive rational")
     chi = x.chi()
     if not chi:
         return [x] * n
-    rho = rf * (1 - inset)
+    rho = rf * (1 - SPHERE_INSET)
     at = philox_stream(seed)
     return [rel_step(x, _direction(at([0, 0, 1, i]), len(chi)), rho, chi, bits) for i in range(n)]

@@ -67,6 +67,12 @@ class TestAmenabilityProbe:
         with pytest.raises(ValueError):
             amenability_probe(f, None, RelPoint.of(1, -1), 8, 10, seed=0)
 
+    @pytest.mark.parametrize("a,n", [(8, 0), (8, -5), (0, 10), (-1, 10)])
+    def test_requires_a_sample_and_a_positive_constant(self, a, n):
+        f = catalog_function("sum", k=2)
+        with pytest.raises(ValueError):
+            amenability_probe(f, None, RelPoint.of(1, 2), a, n, seed=0)
+
     def test_constant_sweep(self):
         f = catalog_function("sum", k=3)
         a = smallest_passing_constant(f, RelPoint.of(1, 2, 3), n=100, seed=2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -54,6 +55,71 @@ class TestPointParser:
         with pytest.raises(ExprError):
             parse_point("spam")
 
+    # Exact values, and for certified reals the first 16 hex digits of the
+    # SHA-256 of f"{lo:x} {hi:x} {scale}" of enclosure(256).
+    @pytest.mark.parametrize("text,expected", [
+        ("1+2*3", Fraction(7)),
+        ("(1+2)*3", Fraction(9)),
+        ("2*3^2", Fraction(18)),
+        ("-2^2", Fraction(-4)),
+        ("10-4-3", Fraction(3)),
+        ("2/3/4", Fraction(1, 6)),
+        ("1-2+3", Fraction(2)),
+        ("24/2*3", Fraction(36)),
+        ("--3", Fraction(3)),
+        ("-+-3", Fraction(3)),
+        ("+5", Fraction(5)),
+        ("- -pi", "5c5cab7bd0016163"),
+        ("2^-3", Fraction(1, 8)),
+        ("2^+2", Fraction(4)),
+        ("(2^3)^2", Fraction(64)),
+        ("-2^-2", Fraction(-1, 4)),
+        ("2**10", Fraction(1024)),
+        ("(1/3)^-2", Fraction(9)),
+        (".5", Fraction(1, 2)),
+        ("5.", Fraction(5)),
+        ("1E2", Fraction(100)),
+        ("1e-300000", Fraction(1, 10**300000)),
+        ("2.5e-3", Fraction(1, 400)),
+        (" 3/4 * (1 - 1/4) ", Fraction(9, 16)),
+        ("pi/2+1000000*pi", "ac2ef7dc8f58aafa"),
+        ("pi*2^3000+1", "f5176aefd647cd79"),
+        ("1/pi", "cf1616a1e24447d4"),
+        ("pi/pi", "880961509210df16"),
+        ("pi/2", "597c9b9a68e9f3d2"),
+        ("pi/3", "728a0e57d1ae1c01"),
+        ("-pi^2", "fc705296c461b58a"),
+        ("2/(pi-3)", "9ab1c6a9fe864fdd"),
+        ("(pi+1)*(pi-1)", "26ea7061799ed45b"),
+        ("3*pi-pi/4", "318b4aee6e7fe34f"),
+    ])
+    def test_values(self, text, expected):
+        (v,) = parse_point(text).coords
+        if isinstance(expected, Fraction):
+            assert type(v) is Fraction and v == expected
+        else:
+            iv = v.enclosure(256)
+            digest = hashlib.sha256(f"{iv.lo:x} {iv.hi:x} {iv.scale}".encode()).hexdigest()
+            assert digest[:16] == expected
+
+    @pytest.mark.parametrize("text", [
+        "2^3^2", "2^1.5", "2^pi", "2^0x2", "1_0", "0x10", "1/0", "pi(1)",
+        "2 3", "Pi", "2^-", "2^", "2^--3", "1j", "1%2", "007", "pi/0", "0^-1", "2^- 3",
+    ])
+    def test_rejected(self, text):
+        with pytest.raises(ExprError):
+            parse_point(text)
+
+    def test_deep_nesting_is_rejected(self):
+        with pytest.raises(ExprError):
+            parse_point("(" * 300 + "1" + ")" * 300)
+
+    def test_parenthesised_exponent(self):
+        assert parse_point("2^(10), 2^(-3)").coords == (1024, Fraction(1, 8))
+
+    def test_long_sum(self):
+        assert parse_point("+".join(["1/7"] * 500)).coords[0] == Fraction(500, 7)
+
 
 class TestCond:
     def test_product(self, runner):
@@ -77,6 +143,20 @@ class TestCond:
     def test_unknown_function_is_usage_error(self, runner):
         r = runner.invoke(main, ["cond", "frobnicate", "1"])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("point", [
+        pytest.param("(" * 300 + "1" + ")" * 300, id="300-parentheses"), "2^-", "2^", "1_0", "2^-,1", "pi/0",
+    ])
+    def test_malformed_point_is_usage_error(self, runner, point):
+        r = runner.invoke(main, ["cond", "sum", point])
+        assert r.exit_code == 2
+        assert "Usage:" in r.output and "Traceback" not in r.output
+
+    @pytest.mark.parametrize("args", [["--alpha", "abc"], ["--alpha", "1/0"], ["--op", "div", "--alpha", "0"]])
+    def test_malformed_constant_is_usage_error(self, runner, args):
+        r = runner.invoke(main, ["cond", "affine", "2"] + args)
+        assert r.exit_code == 2
+        assert "computation error" not in r.output
 
     def test_domain_error_exits_3(self, runner):
         r = runner.invoke(main, ["cond", "sqrt", "(-1)"])
@@ -182,6 +262,19 @@ class TestAmen:
         assert "verdict = FAIL" in r.output
         assert "witness" in r.output
 
+    @pytest.mark.parametrize("args", [
+        ["--a", "8", "--n", "0"],
+        ["--a", "8", "--n", "-5"],
+        ["--a", "0"],
+        ["--a", "-1"],
+        ["--a", "abc"],
+        ["--a", "1/0"],
+    ])
+    def test_bad_options_are_usage_errors(self, runner, args):
+        r = runner.invoke(main, ["amen", "sum", "--x", "1,2"] + args)
+        assert r.exit_code == 2
+        assert "computation error" not in r.output and "verdict" not in r.output
+
 
 class TestExcess:
     def test_strassen_at_milli(self, runner):
@@ -197,6 +290,17 @@ class TestExcess:
             main, ["excess", "sum", "hadamard", "--x", "1,1,1,1", "--eps", "1e-2"]
         )
         assert r2.exit_code == 2
+
+    @pytest.mark.parametrize("eps", ["abc", "inf", "nan", "1/0", "0", "1"])
+    def test_bad_eps_is_usage_error(self, runner, eps):
+        r = runner.invoke(main, ["excess", "strassen-g", "strassen-h", "--eps", eps])
+        assert r.exit_code == 2
+        assert "computation error" not in r.output
+
+    def test_g_that_does_not_fit_h_is_usage_error(self, runner):
+        r = runner.invoke(main, ["excess", "matmul_2x2", "sum", "--x", "1,2"])
+        assert r.exit_code == 2
+        assert "matmul_2x2 expects 8 coordinates, got 1" in r.output
 
     @pytest.mark.parametrize("name,option,x", [("power", "exponent", "2"), ("affine", "op", "3")])
     def test_missing_constructor_option_is_usage_error(self, runner, name, option, x):
