@@ -5,9 +5,11 @@ cross-checks against each other:
 
 * ``exact``     - reference semantics over exact reals (rational maps stay
                   rational; roots and sines become certified enclosures);
-* ``jacobian``  - hand-coded derivative matrix (these are polynomial or
-                  rational maps, so entries are exact), or the chain rule
-                  for a :class:`Composite`;
+* ``jacobian``  - the derivative matrix, derived from ``exact`` by
+                  forward-mode differentiation on exact dual numbers
+                  (:class:`_Dual`), so a rational map's entries are exact;
+                  the chain rule for a :class:`Composite`, and written out
+                  for the two irrational maps, ``Sqrt`` and ``Sin``;
 * ``kappa_closed`` - the closed-form condition number in the relative
                   metric, where one exists (None falls back to the
                   spectral-norm path).
@@ -27,6 +29,7 @@ or as a :class:`Composite`.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Sequence
@@ -138,6 +141,74 @@ def sqrt_real(x: ExactReal) -> ExactReal:
     return CertifiedReal(lambda b: sqrt_iv(x.enclosure(b + 8), b))
 
 
+def _mul(a: ExactReal, b: ExactReal) -> ExactReal:
+    """a * b, exact for an exact factor 0 or 1: a certified real is not rewrapped."""
+    if a == 0 or b == 0:
+        return Fraction(0)
+    return b if a == 1 else a if b == 1 else a * b
+
+
+def _dot(us: Sequence[ExactReal], vs: Sequence[ExactReal]) -> ExactReal:
+    """Sum of u * v over the pairs with no exact-0 factor, so no certified real meets an exact 0."""
+    terms = [u * v for u, v in zip(us, vs) if u != 0 and v != 0]
+    return reduce(operator.add, terms) if terms else Fraction(0)
+
+
+def _plus(d: dict, e: dict) -> dict:
+    """The sum of two partial maps, without the partials that cancel exactly."""
+    out = dict(d)
+    for j, p in e.items():
+        s = out.pop(j) + p if j in out else p
+        if s != 0:
+            out[j] = s
+    return out
+
+
+class _Dual:
+    """An exact real v with its partials d (input index -> derivative) for
+    forward-mode differentiation (Griewank & Walther, *Evaluating
+    Derivatives*, 2nd ed., SIAM 2008).
+
+    A zero partial is never stored and a missing one is 0; :func:`_mul`
+    keeps certified reals from exact factors 0.  A certified real compares
+    equal to no number, so ``v == 0`` and ``v == 1`` hold only for exact ones.
+    """
+
+    __slots__ = ("v", "d")
+
+    def __init__(self, v: ExactReal, d: dict):
+        self.v, self.d = v, d
+
+    @staticmethod
+    def of(o) -> "_Dual":
+        return o if isinstance(o, _Dual) else _Dual(to_real(o), {})
+
+    def _times(self, c: ExactReal) -> dict:
+        return {} if c == 0 else {j: _mul(c, p) for j, p in self.d.items()}
+
+    def __add__(self, o) -> "_Dual":
+        o = _Dual.of(o)
+        v = o.v if self.v == 0 else self.v if o.v == 0 else self.v + o.v  # an exact 0 is left out
+        return _Dual(v, _plus(self.d, o.d))
+
+    __radd__ = __add__
+
+    def __sub__(self, o) -> "_Dual":
+        return self + _Dual.of(o) * Fraction(-1)
+
+    def __rsub__(self, o) -> "_Dual":
+        return _Dual.of(o) - self
+
+    def __mul__(self, o) -> "_Dual":
+        o = _Dual.of(o)
+        return _Dual(_mul(self.v, o.v), _plus(self._times(o.v), o._times(self.v)))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, j: int) -> "_Dual":
+        return _Dual(self.v ** j, self._times(j * self.v ** (j - 1)) if j else {})
+
+
 # ---------------------------------------------------------------------------
 # Catalog functions
 # ---------------------------------------------------------------------------
@@ -154,7 +225,11 @@ class CatalogFunction:
         raise NotImplementedError
 
     def jacobian(self, xs: Coords) -> list[list[ExactReal]] | None:
-        return None
+        """The derivative matrix: ``exact`` evaluated on dual numbers seeded
+        with unit partials, a missing partial being an exact 0."""
+        one, zero = Fraction(1), Fraction(0)
+        ys = self.exact(tuple(_Dual(x, {i: one}) for i, x in enumerate(xs)))
+        return [[d.get(j, zero) for j in range(self.in_dim)] for d in (_Dual.of(y).d for y in ys)]
 
     def kappa_closed(self, xs: Coords):
         """Closed-form condition number, or None if only the spectral path applies."""
@@ -203,17 +278,7 @@ class Composite(CatalogFunction):
         jh = None if jg is None else self.h.jacobian(xs)
         if jh is None:
             return None
-        rows = []
-        for rg in jg:
-            row = []
-            for j in range(self.in_dim):
-                acc = None  # never adds an exact 0 to a certified real
-                for t, rh in zip(rg, jh):
-                    term = t * rh[j]
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            rows.append(row)
-        return rows
+        return [[_dot(rg, col) for col in zip(*jh)] for rg in jg]
 
 
 class Product(CatalogFunction):
@@ -228,22 +293,8 @@ class Product(CatalogFunction):
             out = out * v
         return (out,)
 
-    def jacobian(self, xs):
-        xs = _frac_only(xs, "product jacobian")
-        rows = []
-        row = []
-        for i in range(self.k):
-            p = Fraction(1)
-            for j, v in enumerate(xs):
-                if j != i:
-                    p *= v
-            row.append(p)
-        rows.append(row)
-        return rows
-
     def kappa_closed(self, xs):
-        signs = [real_sign(v) for v in xs]
-        if any(s == 0 for s in signs):
+        if any(real_sign(v) == 0 for v in xs):
             return Fraction(0)  # locally constant zero
         return _sqrt_mid(Fraction(self.k))
 
@@ -256,9 +307,6 @@ class Summation(CatalogFunction):
 
     def exact(self, xs):
         return (_sum(xs),)
-
-    def jacobian(self, xs):
-        return [[Fraction(1)] * self.k]
 
     def kappa_closed(self, xs):
         return _sum_kappa(_frac_only(xs, "summation kappa"))
@@ -275,17 +323,6 @@ class Hadamard(CatalogFunction):
     def exact(self, xs):
         k = self.k
         return tuple(xs[i] * xs[k + i] for i in range(k))
-
-    def jacobian(self, xs):
-        xs = _frac_only(xs, "hadamard jacobian")
-        k = self.k
-        rows = []
-        for i in range(k):
-            row = [Fraction(0)] * (2 * k)
-            row[i] = xs[k + i]
-            row[k + i] = xs[i]
-            rows.append(row)
-        return rows
 
     def kappa_closed(self, xs):
         k = self.k
@@ -307,18 +344,6 @@ class TensorProduct(CatalogFunction):
     def exact(self, xs):
         k, l = self.k, self.l
         return tuple(xs[i] * xs[k + j] for i in range(k) for j in range(l))
-
-    def jacobian(self, xs):
-        xs = _frac_only(xs, "tensor jacobian")
-        k, l = self.k, self.l
-        rows = []
-        for i in range(k):
-            for j in range(l):
-                row = [Fraction(0)] * (k + l)
-                row[i] = xs[k + j]
-                row[k + j] = xs[i]
-                rows.append(row)
-        return rows
 
     def kappa_closed(self, xs):
         k, l = self.k, self.l
@@ -342,9 +367,6 @@ class LinearMap(CatalogFunction):
 
     def exact(self, xs):
         return tuple(_sum([c * v for c, v in zip(r, xs) if c]) for r in self.rows)
-
-    def jacobian(self, xs):
-        return [list(r) for r in self.rows]
 
     def kappa_closed(self, xs):
         if self.out_dim != 1:
@@ -376,11 +398,6 @@ class Copy(CatalogFunction):
 
     def exact(self, xs):
         return tuple(xs) + tuple(xs)
-
-    def jacobian(self, xs):
-        k = self.k
-        eye = [[Fraction(1) if i == j else Fraction(0) for j in range(k)] for i in range(k)]
-        return eye + eye
 
     def kappa_closed(self, xs):
         if all(real_sign(v) == 0 for v in xs):
@@ -415,10 +432,7 @@ class Sqrt(CatalogFunction):
         return (sqrt_real(xs[0]),)
 
     def jacobian(self, xs):
-        x = xs[0]
-        if real_sign(x) <= 0:
-            return None
-        return [[Fraction(1, 2) / sqrt_real(x)]]
+        return None if real_sign(xs[0]) <= 0 else [[Fraction(1, 2) / sqrt_real(xs[0])]]
 
     def kappa_closed(self, xs):
         if real_sign(xs[0]) == 0:
@@ -449,23 +463,21 @@ class Power(CatalogFunction):
     def exact(self, xs):
         return (xs[0] ** self.j,)
 
-    def jacobian(self, xs):
-        x = xs[0]
-        if self.j == 0:
-            return [[Fraction(0)]]
-        return [[self.j * x ** (self.j - 1)]]
-
     def kappa_closed(self, xs):
         if real_sign(xs[0]) == 0:
             return Fraction(0)
         return Fraction(abs(self.j)) if self.j != 0 else Fraction(0)
 
 
+# x op alpha; a certified x is divided by the exact reciprocal of alpha
+_AFFINE = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": lambda x, a: x * (1 / a)}
+
+
 class Affine(CatalogFunction):
     """x -> x op alpha for op in {add, sub, mul, div} and a rational alpha."""
 
     def __init__(self, op: str, alpha):
-        if op not in ("add", "sub", "mul", "div"):
+        if op not in _AFFINE:
             raise ValueError(f"unknown scalar op {op!r}")
         self.alpha = Fraction(alpha)
         if op == "div" and self.alpha == 0:
@@ -475,22 +487,7 @@ class Affine(CatalogFunction):
         self.in_dim = self.out_dim = 1
 
     def exact(self, xs):
-        x = xs[0]
-        a = self.alpha
-        if self.op == "add":
-            return (x + a,)
-        if self.op == "sub":
-            return (x - a,)
-        if self.op == "mul":
-            return (x * a,)
-        return (x / a if isinstance(x, Fraction) else x * (1 / a),)
-
-    def jacobian(self, xs):
-        if self.op in ("add", "sub"):
-            return [[Fraction(1)]]
-        if self.op == "mul":
-            return [[self.alpha]]
-        return [[1 / self.alpha]]
+        return (_AFFINE[self.op](xs[0], self.alpha),)
 
     def kappa_closed(self, xs):
         x = xs[0]
@@ -514,12 +511,7 @@ class Sin(CatalogFunction):
         return (high_precision_sin(xs[0]),)
 
     def jacobian(self, xs):
-        x = xs[0]
-
-        def fn(bits: int) -> Interval:
-            return cos_iv(relative_interval(x, bits), bits)
-
-        return [[CertifiedReal(fn)]]
+        return [[CertifiedReal(lambda b: cos_iv(relative_interval(xs[0], b), b))]]
 
     def kappa_closed(self, xs):
         x = xs[0]
@@ -588,20 +580,6 @@ class StrassenH(CatalogFunction):
     def exact(self, xs):
         return tuple(_lin(xs, at) * _lin(xs, bt) for at, bt in _H_TERMS)
 
-    def jacobian(self, xs):
-        xs = _frac_only(xs, "strassen_h jacobian")
-        rows = []
-        for at, bt in _H_TERMS:
-            u = _lin(xs, at)
-            v = _lin(xs, bt)
-            row = [Fraction(0)] * 8
-            for c, i in at:
-                row[i] += c * v
-            for c, i in bt:
-                row[i] += c * u
-            rows.append(row)
-        return rows
-
 
 class StrassenG(CatalogFunction):
     """The four +-1 recombinations of Strassen's scheme (output row-major C)."""
@@ -612,15 +590,6 @@ class StrassenG(CatalogFunction):
 
     def exact(self, xs):
         return tuple(_lin(xs, t) for t in _G_TERMS)
-
-    def jacobian(self, xs):
-        rows = []
-        for t in _G_TERMS:
-            row = [Fraction(0)] * 7
-            for c, i in t:
-                row[i] += Fraction(c)
-            rows.append(row)
-        return rows
 
 
 class MatmulEntry(CatalogFunction):
@@ -641,16 +610,6 @@ class MatmulEntry(CatalogFunction):
         (p, q), (r, s) = self._pairs()
         return (xs[p] * xs[q] + xs[r] * xs[s],)
 
-    def jacobian(self, xs):
-        xs = _frac_only(xs, "matmul entry jacobian")
-        row = [Fraction(0)] * 8
-        (p, q), (r, s) = self._pairs()
-        row[p] += xs[q]
-        row[q] += xs[p]
-        row[r] += xs[s]
-        row[s] += xs[r]
-        return [row]
-
     def kappa_closed(self, xs):
         # inner-product special case: both factors of each product perturb
         xs = _frac_only(xs, "matmul entry kappa")
@@ -668,9 +627,6 @@ class Matmul2x2(CatalogFunction):
 
     def exact(self, xs):
         return tuple(e.exact(xs)[0] for e in self._entries)
-
-    def jacobian(self, xs):
-        return [e.jacobian(xs)[0] for e in self._entries]
 
 
 def compose(g: CatalogFunction, h: CatalogFunction) -> CatalogFunction:
@@ -867,14 +823,9 @@ def _run_power(f: Power, xs, p):
 
 
 def _run_affine(f: Affine, xs, p):
-    a, x = fl(f.alpha, p), xs[0]
-    if f.op == "add":
-        return (fp_add(x, a, p),)
-    if f.op == "sub":
-        return (fp_sub(x, a, p),)
-    if f.op == "mul":
-        return (fp_mul(x, a, p),)
-    return (fp_div(x, a, p),)
+    # built per call, so the table holds the soft-float operations the globals hold now
+    op = {"add": fp_add, "sub": fp_sub, "mul": fp_mul, "div": fp_div}[f.op]
+    return (op(xs[0], fl(f.alpha, p), p),)
 
 
 # ---------------------------------------------------------------------------

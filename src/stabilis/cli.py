@@ -39,6 +39,9 @@ class ExprError(ValueError):
     pass
 
 
+MAX_BITS = 1 << 20  # of the numerator and denominator of each rational a point expression builds
+POINT_BITS = 4 * MAX_BITS  # of all the rationals one point builds, each counted once
+
 _NUMBER = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 _EXPONENT = re.compile(r"[+-]?[0-9]+")
 
@@ -48,34 +51,63 @@ def _divide(v: ExactReal, d: ExactReal) -> ExactReal:
     return v * (1 / d) if isinstance(v, CertifiedReal) and isinstance(d, Fraction) else v / d
 
 
+def _bits(v: Fraction) -> int:
+    return max(v.numerator.bit_length(), v.denominator.bit_length())
+
+
+class _Budget:
+    """The bits that the rationals of one point may still take in all.  An
+    operation costs gcds of its operands' size, and each rational is the
+    operand of one operation at most: this bounds the work of a whole point."""
+
+    left = POINT_BITS
+
+    def check(self, bits: int) -> None:
+        if bits > MAX_BITS:
+            raise ExprError(f"a rational in the point needs more than {MAX_BITS} bits")
+        if bits > self.left:
+            raise ExprError(f"the rationals in the point need more than {POINT_BITS} bits in all")
+
+    def charge(self, v: ExactReal) -> ExactReal:
+        if isinstance(v, Fraction):
+            self.check(_bits(v))
+            self.left -= _bits(v)
+        return v
+
+
 _UNARY = {ast.UAdd: lambda v: v, ast.USub: operator.neg}
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: _divide}
 
 
-def _value(node: ast.expr, src: str) -> ExactReal:
+def _value(node: ast.expr, src: str, budget: _Budget) -> ExactReal:
     """Evaluate a node of ``ast.parse(src)``: number literals, pi, unary + and -,
     + - * /, and powers by an integer written in decimal digits."""
     text = ast.get_source_segment(src, node)
-    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(text):
-        return Fraction(text)  # the literal's own digits, so 1e-300000 stays exact
+    if isinstance(node, ast.Constant) and (m := _NUMBER.fullmatch(text)):
+        # the literal's own digits, so 1e-300000 stays exact; 10**e has over 3|e| bits
+        budget.check(3 * abs(int(m[2][1:])) if m[2] else 0)
+        return budget.charge(Fraction(text))
     if isinstance(node, ast.Name) and node.id == "pi":
         return pi_real()
     if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
-        return _UNARY[type(node.op)](_value(node.operand, src))
+        return _UNARY[type(node.op)](_value(node.operand, src, budget))
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
         e = ast.get_source_segment(src, node.right)
         if _EXPONENT.fullmatch(e):
-            return _value(node.left, src) ** int(e)
+            v, e = _value(node.left, src, budget), int(e)
+            # a rational v with b-bit parts has a power of over |e| * (b - 1) bits
+            budget.check(abs(e) * (_bits(v) - 1) if isinstance(v, Fraction) else 0)
+            return budget.charge(v ** e)
     elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        return _BINARY[type(node.op)](_value(node.left, src), _value(node.right, src))
+        return budget.charge(_BINARY[type(node.op)](_value(node.left, src, budget), _value(node.right, src, budget)))
     raise ExprError(f"not a point expression: {text!r}")
 
 
-def _coordinate(text: str) -> ExactReal:
+def _coordinate(text: str, budget: _Budget) -> ExactReal:
     """One coordinate, read by Python's expression grammar with ``^`` as ``**``."""
     src = text.strip().replace("^", "**")
     try:
-        return _value(ast.parse(src, mode="eval").body, src)
+        return _value(ast.parse(src, mode="eval").body, src, budget)
     except SyntaxError as e:
         raise ExprError(f"cannot parse {text.strip()!r}: {e.msg}") from e
     except ZeroDivisionError as e:  # only rationals are computed here; enclosures are lazy
@@ -89,7 +121,8 @@ def parse_point(text: str) -> RelPoint:
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
         raise ExprError("empty point")
-    return RelPoint([_coordinate(p) for p in parts])
+    budget = _Budget()
+    return RelPoint([_coordinate(p, budget) for p in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +191,8 @@ def _computation(op_name: str):
                 return fn(*a, **kw)
             except ExprError as e:
                 raise click.UsageError(str(e))
-            except (ArithmeticError, ValueError, TypeError) as e:
+            except (ArithmeticError, ValueError, TypeError, RecursionError, MemoryError) as e:
+                # a deep certified expression overflows the stack while it is evaluated
                 click.echo(f"computation error in {op_name}: {e}", err=True)
                 sys.exit(3)
 

@@ -29,8 +29,8 @@ import numpy as np
 
 from .catalog import CatalogFunction, DomainError, _sqrt_mid
 from .fpcore import fl, to_exact
-from .reals import ExactReal, as_interval
-from .relmetric import SAMPLE_BITS, RelPoint, rel_dist, rel_factors, rel_sphere_sample, rel_step
+from .reals import ExactReal
+from .relmetric import RelPoint, rel_dist, rel_factors, rel_sphere_sample, rel_step, sample_bits
 
 ExtReal = Fraction | float  # exact rational, or math.inf
 
@@ -249,9 +249,10 @@ def kappa_sampled(
     radii (ValueError otherwise); the estimate is accepted when the
     last two levels agree within 1%, otherwise the max is reported with
     ``converged=False``.  Sign-pattern breaks and blow-ups surface as an
-    infinite estimate.  Probes resolve 64 bits below the largest coordinate's
-    magnitude: with a coarser step factor every probe of x = pi*2^k + 1
-    would land on a multiple of pi plus 1, hiding the condition number.
+    infinite estimate.  Probes step at the width :func:`sample_bits` gives
+    each radius, 64 bits below the largest coordinate's magnitude and the
+    radius: with a coarser step factor every probe of x = pi*2^k + 1 would
+    land on a multiple of pi plus 1, hiding the condition number.
 
     Only a probe whose ratio exceeds the running sup changes the report.
     Once the sup is positive, a probe with :func:`dist_bounds` for both
@@ -267,11 +268,11 @@ def kappa_sampled(
         raise ValueError("the radii must be positive and strictly decreasing")
     fx = RelPoint(f.exact(x.coords))
     chi = x.chi()
-    bits = max([SAMPLE_BITS] + [as_interval(x.coords[i], 0).mag_bits() + 64 for i in chi])
     m = len(chi)
     failures = 0
     estimates: list[ExtReal] = []
     for level, r in enumerate(radii):
+        bits = sample_bits(x, r)
         best: ExtReal = Fraction(0)
         probe_logs: list[list[float]] = []
 
@@ -312,7 +313,7 @@ def kappa_sampled(
                 probe_logs.append(col)
             measure(x.scaled((i,), down))
         n_random = max(8, n_dirs - 2 * m - 1)
-        for y in rel_sphere_sample(x, r, n_random, seed + 7919 * level, bits):
+        for y in rel_sphere_sample(x, r, n_random, seed + 7919 * level):
             measure(y)
         # refined direction from the probe matrix
         if len(probe_logs) == m and m > 1:

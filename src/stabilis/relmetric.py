@@ -170,8 +170,9 @@ def rel_dist(x: RelPoint, y: RelPoint, bits: int = DIST_BITS) -> ExtDist:
     return Fraction(0) if iv is None else iv.midpoint()
 
 
-def abs_dist(x: RelPoint, y: RelPoint, bits: int = DIST_BITS) -> Fraction:
+def abs_dist(x: RelPoint, y: RelPoint) -> Fraction:
     """Euclidean (Frobenius) distance, for absolute-error comparisons."""
+    bits = DIST_BITS
     if x.dim != y.dim:
         raise DimensionMismatch(f"dimension mismatch: {x.dim} != {y.dim}")
     # squared differences of rational coordinates, summed exactly in
@@ -196,8 +197,7 @@ def abs_dist(x: RelPoint, y: RelPoint, bits: int = DIST_BITS) -> Fraction:
     return _root_sum(sqs, bits).midpoint()
 
 
-def scaled_dists(xs: Sequence[int], ys: Sequence[int], scale: int,
-                 bits: int = DIST_BITS) -> tuple[Interval | float | None, Interval | None]:
+def scaled_dists(xs: Sequence[int], ys: Sequence[int], scale: int) -> tuple[Interval | float | None, Interval | None]:
     """The enclosures of :func:`rel_dist` and :func:`abs_dist`, whose midpoints
     those return, for the points xs * 2**scale and ys * 2**scale.
 
@@ -208,6 +208,7 @@ def scaled_dists(xs: Sequence[int], ys: Sequence[int], scale: int,
     """
     if len(xs) != len(ys):
         raise DimensionMismatch(f"dimension mismatch: {len(xs)} != {len(ys)}")
+    bits = DIST_BITS
     if any((a > 0) - (a < 0) != (b > 0) - (b < 0) for a, b in zip(xs, ys)):
         rel: Interval | float | None = math.inf
     else:
@@ -383,15 +384,24 @@ def rel_factors(v: Sequence, rho, bits: int = SAMPLE_BITS) -> list[tuple[int, in
     return step_factors(v, rho, bits + 16)
 
 
-def rel_ball_sample(
-    x: RelPoint, r, n: int, seed: int, bits: int = SAMPLE_BITS
-) -> list[RelPoint]:
+def sample_bits(x: RelPoint, r: Fraction) -> int:
+    """The width at which to step x by relative distances up to r > 0: at least
+    SAMPLE_BITS, and 64 bits below both the largest coordinate's magnitude and
+    r.  A step factor's error is then far below r, and a step resolves the low
+    bits of a huge coordinate (at 176 bits every step of x = pi*2^k + 1 would
+    land on a multiple of pi plus 1)."""
+    inv_r = -(-r.denominator // r.numerator)  # ceil(1/r): 2^k >= 1/r exactly when 2^k >= inv_r
+    return max([SAMPLE_BITS, 64 + (inv_r - 1).bit_length()]
+               + [as_interval(x.coords[i], 0).mag_bits() + 64 for i in x.chi()])
+
+
+def rel_ball_sample(x: RelPoint, r, n: int, seed: int) -> list[RelPoint]:
     """n points of the closed relative-metric ball of radius r around x.
 
     Construction: a standard-normal direction on the nonzero support, a
-    radius uniform in [0, r), and coordinatewise exponential scaling.
-    Deterministic for a given seed; the ball around an all-zero point is
-    the point itself.
+    radius uniform in [0, r), and coordinatewise exponential scaling at
+    :func:`sample_bits` of the radius r.  Deterministic for a given seed;
+    the ball around an all-zero point is the point itself.
     """
     rf = to_real(r)
     if not isinstance(rf, Fraction) or rf < 0:
@@ -399,6 +409,7 @@ def rel_ball_sample(
     chi = x.chi()
     if not chi or rf == 0:
         return [x] * n
+    bits = sample_bits(x, rf)
     at = philox_stream(seed)
     out = []
     for i in range(n):
@@ -412,14 +423,15 @@ def rel_ball_sample(
     return out
 
 
-def rel_sphere_sample(x: RelPoint, r, n: int, seed: int, bits: int = SAMPLE_BITS) -> list[RelPoint]:
-    """n points at relative distance ~r (shrunk by SPHERE_INSET to stay inside)."""
+def rel_sphere_sample(x: RelPoint, r, n: int, seed: int) -> list[RelPoint]:
+    """n points at relative distance ~r (shrunk by SPHERE_INSET to stay
+    inside), stepped at :func:`sample_bits`."""
     rf = to_real(r)
     if not isinstance(rf, Fraction) or rf <= 0:
         raise ValueError("sphere radius must be a positive rational")
     chi = x.chi()
     if not chi:
         return [x] * n
-    rho = rf * (1 - SPHERE_INSET)
+    rho, bits = rf * (1 - SPHERE_INSET), sample_bits(x, rf)
     at = philox_stream(seed)
     return [rel_step(x, _direction(at([0, 0, 1, i]), len(chi)), rho, chi, bits) for i in range(n)]

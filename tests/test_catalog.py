@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -29,7 +30,7 @@ from stabilis.catalog import (
 from stabilis.cli import _resolve_function
 from stabilis.condition import kappa_jacobian
 from stabilis.fpcore import Precision, fl, fp_add, fp_mul, fp_sub, to_exact
-from stabilis.reals import pi_real, real_sign
+from stabilis.reals import CertifiedReal, pi_real, real_sign
 from stabilis.relmetric import RelPoint, rel_dist
 
 mp.mp.prec = 700
@@ -391,6 +392,100 @@ class TestRegistryViews:
                 got = RelPoint(alg.evaluate([fl(c, 192) for c in ys], 192))
                 ref = RelPoint(alg.exact_reference(ys))
                 assert rel_dist(ref, got, bits=256) < Fraction(1, 2**150), aid
+
+
+def _pinned(v):
+    """A Jacobian with each certified entry replaced by its 128-bit enclosure."""
+    if isinstance(v, list):
+        return [_pinned(w) for w in v]
+    if isinstance(v, CertifiedReal):
+        iv = v.enclosure(128)
+        return (iv.lo, iv.hi, iv.scale)
+    return v
+
+
+class TestDerivedJacobians:
+    """The Jacobians derived from ``exact`` by exact dual numbers.
+
+    JACOBIANS holds the SHA-256 of the Jacobians of each TestRegistryViews
+    class at three rational points seeded by its name and one point with
+    zero coordinates.  They were taken at the commit before the hand-coded
+    Jacobians were deleted, before any source file of that change was
+    edited: every matrix is the same Fraction matrix as before.
+    """
+
+    JACOBIANS = {
+        "affine": "5b7059b833ed9d7fb32a291db02331fbb13ed01ee27b4f2697b04ad63f477999",
+        "copy": "915da5e5acfdab8ae91bb67d4f6d10a9904fd6b6be183498feefb1b58abbc341",
+        "hadamard": "8da2be79fb017fa38ddd3de5cd5a296b1d996372b1e2ef3b00f8a39dcc93ad0a",
+        "inner_product": "9f3ab9cb028b5b431201fe563d94c289fb984efb3d1966803e0690fada8dda40",
+        "linear_map": "9c7b7f7fb998fb4f88593369314badb0933c4a9aef568741800e4609289bdce9",
+        "matmul_2x2": "b1dda6a41f4bff1563c497e181f34751eb2c498b8c81065cad0db75ba7322d1a",
+        "matmul_entry": "395b987bcd94fa10c9008aa68c95a97ce3b02863fa3d2ec3eaf5a6063da9db64",
+        "norm2": "9af30a48b159fcd870ba22a26f649f783d6c24e13dd3aa06d199681970c13986",
+        "power": "8c6134c1ce4c2cae22bdbc48f7714fda68c72d687b31910acf110998b883fe51",
+        "product": "9e79322eac5234478994f235259291db04eb57d3343d65bb5ee883a0edc6fc6e",
+        "sin": "457bef27b3b4017f44aa51597597acf4c91935bb19f40adbe8a1e1cd975b84a7",
+        "sqrt": "a515ed991b75c66d4c8735d81fb2c84a66fa951beedad297942ed90847648541",
+        "squared_norm": "40e15dcf4f2ec2fb8f3ca8be18937a9a110a21e30a77e68a53a6e5c58cea28a7",
+        "strassen_g": "f346a15990ae3fdf5e8f11132a3fb936e68d37325e72b4b9518bbb9163a76e34",
+        "strassen_h": "997d2d9fe41c00ed0438e7185ef1d84912b25fc4c83d2cadf731626857a83518",
+        "sum": "12a7eb286197079b85b126c7c1a64e1cc11c7e10d4fad9bb7d253070921e6613",
+        "tensor_product": "2892c142f9571e85b65633e17f8b2d12bf53dea656553c4938f4bb54ba6ab9f5",
+    }
+
+    def test_every_case_is_pinned(self):
+        assert set(self.JACOBIANS) == set(TestRegistryViews.CASES)
+
+    @pytest.mark.parametrize("name", sorted(JACOBIANS))
+    def test_jacobians_unchanged(self, name):
+        f = catalog_function(name, **TestRegistryViews.CASES[name])
+        seeded = random.Random(name)
+        pts = []
+        for _ in range(3):
+            xs = tuple(Fraction(seeded.choice([-1, 1]) * seeded.randint(1, 1000), seeded.randint(1, 1000))
+                       for _ in range(f.in_dim))
+            pts.append(xs if f.in_domain(xs) else tuple(map(abs, xs)))
+        pts.append(tuple(Fraction(i % 2 * (i + 1), 3) for i in range(f.in_dim)))
+        out = []
+        for xs in pts:
+            try:
+                out.append(repr(_pinned(f.jacobian(xs))))
+            except ZeroDivisionError:  # power[-3] at 0
+                out.append("ZeroDivisionError")
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == self.JACOBIANS[name]
+
+    def test_certified_product_matches_the_closed_form(self):
+        # the derivative route at a certified coordinate: kappa = sqrt(2)
+        kj = kappa_jacobian(catalog_function("product", k=2), RelPoint.of(pi_real(), Fraction(1, 3))).kappa
+        assert abs(kj - _sqrt_mid(Fraction(2))) <= Fraction(1, 2**90)
+
+    def test_certified_squared_norm_sums_no_exact_zeros(self):
+        # copy's Jacobian is exact 0s and 1s: column 1 is pi*0 + 1*1 + pi*0 + 1*1,
+        # summed without its zero terms, so it is the exact 2
+        f = catalog_function("squared_norm", k=2)
+        jac = f.jacobian((pi_real(), Fraction(1)))
+        assert isinstance(jac[0][1], Fraction) and jac[0][1] == 2
+        kj = kappa_jacobian(f, RelPoint.of(pi_real(), Fraction(1))).kappa
+        ref = 2 * mp.sqrt(mp.pi ** 4 + 1) / (mp.pi ** 2 + 1)
+        assert abs(mp.mpf(kj.numerator) / kj.denominator - ref) <= mp.mpf(2) ** -90
+
+    def test_certified_strassen_h_matches_central_differences(self):
+        f = catalog_function("strassen_h")
+        F = Fraction
+        xs = (pi_real(), F(2), F(-3, 7), F(5), F(1, 3), pi_real() / 4, F(-2), F(7, 9))
+        jac = f.jacobian(xs)
+        h = F(1, 2**64)
+        for j in range(8):
+            up, dn = list(xs), list(xs)
+            up[j] += h
+            dn[j] -= h
+            fu, fd = f.exact(tuple(up)), f.exact(tuple(dn))
+            for i in range(7):
+                d = _q(jac[i][j])
+                # the maps are bilinear, so the difference is exact but for
+                # the 400-bit midpoints
+                assert abs((_q(fu[i]) - _q(fd[i])) / (2 * h) - d) <= (1 + abs(d)) / 2**200, (i, j)
 
 
 # every FUNCTIONS name, aliases included, built as TestRegistryViews builds its

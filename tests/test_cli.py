@@ -120,6 +120,24 @@ class TestPointParser:
     def test_long_sum(self):
         assert parse_point("+".join(["1/7"] * 500)).coords[0] == Fraction(500, 7)
 
+    def test_rational_size_cap(self):
+        assert parse_point(f"2^{cli.MAX_BITS - 1}").coords[0].numerator.bit_length() == cli.MAX_BITS
+        for text in (f"2^{cli.MAX_BITS}", f"2^-{cli.MAX_BITS}", "3^700000", f"1e{cli.MAX_BITS // 3 + 1}",
+                     "1e-400000", "(2^600000)*(2^600000)", "2^600000/3^700000", "(1/3)^-700000"):
+            with pytest.raises(ExprError, match="bits"):
+                parse_point(text)
+
+    def test_point_bit_budget(self):
+        # every rational a point builds is charged against one budget, so an
+        # expression cannot chain near-cap operations: each costs a gcd of
+        # million-bit integers (about 2 s for one term below)
+        assert len(parse_point(",".join(["2^1048000"] * 4)).coords) == 4
+        for text in (",".join(["2^1048000"] * 4 + ["2^3000"]), "+".join(["(3^660000/5^450000)"] * 3)):
+            t0 = time.perf_counter()
+            with pytest.raises(ExprError, match="in all"):
+                parse_point(text)
+            assert time.perf_counter() - t0 < 10
+
 
 class TestCond:
     def test_product(self, runner):
@@ -171,6 +189,15 @@ class TestCond:
         assert "kappa = 2.4816157693897506e+903\n" in r.stdout
         assert "kappa_tilde = 2.4816157693897506e+903\n" in r.stdout
 
+    @pytest.mark.parametrize("fn,point,kappa", [
+        ("product", "pi,1/3", "1.4142135623730951"),  # sqrt 2
+        ("squared_norm", "pi,1", "1.8252983769810431"),  # 2 sqrt(pi^4 + 1) / (pi^2 + 1)
+    ])
+    def test_jacobian_at_certified_coordinates(self, runner, fn, point, kappa):
+        r = runner.invoke(main, ["cond", "--method", "jacobian", fn, point])
+        assert r.exit_code == 0, r.output
+        assert f"kappa = {kappa}\n" in r.stdout
+
     def test_sampled_at_a_huge_sine_argument_does_not_converge(self, runner):
         # probes at 176 bits would all land on pi*2^3000*F + F with F a dyadic
         # step factor, an even multiple of pi plus F, and report |cot 1|
@@ -187,6 +214,22 @@ class TestCond:
         assert time.perf_counter() - t0 < 10
         assert r.exit_code == 0
         assert "kappa = 1.0\n" in r.stdout
+
+    @pytest.mark.parametrize("point", ["2^3000000,1", "2^30000000,1"])
+    def test_oversized_rational_is_a_prompt_usage_error(self, runner, point):
+        t0 = time.perf_counter()
+        r = runner.invoke(main, ["cond", "sum", point])
+        assert time.perf_counter() - t0 < 1
+        assert r.exit_code == 2
+        assert "bits" in r.output
+
+    def test_deep_certified_expression_exits_3(self, runner):
+        # each + of a certified real nests one more enclosure call
+        t0 = time.perf_counter()
+        r = runner.invoke(main, ["cond", "sqrt", "+".join(["pi"] * 900)])
+        assert time.perf_counter() - t0 < 20
+        assert r.exit_code == 3, r.output
+        assert r.stdout == ""
 
     @pytest.mark.parametrize("args", [
         ["cond", "sqrt", "(-1)"],
