@@ -7,9 +7,8 @@ cross-checks against each other:
                   rational; roots and sines become certified enclosures);
 * ``jacobian``  - the derivative matrix, derived from ``exact`` by
                   forward-mode differentiation on exact dual numbers
-                  (:class:`_Dual`), so a rational map's entries are exact;
-                  the chain rule for a :class:`Composite`, and written out
-                  for the two irrational maps, ``Sqrt`` and ``Sin``;
+                  (:class:`_Dual`) for every function, composites included,
+                  so a rational map's entries are exact;
 * ``kappa_closed`` - the closed-form condition number in the relative
                   metric, where one exists (None falls back to the
                   spectral-norm path).
@@ -129,8 +128,12 @@ def _kappa_of_sum(nums: Sequence[int], den: int, c: int = 1):
     return _sqrt_mid(Fraction(c * sum(n * n for n in nums), den * den)) / Fraction(abs(s), den)
 
 
-def sqrt_real(x: ExactReal) -> ExactReal:
+def sqrt_real(x: ExactReal | _Dual) -> ExactReal | _Dual:
     """Exact square root when rational, otherwise a certified enclosure."""
+    if isinstance(x, _Dual):  # the root with its derivative, which exists only at x > 0
+        if real_sign(x.v) <= 0:
+            raise DomainError("the square root has no derivative at x <= 0")
+        return x.map(sqrt_real, lambda v: Fraction(1, 2) / sqrt_real(v))
     if isinstance(x, Fraction):
         if x < 0:
             raise DomainError("square root of a negative value")
@@ -146,12 +149,6 @@ def _mul(a: ExactReal, b: ExactReal) -> ExactReal:
     if a == 0 or b == 0:
         return Fraction(0)
     return b if a == 1 else a if b == 1 else a * b
-
-
-def _dot(us: Sequence[ExactReal], vs: Sequence[ExactReal]) -> ExactReal:
-    """Sum of u * v over the pairs with no exact-0 factor, so no certified real meets an exact 0."""
-    terms = [u * v for u, v in zip(us, vs) if u != 0 and v != 0]
-    return reduce(operator.add, terms) if terms else Fraction(0)
 
 
 def _plus(d: dict, e: dict) -> dict:
@@ -185,6 +182,10 @@ class _Dual:
 
     def _times(self, c: ExactReal) -> dict:
         return {} if c == 0 else {j: _mul(c, p) for j, p in self.d.items()}
+
+    def map(self, f: Callable, df: Callable) -> "_Dual":
+        """f of this number, for a unary map f with derivative df: the chain rule."""
+        return _Dual(f(self.v), self._times(df(self.v)))
 
     def __add__(self, o) -> "_Dual":
         o = _Dual.of(o)
@@ -228,7 +229,10 @@ class CatalogFunction:
         """The derivative matrix: ``exact`` evaluated on dual numbers seeded
         with unit partials, a missing partial being an exact 0."""
         one, zero = Fraction(1), Fraction(0)
-        ys = self.exact(tuple(_Dual(x, {i: one}) for i, x in enumerate(xs)))
+        try:
+            ys = self.exact(tuple(_Dual(x, {i: one}) for i, x in enumerate(xs)))
+        except DomainError:  # a stage without a derivative there, such as the root at 0
+            return None
         return [[d.get(j, zero) for j in range(self.in_dim)] for d in (_Dual.of(y).d for y in ys)]
 
     def kappa_closed(self, xs: Coords):
@@ -250,10 +254,8 @@ class CatalogFunction:
 
 
 class Composite(CatalogFunction):
-    """g o h: ``exact`` feeds h's outputs to g, ``jacobian`` is the chain rule.
-
-    Without a closed form the spectral path takes the chain-rule Jacobian.
-    """
+    """g o h: ``exact`` feeds h's outputs to g, so one dual pass through both
+    stages gives the Jacobian that the spectral path takes without a closed form."""
 
     def __init__(self, g: CatalogFunction, h: CatalogFunction):
         self.g, self.h = g, h
@@ -272,13 +274,6 @@ class Composite(CatalogFunction):
             return False
         # h(xs) is evaluated only when g restricts its domain
         return not self.g.restricts or self.g.in_domain(self.h.exact(xs))
-
-    def jacobian(self, xs):
-        jg = self.g.jacobian(self.h.exact(xs))
-        jh = None if jg is None else self.h.jacobian(xs)
-        if jh is None:
-            return None
-        return [[_dot(rg, col) for col in zip(*jh)] for rg in jg]
 
 
 class Product(CatalogFunction):
@@ -431,9 +426,6 @@ class Sqrt(CatalogFunction):
     def exact(self, xs):
         return (sqrt_real(xs[0]),)
 
-    def jacobian(self, xs):
-        return None if real_sign(xs[0]) <= 0 else [[Fraction(1, 2) / sqrt_real(xs[0])]]
-
     def kappa_closed(self, xs):
         if real_sign(xs[0]) == 0:
             return Fraction(0)  # isolated point of the domain
@@ -509,9 +501,6 @@ class Sin(CatalogFunction):
 
     def exact(self, xs):
         return (high_precision_sin(xs[0]),)
-
-    def jacobian(self, xs):
-        return [[CertifiedReal(lambda b: cos_iv(relative_interval(xs[0], b), b))]]
 
     def kappa_closed(self, xs):
         x = xs[0]
@@ -726,17 +715,18 @@ def babylonian_sqrt(g: FpNumber, p: Precision | int) -> FpNumber:
 # -- sine ---------------------------------------------------------------
 
 
-def high_precision_sin(x: ExactReal, guard_bits: int = 0) -> ExactReal:
+def high_precision_sin(x: ExactReal | _Dual) -> ExactReal | _Dual:
     """Certified sine: argument reduction modulo pi, then a Taylor series.
 
-    The returned enclosure is evaluated with at least ``guard_bits`` of
-    resolution; refinement on demand covers the rest.  An exactly-zero
-    input returns the exact zero (no enclosure can certify one).
+    An exactly-zero input returns the exact zero (no enclosure can certify
+    one).  Of a dual number, the sine with its derivative cos x.
     """
+    if isinstance(x, _Dual):
+        return x.map(high_precision_sin, lambda v: CertifiedReal(lambda b: cos_iv(relative_interval(v, b), b)))
     x = to_real(x)
     if isinstance(x, Fraction) and x == 0:
         return Fraction(0)
-    return CertifiedReal(lambda b: sin_iv(relative_interval(x, b), b), min_bits=guard_bits)
+    return CertifiedReal(lambda b: sin_iv(relative_interval(x, b), b))
 
 
 def sin_in_precision(x: FpNumber, p: Precision | int) -> FpNumber:

@@ -58,20 +58,24 @@ def _bits(v: Fraction) -> int:
 class _Budget:
     """The bits that the rationals of one point may still take in all.  An
     operation costs gcds of its operands' size, and each rational is the
-    operand of one operation at most: this bounds the work of a whole point."""
+    operand of one operation at most: this bounds the work of a whole point.
+    A certified real's power is charged the 8 e^2 bits its enclosures take."""
 
     left = POINT_BITS
 
     def check(self, bits: int) -> None:
         if bits > MAX_BITS:
-            raise ExprError(f"a rational in the point needs more than {MAX_BITS} bits")
+            raise ExprError(f"a value in the point needs more than {MAX_BITS} bits")
         if bits > self.left:
-            raise ExprError(f"the rationals in the point need more than {POINT_BITS} bits in all")
+            raise ExprError(f"the values in the point need more than {POINT_BITS} bits in all")
+
+    def spend(self, bits: int) -> None:
+        self.check(bits)
+        self.left -= bits
 
     def charge(self, v: ExactReal) -> ExactReal:
         if isinstance(v, Fraction):
-            self.check(_bits(v))
-            self.left -= _bits(v)
+            self.spend(_bits(v))
         return v
 
 
@@ -95,8 +99,12 @@ def _value(node: ast.expr, src: str, budget: _Budget) -> ExactReal:
         e = ast.get_source_segment(src, node.right)
         if _EXPONENT.fullmatch(e):
             v, e = _value(node.left, src, budget), int(e)
-            # a rational v with b-bit parts has a power of over |e| * (b - 1) bits
-            budget.check(abs(e) * (_bits(v) - 1) if isinstance(v, Fraction) else 0)
+            if isinstance(v, Fraction):
+                # a rational v with b-bit parts has a power of over |e| * (b - 1) bits
+                budget.check(abs(e) * (_bits(v) - 1))
+            else:
+                # each enclosure of a certified power raises a (b + 8|e|)-bit endpoint to |e|
+                budget.spend(8 * e * e)
             return budget.charge(v ** e)
     elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
         return budget.charge(_BINARY[type(node.op)](_value(node.left, src, budget), _value(node.right, src, budget)))

@@ -368,9 +368,9 @@ def sine_experiment(k_max: int, t_work: int = 53, guard_bits: int = 512) -> list
         xk = sine_true_input(k)
         xhat = fl(xk, p)
         shat = sin_in_precision(xhat, p)
-        ref = high_precision_sin(xk, guard_bits)
+        ref = high_precision_sin(xk)
+        refmid = ref.enclosure(guard_bits).midpoint()  # serves _log_lop's narrower request too
         rel = _log_lop(to_exact(shat), ref, p.u, max(guard_bits // 2, 192))
-        refmid = ref.enclosure(guard_bits).midpoint()
         abs_lop = abs(to_exact(shat) - refmid) / p.u
         kt = Sin().kappa_closed((xk,)) + 1
         out.append(LopRecord(f"k={k}", k, p.u, rel, abs_lop, kt))

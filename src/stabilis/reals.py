@@ -464,23 +464,20 @@ class CertifiedReal:
     ``fn(bits)`` must return an :class:`Interval` containing the value whose
     width shrinks (at least roughly like ``2**-bits``) as ``bits`` grows.
 
-    ``enclosure(bits)`` evaluates ``fn(max(bits, min_bits))`` and caches the
-    result under that width: a value wanted at ``min_bits`` anyway (a guarded
-    reference) is computed once for every request up to that width.
+    ``enclosure(bits)`` caches its result under that width: the widest
+    evaluation so far serves every narrower request.
     """
 
-    __slots__ = ("_fn", "_min_bits", "_cache_bits", "_cache")
+    __slots__ = ("_fn", "_cache_bits", "_cache")
 
-    def __init__(self, fn: Callable[[int], Interval], min_bits: int = 0):
+    def __init__(self, fn: Callable[[int], Interval]):
         self._fn = fn
-        self._min_bits = min_bits
         self._cache_bits = -1
         self._cache: Interval | None = None
 
     def enclosure(self, bits: int) -> Interval:
         if self._cache is not None and bits <= self._cache_bits:
             return self._cache
-        bits = max(bits, self._min_bits)
         iv = self._fn(bits)
         self._cache_bits = bits
         self._cache = iv

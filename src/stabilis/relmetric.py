@@ -386,13 +386,14 @@ def rel_factors(v: Sequence, rho, bits: int = SAMPLE_BITS) -> list[tuple[int, in
 
 def sample_bits(x: RelPoint, r: Fraction) -> int:
     """The width at which to step x by relative distances up to r > 0: at least
-    SAMPLE_BITS, and 64 bits below both the largest coordinate's magnitude and
-    r.  A step factor's error is then far below r, and a step resolves the low
-    bits of a huge coordinate (at 176 bits every step of x = pi*2^k + 1 would
-    land on a multiple of pi plus 1)."""
+    SAMPLE_BITS, and 64 bits below both r and the largest certified-real
+    coordinate's magnitude.  A step factor's error is then far below r, and a
+    step resolves the low bits of a huge certified coordinate (at 176 bits
+    every step of x = pi*2^k + 1 would land on a multiple of pi plus 1).  A
+    step of a rational coordinate is an exact product and loses no bits."""
     inv_r = -(-r.denominator // r.numerator)  # ceil(1/r): 2^k >= 1/r exactly when 2^k >= inv_r
     return max([SAMPLE_BITS, 64 + (inv_r - 1).bit_length()]
-               + [as_interval(x.coords[i], 0).mag_bits() + 64 for i in x.chi()])
+               + [c.enclosure(0).mag_bits() + 64 for c in x.coords if isinstance(c, CertifiedReal)])
 
 
 def rel_ball_sample(x: RelPoint, r, n: int, seed: int) -> list[RelPoint]:

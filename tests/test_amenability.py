@@ -265,6 +265,8 @@ class TestCompositeRegistry:
     @pytest.mark.parametrize("g,h", [
         (("sin", {}), ("sqrt", {})),
         (("power", {"exponent": 3}), ("sin", {})),
+        (("sin", {}), ("sin", {})),
+        (("sqrt", {}), ("power", {"exponent": 3})),
     ])
     @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(7, 5), Fraction(2), Fraction(50)])
     def test_chain_rule_matches_central_difference(self, g, h, x):

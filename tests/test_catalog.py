@@ -11,6 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 from stabilis.catalog import (
     ALGORITHMS,
     FUNCTIONS,
+    CatalogFunction,
+    Composite,
     DomainError,
     LinearMap,
     Sin,
@@ -214,12 +216,12 @@ class TestSine:
 
     def test_pi_over_six(self):
         x = pi_real() * Fraction(1, 6)
-        s = high_precision_sin(x, guard_bits=300)
+        s = high_precision_sin(x)
         iv = s.enclosure(300)
         assert iv.lower() <= Fraction(1, 2) <= iv.upper()
 
     def test_sin_one_to_sixty_digits(self):
-        s = high_precision_sin(Fraction(1), guard_bits=400)
+        s = high_precision_sin(Fraction(1))
         iv = s.enclosure(400)
         lo = mp.mpf(iv.lower().numerator) / iv.lower().denominator
         hi = mp.mpf(iv.upper().numerator) / iv.upper().denominator
@@ -454,6 +456,11 @@ class TestDerivedJacobians:
             except ZeroDivisionError:  # power[-3] at 0
                 out.append("ZeroDivisionError")
         assert hashlib.sha256(repr(out).encode()).hexdigest() == self.JACOBIANS[name]
+
+    def test_no_class_has_its_own_jacobian(self):
+        # one derivative: every class, composites included, differentiates its exact on duals
+        classes = {cls for cls, _ in FUNCTIONS.values()} | {Composite}
+        assert sorted(c.__name__ for c in classes if c.jacobian is not CatalogFunction.jacobian) == []
 
     def test_certified_product_matches_the_closed_form(self):
         # the derivative route at a certified coordinate: kappa = sqrt(2)

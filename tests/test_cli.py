@@ -223,6 +223,15 @@ class TestCond:
         assert r.exit_code == 2
         assert "bits" in r.output
 
+    @pytest.mark.parametrize("point", ["pi^10000", "(pi^300)^300*(pi^300)^300*(pi^300)^300"])
+    def test_oversized_certified_power_is_a_prompt_usage_error(self, runner, point):
+        # an enclosure of pi^j raises a (b + 8j)-bit endpoint to the j-th power
+        t0 = time.perf_counter()
+        r = runner.invoke(main, ["cond", "sqrt", point])
+        assert time.perf_counter() - t0 < 1
+        assert r.exit_code == 2
+        assert "bits" in r.output
+
     def test_deep_certified_expression_exits_3(self, runner):
         # each + of a certified real nests one more enclosure call
         t0 = time.perf_counter()
@@ -304,6 +313,15 @@ class TestAmen:
         assert r.exit_code == 0
         assert "verdict = FAIL" in r.output
         assert "witness" in r.output
+
+    def test_huge_rational_coordinate_is_prompt(self, runner):
+        # a step of a rational coordinate is exact, so it is sampled at 176 bits;
+        # 64 bits below its magnitude, the 400 exp factors would take about 10 s
+        t0 = time.perf_counter()
+        r = runner.invoke(main, ["amen", "sum", "--x", "2^10000,1", "--a", "64"])
+        assert time.perf_counter() - t0 < 5
+        assert r.exit_code == 0, r.output
+        assert "verdict = PASS" in r.output
 
     @pytest.mark.parametrize("args", [
         ["--a", "8", "--n", "0"],

@@ -314,15 +314,16 @@ class TestCertifiedReal:
         with pytest.raises(PrecisionError):
             z.sign()
 
-    def test_min_bits_serves_narrower_requests_from_one_evaluation(self):
+    def test_widest_evaluation_serves_narrower_requests(self):
         asked = []
 
         def fn(bits):
             asked.append(bits)
             return Interval(-1, 1, bits)
 
-        x = CertifiedReal(fn, min_bits=1024)
-        assert x.enclosure(512) is x.enclosure(1024)
+        x = CertifiedReal(fn)
+        wide = x.enclosure(1024)
+        assert x.enclosure(512) is wide and x.enclosure(1024) is wide
         assert asked == [1024]
         x.enclosure(1025)
         assert asked == [1024, 1025]

@@ -262,7 +262,7 @@ class TestBallSampling:
             assert sample_bits(small, r) == 176
         assert sample_bits(small, F(1, 2**112 + 1)) == 177
         assert sample_bits(small, F(1, 2**250)) == 314
-        assert sample_bits(RelPoint.of(F(1, 3), F(2**150 + 1, 2)), F(1, 8)) == 64 + 150
+        assert sample_bits(RelPoint.of(F(1, 3), F(2**150 + 1, 2)), F(1, 8)) == 176  # a rational steps exactly
         assert sample_bits(RelPoint.of(pi_real() * 2**200 + 1, 0), F(1, 8)) == 64 + 202
 
 
