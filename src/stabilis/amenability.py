@@ -19,12 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Sequence
 
 from .catalog import CatalogFunction, Product, Sin, Summation, _frac_only, _over_lcm, _sqrt_mid, compose, sin_enclosures
 from .condition import ConditionReport, ExtReal, kappa_closed_form, kappa_inside
 from .reals import Interval, PrecisionError, real_sign, refine
-from .relmetric import RelPoint, rel_ball_sample, rel_sphere_sample
+from .relmetric import RelPoint, ball_box, rel_step, sample_bits, sample_steps
 
 
 @dataclass
@@ -55,38 +56,53 @@ def amenability_probe(
     """Sample the radius-1/(a*kt) ball and check clauses A.1 and A.2.
 
     Half of the points sit at the ball boundary, where the growth clause
-    fails first for every function in the catalog.  A.1 is decided by
-    ``f.in_domain`` alone, so a point's one evaluation is ``kappa_fn``, by
-    default the closed form without a second domain check.  The first
-    violation is returned as a witness; re-evaluating the witness
-    reproduces it.
+    fails first for every function in the catalog: the samples of
+    :func:`rel_sphere_sample`, then those of :func:`rel_ball_sample`.  A.1
+    is decided by ``f.in_domain`` alone, so a point's one evaluation is
+    ``kappa_fn``, by default the closed form without a second domain check.
+    The first violation is returned as a witness; re-evaluating the witness
+    reproduces it, and no sample after it is drawn.
+
+    With the default closed form, a rational x, an f defined everywhere and
+    a radius of at most 1, the samples are first decided together at low
+    width: every one passes, and none is built, when 1 + ``f.kappa_upper``
+    of a box holding the whole ball (:func:`ball_box`) is at most a*kt.
+    Otherwise each sample is built and checked exactly, so every verdict,
+    witness and count is bit for bit that of checking every point exactly.
     """
     a = Fraction(a)
     if a <= 0:
         raise ValueError("the amenability constant must be positive")
     if n < 1:
         raise ValueError("the probe needs at least one sample")
+    certify = False
     if kappa_fn is None:
         kt_x = kappa_closed_form(f, x).kappa_tilde
         kappa_fn = lambda pt: kappa_inside(f, pt)
+        certify = not f.restricts and all(isinstance(c, Fraction) for c in x.coords)
     else:
         kt_x = kappa_fn(x).kappa_tilde
     if kt_x == math.inf:
         raise ValueError("amenability is probed only where kappa_tilde is finite")
-    radius = 1 / (a * Fraction(kt_x))
-    n_boundary = n // 2
-    points = rel_sphere_sample(x, radius, n_boundary, seed)
-    points += rel_ball_sample(x, radius, n - n_boundary, seed)
     bound = a * Fraction(kt_x)
-    used = 0
-    for y in points:
-        used += 1
+    radius = 1 / bound
+    chi = x.chi()
+    bits = sample_bits(x, radius)
+    if certify and radius <= 1:
+        upper = f.kappa_upper(ball_box(x, radius, bits))
+        if upper is not None and 1 + upper <= bound:
+            return AmenabilityVerdict(a, True, True, None, n, kt_x)
+    n_boundary = n // 2
+    steps = chain(sample_steps(len(chi), radius, n_boundary, seed, sphere=True),
+                  sample_steps(len(chi), radius, n - n_boundary, seed, sphere=False))
+    for used, (v, rho) in enumerate(steps, 1):
+        y = rel_step(x, v, rho, chi, bits) if rho else x
         if not f.in_domain(y.coords):
             return AmenabilityVerdict(a, False, True, y, used, kt_x)
         kt_y = kappa_fn(y).kappa_tilde
         if kt_y == math.inf or kt_y > bound:
             return AmenabilityVerdict(a, True, False, y, used, kt_x, kt_y)
-    return AmenabilityVerdict(a, True, True, None, used, kt_x)
+    return AmenabilityVerdict(a, True, True, None, n, kt_x)
 
 
 def smallest_passing_constant(

@@ -128,6 +128,23 @@ def _kappa_of_sum(nums: Sequence[int], den: int, c: int = 1):
     return _sqrt_mid(Fraction(c * sum(n * n for n in nums), den * den)) / Fraction(abs(s), den)
 
 
+def _kappa_bound(terms: Sequence[Interval], c: int = 1) -> Fraction | None:
+    """An upper bound on :func:`_sum_kappa` of terms anywhere in the enclosures
+    ``terms``, or None when the enclosure of their sum holds 0.
+
+    Over the enclosures, Q_hi = c * sum max(lo^2, hi^2) >= c * sum t^2 and
+    S_lo <= |sum t|.  ``_sqrt_mid`` is the exact root or the midpoint of a
+    2**-208-wide enclosure of it, so kappa <= (sqrt(Q_hi) + 2**-208) / S_lo.
+    """
+    s = max(t.scale for t in terms)
+    ts = [t.rescale(s) for t in terms]  # exact: a finer scale only shifts
+    lo, hi = sum(t.lo for t in ts), sum(t.hi for t in ts)
+    if lo <= 0 <= hi:
+        return None
+    q = c * sum(max(t.lo * t.lo, t.hi * t.hi) for t in ts)
+    return (math.isqrt(q - 1) + 1 + Fraction(2) ** (s - 208)) / min(abs(lo), abs(hi))
+
+
 def sqrt_real(x: ExactReal | _Dual) -> ExactReal | _Dual:
     """Exact square root when rational, otherwise a certified enclosure."""
     if isinstance(x, _Dual):  # the root with its derivative, which exists only at x > 0
@@ -239,6 +256,11 @@ class CatalogFunction:
         """Closed-form condition number, or None if only the spectral path applies."""
         return None
 
+    def kappa_upper(self, ivs: Sequence[Interval]) -> Fraction | None:
+        """An upper bound on ``kappa_closed`` at every point of the box of
+        coordinate enclosures ``ivs``, or None where none is known."""
+        return None
+
     def in_domain(self, xs: Coords) -> bool:
         """Whether xs lies in the domain: on rational coordinates, False
         exactly where ``exact`` raises DomainError or ZeroDivisionError."""
@@ -293,6 +315,9 @@ class Product(CatalogFunction):
             return Fraction(0)  # locally constant zero
         return _sqrt_mid(Fraction(self.k))
 
+    def kappa_upper(self, ivs):
+        return Fraction(0) if any(iv.lo == iv.hi == 0 for iv in ivs) else _sqrt_mid(Fraction(self.k))
+
 
 class Summation(CatalogFunction):
     def __init__(self, k: int = 2):
@@ -305,6 +330,9 @@ class Summation(CatalogFunction):
 
     def kappa_closed(self, xs):
         return _sum_kappa(_frac_only(xs, "summation kappa"))
+
+    def kappa_upper(self, ivs):
+        return _kappa_bound(ivs)
 
 
 class Hadamard(CatalogFunction):
@@ -383,6 +411,9 @@ class InnerProduct(Composite):
         # hence the sqrt(2) on top of the summation-stage condition number
         xs = _frac_only(xs, "inner product kappa")
         return _kappa_of_sum(*_products_over(xs[:self.k], xs[self.k:]), 2)
+
+    def kappa_upper(self, ivs):
+        return _kappa_bound([a * b for a, b in zip(ivs[:self.k], ivs[self.k:])], 2)
 
 
 class Copy(CatalogFunction):

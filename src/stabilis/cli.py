@@ -18,6 +18,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple, Union
 
 import click
 
@@ -46,20 +47,52 @@ _NUMBER = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 _EXPONENT = re.compile(r"[+-]?[0-9]+")
 
 
-def _divide(v: ExactReal, d: ExactReal) -> ExactReal:
-    """v / d; a certified v is scaled by the exact reciprocal of a rational d."""
-    return v * (1 / d) if isinstance(v, CertifiedReal) and isinstance(d, Fraction) else v / d
-
-
 def _bits(v: Fraction) -> int:
     return max(v.numerator.bit_length(), v.denominator.bit_length())
 
 
+class _Certified(NamedTuple):
+    """A certified value of a point with the budget's account of it: ``mag``,
+    an m with |value| < 2**m, or None for a reciprocal, whose magnitude no
+    operand bounds; and ``weight``, the cost of each bit it is asked deeper."""
+
+    value: CertifiedReal
+    mag: int | None
+    weight: int
+
+    def __neg__(self) -> "_Certified":
+        return self._replace(value=-self.value)
+
+
+_Node = Union[Fraction, _Certified]
+
+
+def _mag(v: _Node) -> int | None:
+    if isinstance(v, Fraction):
+        return v.numerator.bit_length() - v.denominator.bit_length() + 1
+    return v.mag
+
+
+def _weight(v: _Node) -> int:
+    return v.weight if isinstance(v, _Certified) else 0
+
+
+def _real(v: _Node) -> ExactReal:
+    return v.value if isinstance(v, _Certified) else v
+
+
 class _Budget:
-    """The bits that the rationals of one point may still take in all.  An
-    operation costs gcds of its operands' size, and each rational is the
-    operand of one operation at most: this bounds the work of a whole point.
-    A certified real's power is charged the 8 e^2 bits its enclosures take."""
+    """The bits that the values of one point may still take in all.
+
+    A rational is charged its own bits: an operation costs gcds of its
+    operands' size, and each rational is the operand of one operation at
+    most.  A certified real is charged what its enclosures at a width b ask
+    beyond b.  Its power by e raises (b + 8|e| + m)-bit endpoints to |e|, m
+    the bits of the base's magnitude, and asks the base 8|e| bits deeper; a
+    product asks each factor the bits of both magnitudes deeper.  Each bit
+    that a value is asked deeper costs its weight: 1 per pi in it, plus |e|
+    per power.  So the budget bounds the work of a whole point.
+    """
 
     left = POINT_BITS
 
@@ -73,17 +106,45 @@ class _Budget:
         self.check(bits)
         self.left -= bits
 
-    def charge(self, v: ExactReal) -> ExactReal:
-        if isinstance(v, Fraction):
-            self.spend(_bits(v))
+    def charge(self, v: Fraction) -> Fraction:
+        self.spend(_bits(v))
         return v
+
+    @staticmethod
+    def measure(v: _Node) -> int:
+        """The magnitude bound of an operand of a product or power.  A
+        reciprocal's is read from its enclosure at 8 bits, the least width
+        that the product or power asks of it."""
+        m = _mag(v)
+        return v.value.enclosure(8).mag_bits() if m is None else m
+
+    def power(self, v: _Certified, e: int) -> _Node:
+        if e == 0:
+            return Fraction(1)
+        m = self.measure(v)
+        self.spend(abs(e) * (8 * abs(e) + max(m, 0)))  # the raised endpoint beyond |e| b bits
+        self.spend(8 * abs(e) * v.weight)
+        return _Certified(v.value ** e, e * m if e > 0 else None, v.weight + abs(e))
+
+    def combine(self, op: type, a: _Node, c: _Node) -> _Certified:
+        """``a op c`` for + - * / when a or c is a certified real."""
+        w = _weight(a) + _weight(c)
+        if op is ast.Div and isinstance(c, Fraction):
+            op, c = ast.Mult, 1 / c  # a certified value is scaled by the exact reciprocal
+        if op is ast.Mult:
+            ma, mc = self.measure(a), self.measure(c)
+            self.spend((8 + max(ma, 1) + max(mc, 1)) * w)
+            return _Certified(_real(a) * _real(c), ma + mc, w)
+        ma, mc = _mag(a), _mag(c)
+        mag = None if op is ast.Div or ma is None or mc is None else max(ma, mc) + 1
+        return _Certified(_BINARY[op](_real(a), _real(c)), mag, w)
 
 
 _UNARY = {ast.UAdd: lambda v: v, ast.USub: operator.neg}
-_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: _divide}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
-def _value(node: ast.expr, src: str, budget: _Budget) -> ExactReal:
+def _value(node: ast.expr, src: str, budget: _Budget) -> _Node:
     """Evaluate a node of ``ast.parse(src)``: number literals, pi, unary + and -,
     + - * /, and powers by an integer written in decimal digits."""
     text = ast.get_source_segment(src, node)
@@ -92,22 +153,23 @@ def _value(node: ast.expr, src: str, budget: _Budget) -> ExactReal:
         budget.check(3 * abs(int(m[2][1:])) if m[2] else 0)
         return budget.charge(Fraction(text))
     if isinstance(node, ast.Name) and node.id == "pi":
-        return pi_real()
+        return _Certified(pi_real(), 2, 1)
     if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
         return _UNARY[type(node.op)](_value(node.operand, src, budget))
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
         e = ast.get_source_segment(src, node.right)
         if _EXPONENT.fullmatch(e):
             v, e = _value(node.left, src, budget), int(e)
-            if isinstance(v, Fraction):
-                # a rational v with b-bit parts has a power of over |e| * (b - 1) bits
-                budget.check(abs(e) * (_bits(v) - 1))
-            else:
-                # each enclosure of a certified power raises a (b + 8|e|)-bit endpoint to |e|
-                budget.spend(8 * e * e)
+            if isinstance(v, _Certified):
+                return budget.power(v, e)
+            # a rational v with b-bit parts has a power of over |e| * (b - 1) bits
+            budget.check(abs(e) * (_bits(v) - 1))
             return budget.charge(v ** e)
     elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        return budget.charge(_BINARY[type(node.op)](_value(node.left, src, budget), _value(node.right, src, budget)))
+        a, c = _value(node.left, src, budget), _value(node.right, src, budget)
+        if isinstance(a, Fraction) and isinstance(c, Fraction):
+            return budget.charge(_BINARY[type(node.op)](a, c))
+        return budget.combine(type(node.op), a, c)
     raise ExprError(f"not a point expression: {text!r}")
 
 
@@ -115,10 +177,10 @@ def _coordinate(text: str, budget: _Budget) -> ExactReal:
     """One coordinate, read by Python's expression grammar with ``^`` as ``**``."""
     src = text.strip().replace("^", "**")
     try:
-        return _value(ast.parse(src, mode="eval").body, src, budget)
+        return _real(_value(ast.parse(src, mode="eval").body, src, budget))
     except SyntaxError as e:
         raise ExprError(f"cannot parse {text.strip()!r}: {e.msg}") from e
-    except ZeroDivisionError as e:  # only rationals are computed here; enclosures are lazy
+    except ZeroDivisionError as e:  # by a rational, or by a certified exact zero that is measured
         raise ExprError("division by zero") from e
     except (RecursionError, MemoryError) as e:  # the parser reports a stack overflow as MemoryError
         raise ExprError("expression nested too deeply") from e

@@ -24,12 +24,11 @@ from .reals import CertifiedReal, Interval, PrecisionError, log_iv, pi_iv, pi_re
 from .relmetric import (
     RelPoint,
     abs_dist,
+    factor_bounds,
     philox_stream,
     rel_dist,
     scaled_dists,
-    step_enclosures,
     step_factors,
-    step_midpoint_error,
 )
 
 
@@ -218,23 +217,17 @@ _HALF = Fraction(1, 2)
 
 def _certified_inputs(base: Sequence[Fraction], draws: list[float], p: Precision) -> list[FpNumber] | None:
     """The sample's inputs fl(b_i * M_i), M_i the STEP_BITS-bit factor midpoints,
-    decided from enclosures at t + LOW_GUARD bits; None when one is undecided.
-
-    Each low enclosure holds exp(w_i), and M_i lies within
-    2**-step_midpoint_error of it, so widened by that bound it holds M_i.
-    Rounding is monotone: when both ends of b_i times the widened enclosure
-    round alike, so does b_i * M_i.  The factors exceed e**-1/2, far above
-    the widening, so the lower end stays positive.
+    decided from their :func:`factor_bounds` at t + LOW_GUARD bits; None when
+    one is undecided.  Rounding is monotone: when both ends of b_i times a
+    bound round alike, so does b_i * M_i.
     """
     if p.t + LOW_GUARD >= STEP_BITS:
         return None
     out = []
     for v, bs in ((draws[:4], base[:4]), (draws[4:], base[4:])):
-        k = step_midpoint_error(v, STEP_BITS)
-        for b, e in zip(bs, step_enclosures(v, _HALF, p.t + LOW_GUARD)):
-            pad = 1 << max(e.scale - k, 0)
-            x = _round_times(b, e.lo - pad, -e.scale, p.t)
-            if x != _round_times(b, e.hi + pad, -e.scale, p.t):
+        for b, e in zip(bs, factor_bounds(v, _HALF, p.t + LOW_GUARD, STEP_BITS)):
+            x = _round_times(b, e.lo, -e.scale, p.t)
+            if x != _round_times(b, e.hi, -e.scale, p.t):
                 return None
             out.append(x)
     return out
@@ -266,10 +259,9 @@ def strassen_experiment(
     The inputs are defined as fl(b * M) for M the midpoints of the
     :func:`step_enclosures` at STEP_BITS = 176 bits (:func:`step_factors`),
     but only their t-bit roundings are used.  So each sample first takes
-    the enclosures at t + 32 bits (when that is below 176), widens each by
-    :func:`step_midpoint_error`'s bound on how far the 176-bit midpoint
-    lies from the factor, and keeps an input when both ends of the widened
-    product round alike.  When any does not, the sample falls back on the
+    the factors' :func:`factor_bounds` at t + 32 bits (when that is below
+    176), and keeps an input when both ends of the bounded product round
+    alike.  When any does not, the sample falls back on the
     176-bit factors.  The lops come from the integer outputs on one binary
     scale (:func:`scaled_dists`), at the enclosures of :func:`rel_dist` and
     :func:`abs_dist`.  Every row is the same as at full width.

@@ -532,14 +532,15 @@ class CertifiedReal:
             return Fraction(1)
 
         def fn(b: int) -> Interval:
-            iv = self.enclosure(b + 8 * abs(j))
+            # a reciprocal needs its base's sign, so that is refined until certain
+            iv = signed_interval(self, b + 8 * abs(j)) if j < 0 else self.enclosure(b + 8 * abs(j))
             lo, hi = iv.lower(), iv.upper()
             cands = [lo ** abs(j), hi ** abs(j)]
             vlo, vhi = min(cands), max(cands)
             if j % 2 == 0 and lo < 0 < hi:
                 vlo = Fraction(0)
             if j < 0:
-                if vlo <= 0:
+                if vlo <= 0 <= vhi:
                     raise ZeroDivisionError("negative power of an enclosure touching zero")
                 vlo, vhi = 1 / vhi, 1 / vlo
             a = Interval.from_fraction(vlo, b)

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .reals import (
 DIST_BITS = 192
 SAMPLE_BITS = 176
 SPHERE_INSET = Fraction(1, 2**64)  # sphere samples sit this relative fraction inside the radius
+BOX_BITS = 80  # the width of ball_box's factor enclosures
 
 SignPattern = tuple[int, ...]
 ExtDist = Union[Fraction, float]  # exact-rational midpoint, or math.inf
@@ -101,6 +103,21 @@ class RelPoint:
         out.pattern = self.pattern
         return out
 
+    def box(self, chi: Sequence[int], factor: Interval) -> list[Interval]:
+        """Enclosures of the coordinates of ``scaled(chi, M)`` for every M with
+        each 0 < M[k] in ``factor``, when the coordinates are rational.
+
+        A coordinate p/q times [lo, hi] * 2**-s lies in [floor(p lo / q),
+        ceil(p hi / q)] * 2**-s, the ends swapped for p < 0.  Every other
+        coordinate is kept, enclosed at BOX_BITS.
+        """
+        out: list = list(self.coords)
+        for i in chi:
+            p, q = out[i].numerator, out[i].denominator
+            lo, hi = (factor.lo, factor.hi) if p >= 0 else (factor.hi, factor.lo)
+            out[i] = Interval(p * lo // q, -(-p * hi // q), factor.scale)
+        return [c if isinstance(c, Interval) else Interval.from_fraction(c, BOX_BITS) for c in out]
+
     def same_component(self, other: "RelPoint") -> bool:
         return self.pattern == other.pattern
 
@@ -120,8 +137,7 @@ def _log_sq(n: int, d: int, bits: int) -> Interval | None:
     """
     if n == d:
         return None
-    g = math.gcd(n, d)
-    lg = log_iv(Fraction(n // g, d // g), bits)
+    lg = log_iv(Fraction(n, d), bits)
     return (lg * lg).rescale(2 * bits + 16)
 
 
@@ -368,6 +384,27 @@ def step_midpoint_error(v: Sequence[float], bits: int) -> int:
     return bits - 5 - (-top if -32 <= top < 0 else 0)
 
 
+def factor_bounds(v: Sequence[float], rho, low: int, full: int) -> list[Interval]:
+    """Enclosures at ``low`` bits of the factors M_i that ``step_factors(v, rho,
+    full)`` gives, for float directions v, |rho| <= 1, low >= 32 and full >= 64.
+
+    Each is the enclosure of exp(w_i) by ``step_enclosures(v, rho, low)``
+    with both ends moved out by 2**-k, k = ``step_midpoint_error(v, full)``
+    (by one unit of its scale where that is coarser).  An enclosure holds
+    exp(w_i) at any width, and M_i, the midpoint of the one at ``full``
+    bits, lies within 2**-k of exp(w_i); so the widened enclosure holds
+    M_i.  A decision that holds on all of it holds at M_i, which need not
+    be computed.  The factors exceed e**-1, far above the widening, so the
+    lower ends stay positive.
+    """
+    k = step_midpoint_error(v, full)
+    out = []
+    for e in step_enclosures(v, rho, low):
+        pad = 1 << max(e.scale - k, 0)
+        out.append(Interval(e.lo - pad, e.hi + pad, e.scale))
+    return out
+
+
 def rel_step(x: RelPoint, v: Sequence, rho, chi: Sequence[int] | None = None,
              bits: int = SAMPLE_BITS) -> RelPoint:
     """x moved a relative distance rho along v, which spans the coordinates chi.
@@ -384,6 +421,21 @@ def rel_factors(v: Sequence, rho, bits: int = SAMPLE_BITS) -> list[tuple[int, in
     return step_factors(v, rho, bits + 16)
 
 
+def ball_box(x: RelPoint, r: Fraction, bits: int) -> list[Interval]:
+    """Enclosures of the coordinates of every ``rel_step(x, v, rho, x.chi(), bits)``
+    with float v and |rho| <= r <= 1, for x of rational coordinates.
+
+    Each factor lies within 2**-k of exp(w) for some |w| <= |rho|, k the
+    least :func:`step_midpoint_error` at bits + 16 over all directions (the
+    one of a largest |v_i| in [2**-32, 2**-31)); so it lies in [exp(-r),
+    exp(r)] widened by 2**-k.
+    """
+    lo, hi = exp_iv(-r, BOX_BITS), exp_iv(r, BOX_BITS)
+    s = max(lo.scale, hi.scale)
+    pad = 1 << max(s - step_midpoint_error([2.0**-32], bits + 16), 0)
+    return x.box(x.chi(), Interval(lo.rescale(s).lo - pad, hi.rescale(s).hi + pad, s))
+
+
 def sample_bits(x: RelPoint, r: Fraction) -> int:
     """The width at which to step x by relative distances up to r > 0: at least
     SAMPLE_BITS, and 64 bits below both r and the largest certified-real
@@ -394,6 +446,36 @@ def sample_bits(x: RelPoint, r: Fraction) -> int:
     inv_r = -(-r.denominator // r.numerator)  # ceil(1/r): 2^k >= 1/r exactly when 2^k >= inv_r
     return max([SAMPLE_BITS, 64 + (inv_r - 1).bit_length()]
                + [c.enclosure(0).mag_bits() + 64 for c in x.coords if isinstance(c, CertifiedReal)])
+
+
+def sample_steps(d: int, r: Fraction, n: int, seed: int, sphere: bool) -> Iterator[tuple[list[float] | None, Fraction]]:
+    """The steps of n samples of :func:`rel_sphere_sample` (sphere) or
+    :func:`rel_ball_sample` of radius r around a point with d nonzero
+    coordinates: per sample, in order, a direction v and a length rho, or
+    (None, 0) for the point itself.
+
+    Sample i draws from counter [0, 0, 1, i] on the sphere, where rho is r
+    shrunk by SPHERE_INSET, and from [0, 0, 0, i] in the ball, where rho is
+    uniform in [0, r) and a direction is drawn only for rho > 0.  When d or r
+    is 0 every sample is the point itself.  A reader that stops early draws
+    no further.
+    """
+    if not d or not r:
+        yield from repeat((None, Fraction(0)), n)
+        return
+    at = philox_stream(seed)
+    inset = r * (1 - SPHERE_INSET)
+    for i in range(n):
+        gen = at([0, 0, int(sphere), i])
+        rho = inset if sphere else r * Fraction(int(gen.integers(0, 2**53)), 2**53)
+        yield (_direction(gen, d) if rho else None), rho
+
+
+def _sample(x: RelPoint, r: Fraction, n: int, seed: int, sphere: bool) -> list[RelPoint]:
+    """The points of :func:`sample_steps` around x, stepped at :func:`sample_bits`."""
+    chi = x.chi()
+    bits = sample_bits(x, r) if r else 0
+    return [rel_step(x, v, rho, chi, bits) if rho else x for v, rho in sample_steps(len(chi), r, n, seed, sphere)]
 
 
 def rel_ball_sample(x: RelPoint, r, n: int, seed: int) -> list[RelPoint]:
@@ -407,21 +489,7 @@ def rel_ball_sample(x: RelPoint, r, n: int, seed: int) -> list[RelPoint]:
     rf = to_real(r)
     if not isinstance(rf, Fraction) or rf < 0:
         raise ValueError("ball radius must be a finite nonnegative rational")
-    chi = x.chi()
-    if not chi or rf == 0:
-        return [x] * n
-    bits = sample_bits(x, rf)
-    at = philox_stream(seed)
-    out = []
-    for i in range(n):
-        gen = at([0, 0, 0, i])
-        ticks = int(gen.integers(0, 2**53))
-        rho = rf * Fraction(ticks, 2**53)
-        if rho == 0:
-            out.append(x)
-            continue
-        out.append(rel_step(x, _direction(gen, len(chi)), rho, chi, bits))
-    return out
+    return _sample(x, rf, n, seed, sphere=False)
 
 
 def rel_sphere_sample(x: RelPoint, r, n: int, seed: int) -> list[RelPoint]:
@@ -430,9 +498,4 @@ def rel_sphere_sample(x: RelPoint, r, n: int, seed: int) -> list[RelPoint]:
     rf = to_real(r)
     if not isinstance(rf, Fraction) or rf <= 0:
         raise ValueError("sphere radius must be a positive rational")
-    chi = x.chi()
-    if not chi:
-        return [x] * n
-    rho, bits = rf * (1 - SPHERE_INSET), sample_bits(x, rf)
-    at = philox_stream(seed)
-    return [rel_step(x, _direction(at([0, 0, 1, i]), len(chi)), rho, chi, bits) for i in range(n)]
+    return _sample(x, rf, n, seed, sphere=True)

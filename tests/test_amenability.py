@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from stabilis import amenability, relmetric
 from stabilis.amenability import (
     amenability_probe,
     excess_factor,
@@ -14,7 +15,7 @@ from stabilis.amenability import (
     strassen_excess_closed_form,
 )
 from stabilis.catalog import Composite, Sin, SquaredNorm, catalog_function, compose, strassen_input
-from stabilis.condition import kappa_closed_form
+from stabilis.condition import kappa_closed_form, kappa_inside
 from stabilis.fpcore import fl, to_exact
 from stabilis.reals import pi_real
 from stabilis.relmetric import RelPoint
@@ -92,6 +93,57 @@ class TestAmenabilityProbe:
             Fraction(-34161042854695484771754345654601222644890994840061884398117823899225,
                      50216813883093446110686315385661331328818843555712276103168),
         )
+
+
+_signed = st.fractions(min_value=-8, max_value=8, max_denominator=10**6)
+
+
+class TestLowWidthDecisions:
+    """The probe's low-width certificates against checking every point exactly."""
+
+    @staticmethod
+    def verdict(f, kappa_fn, x, a, n, seed):
+        try:
+            v = amenability_probe(f, kappa_fn, x, a, n, seed)
+        except ValueError as e:  # kappa_tilde is infinite at x
+            return repr(e)
+        return repr((v, v.witness and v.witness.coords))
+
+    @given(st.sampled_from(["sum", "product", "inner_product"]), st.integers(1, 16),
+           st.sampled_from([Fraction(1, 4), 1, 2, 8]), st.sampled_from([1, 2, 7, 40]), st.integers(0, 2**16),
+           st.data())
+    @settings(max_examples=100)
+    def test_same_verdict_as_the_exact_path(self, fid, k, a, n, seed, data):
+        # a = 1/4 gives radii above 1, where the ball's certificate does not apply
+        f = catalog_function(fid, k=k)
+        x = RelPoint(data.draw(st.lists(_signed, min_size=f.in_dim, max_size=f.in_dim), label="x"))
+        exact = self.verdict(f, lambda pt: kappa_inside(f, pt), x, a, n, seed)
+        assert self.verdict(f, None, x, a, n, seed) == exact
+
+    @staticmethod
+    def count_steps(monkeypatch):
+        built = []
+        step = relmetric.rel_step
+        for mod in (relmetric, amenability):
+            monkeypatch.setattr(mod, "rel_step", lambda *a, **kw: built.append(1) or step(*a, **kw), raising=False)
+        return built
+
+    def test_passing_probe_builds_no_point(self, monkeypatch):
+        built = self.count_steps(monkeypatch)
+        v = amenability_probe(catalog_function("sum", k=64), None, rand_point(64), 8, 120, seed=3)
+        assert v.passed and v.samples_used == 120
+        assert built == []
+
+    def test_failing_probe_builds_only_its_witness(self, monkeypatch):
+        f, x = catalog_function("sum", k=2), RelPoint.of(Fraction(-2, 5), Fraction(8, 3))
+        exact = self.verdict(f, lambda pt: kappa_inside(f, pt), x, Fraction(11, 10), 40, 2)
+        built, drawn = self.count_steps(monkeypatch), []
+        steps = amenability.sample_steps
+        monkeypatch.setattr(amenability, "sample_steps", lambda *a, **kw: (drawn.append(s) or s for s in steps(*a, **kw)))
+        v = amenability_probe(f, None, x, Fraction(11, 10), 40, seed=2)
+        assert not v.passed and v.samples_used == 12
+        assert repr((v, v.witness.coords)) == exact
+        assert len(built) == len(drawn) == 12  # none drawn after the witness
 
 
 class TestGradientCriterion:

@@ -32,7 +32,7 @@ from stabilis.catalog import (
 from stabilis.cli import _resolve_function
 from stabilis.condition import kappa_jacobian
 from stabilis.fpcore import Precision, fl, fp_add, fp_mul, fp_sub, to_exact
-from stabilis.reals import CertifiedReal, pi_real, real_sign
+from stabilis.reals import CertifiedReal, Interval, pi_real, real_sign
 from stabilis.relmetric import RelPoint, rel_dist
 
 mp.mp.prec = 700
@@ -607,6 +607,37 @@ class TestCommonDenominatorSums:
             assert (e.lo, e.hi, e.scale) == (w.lo, w.hi, w.scale)
             e, w = row.enclosure(b), want_row.enclosure(b)
             assert (e.lo, e.hi, e.scale) == (w.lo, w.hi, w.scale)
+
+
+class TestKappaUpper:
+    """kappa_upper of a box bounds kappa_closed at every rational point of it."""
+
+    @given(st.sampled_from(["sum", "product", "inner_product"]), st.integers(1, 6), st.sampled_from([0, 8, 100]),
+           st.data())
+    @settings(max_examples=200)
+    def test_bounds_kappa_closed_inside_the_box(self, fid, k, scale, data):
+        f = catalog_function(fid, k=k)
+        ends = st.tuples(st.integers(-2**12, 2**20), st.integers(0, 2**12) | st.just(0))
+        ivs = [Interval(lo, lo + w, scale) for lo, w in data.draw(st.lists(ends, min_size=f.in_dim,
+                                                                           max_size=f.in_dim), label="box")]
+        if data.draw(st.booleans(), label="zero"):
+            ivs[0] = Interval(0, 0, scale)
+        upper = f.kappa_upper(ivs)
+        assume(upper is not None)
+        within = st.fractions(min_value=0, max_value=1, max_denominator=2**40)
+        for _ in range(4):
+            pt = tuple(Fraction(iv.lo + (iv.hi - iv.lo) * data.draw(within), 2**scale) for iv in ivs)
+            assert f.kappa_closed(pt) <= upper
+
+    def test_corners_and_the_none_cases(self):
+        F = Fraction
+        assert catalog_function("sum", k=2).kappa_upper([Interval(-1, 1, 0), Interval(0, 0, 0)]) is None
+        assert catalog_function("sqrt").kappa_upper([Interval(1, 2, 0)]) is None  # no bound known
+        assert catalog_function("product", k=3).kappa_upper([Interval(-1, 1, 0)] * 3) == _sqrt_mid(F(3))
+        assert catalog_function("product", k=2).kappa_upper([Interval(0, 0, 0), Interval(1, 2, 0)]) == 0
+        # at a point box with an exact root the bound is the closed form plus the margin
+        f, x = catalog_function("inner_product", k=2), (F(3, 2), F(3, 2), F(-2), F(-2))
+        assert f.kappa_upper([Interval(3, 3, 1)] * 2 + [Interval(-2, -2, 0)] * 2) == f.kappa_closed(x) + F(1, 2**208) / 6
 
 
 def _bits(ys):

@@ -232,6 +232,29 @@ class TestCond:
         assert r.exit_code == 2
         assert "bits" in r.output
 
+    @pytest.mark.parametrize("point", ["(pi^300)^300*(pi^300)^300", "(pi^200)^200*(pi^200)^200", "(pi*2^3000)^300"])
+    def test_oversized_certified_product_is_a_prompt_usage_error(self, runner, point):
+        # a product asks each factor its magnitude's bits deeper, and a power's
+        # endpoints have its base's magnitude bits on top of the width asked
+        t0 = time.perf_counter()
+        r = runner.invoke(main, ["cond", "sqrt", point])
+        assert time.perf_counter() - t0 < 2
+        assert r.exit_code == 2
+        assert "bits" in r.output
+
+    def test_certified_products_within_the_budget_parse(self):
+        pt = parse_point("pi^300*pi^300, 2/(pi-3)*5, (pi^100)^100/pi, -(1/pi)^300*2^3000")
+        assert pt.dim == 4
+
+    def test_reciprocals_of_small_values_parse_and_answer(self, runner):
+        # pi - 355/113 is about -2.7e-7: its reciprocal's enclosures refine the
+        # base's sign, in a sum, a product and a power alike
+        pt = parse_point("-(pi-355/113)^-1, (pi-355/113)^-1+1, ((pi-355/113)^-1)*2, (pi-4)^-3")
+        assert pt.pattern == (1, -1, -1, -1)
+        r = runner.invoke(main, ["cond", "sqrt", "--", "-(pi-355/113)^-1"])
+        assert r.exit_code == 0, r.output
+        assert "kappa_tilde = 1.5" in r.output
+
     def test_deep_certified_expression_exits_3(self, runner):
         # each + of a certified real nests one more enclosure call
         t0 = time.perf_counter()

@@ -309,6 +309,14 @@ class TestCertifiedReal:
         )
         assert tiny.sign() in (-1, 1)
 
+    @pytest.mark.parametrize("base, j", [(Fraction(355, 113), -1), (Fraction(355, 113), -2), (4, -3), (3, -5)])
+    def test_negative_powers_refine_the_base_at_any_width(self, base, j):
+        # pi - 355/113 is about -2.7e-7, so its enclosures at low widths hold 0
+        x = (pi_real() - base) ** j
+        ref = (mp.pi - mp.mpf(base.numerator) / base.denominator if isinstance(base, Fraction) else mp.pi - base) ** j
+        for bits in (0, 8, 200):
+            assert contains(x.enclosure(bits), ref)
+
     def test_sign_of_exact_zero_rejected(self):
         z = CertifiedReal(lambda b: Interval(-1, 1, b))
         with pytest.raises(PrecisionError):
@@ -367,6 +375,8 @@ class TestRefine:
     def test_division_by_decided_zero_still_zero_division(self):
         with pytest.raises(ZeroDivisionError):
             (pi_real() / Fraction(0)).enclosure(64)
+        with pytest.raises(ZeroDivisionError):
+            ((pi_real() * Fraction(0)) ** -1).enclosure(64)
 
 
 class TestNthRoot:

@@ -9,10 +9,13 @@ from hypothesis import assume, given, settings, strategies as st
 from stabilis.fpcore import Precision, fl, to_exact
 from stabilis.reals import CertifiedReal, Interval, exp_iv, log_iv, pi_real, sqrt_iv
 from stabilis.relmetric import (
+    BOX_BITS,
     DimensionMismatch,
     InfiniteDistanceError,
     RelPoint,
     abs_dist,
+    ball_box,
+    factor_bounds,
     geodesic_point,
     philox_stream,
     rel_ball_sample,
@@ -320,6 +323,24 @@ class TestRelStep:
         k = step_midpoint_error(v, bits)
         for e in step_enclosures(v, rho, bits):
             assert Fraction(e.hi - e.lo, 2 ** (e.scale + 1)) <= Fraction(1, 2**k)
+        # so the low-width bounds widened by 2**-k hold each midpoint: at the
+        # probe's BOX_BITS and at Strassen's t + 32 for t = 24, 53, 113
+        mids = [Fraction(m) * Fraction(2) ** e for m, e in step_factors(v, rho, bits)]
+        for low in (BOX_BITS, 24 + 32, 53 + 32, 113 + 32):
+            for mid, b in zip(mids, factor_bounds(v, rho, low, bits)):
+                assert 0 < b.lower() <= mid <= b.upper()
+
+    @given(st.lists(st.floats(min_value=-8, max_value=8, allow_nan=False), min_size=3, max_size=3).filter(any)
+           | st.lists(tiny, min_size=3, max_size=3).filter(any),
+           radii.filter(lambda r: abs(r) <= 1), st.sampled_from([176, 240]))
+    @settings(max_examples=100)
+    def test_ball_box_holds_the_stepped_point(self, v, rho, bits):
+        x = RelPoint.of(Fraction(-3, 7), 5, 0, Fraction(1, 2**40))
+        y = rel_step(x, v, rho, None, bits)
+        box = ball_box(x, abs(rho), bits)
+        for iv, c in zip(box, y.coords):
+            assert iv.lower() <= c <= iv.upper()
+        assert box[2].lo == box[2].hi == 0
 
     def test_direction_length_does_not_matter_far_from_one(self):
         v = [3e-310, -1e-311, 2e-309]
