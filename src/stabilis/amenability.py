@@ -22,10 +22,10 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Sequence
 
-from .catalog import CatalogFunction, Product, Sin, Summation, _frac_only, _over_lcm, _sqrt_mid, compose, sin_enclosures
+from .catalog import CatalogFunction, Product, Sin, Summation, _frac_only, _sqrt_mid, compose, sin_enclosures
 from .condition import ConditionReport, ExtReal, kappa_closed_form, kappa_inside
-from .reals import Interval, PrecisionError, real_sign, refine
-from .relmetric import RelPoint, ball_box, rel_step, sample_bits, sample_steps
+from .reals import Interval, PrecisionError, _over_lcm, real_sign, refine
+from .relmetric import RelPoint, ball_box, rel_samples, sample_bits
 
 
 @dataclass
@@ -57,9 +57,10 @@ def amenability_probe(
 
     Half of the points sit at the ball boundary, where the growth clause
     fails first for every function in the catalog: the samples of
-    :func:`rel_sphere_sample`, then those of :func:`rel_ball_sample`.  A.1
-    is decided by ``f.in_domain`` alone, so a point's one evaluation is
-    ``kappa_fn``, by default the closed form without a second domain check.
+    :func:`rel_sphere_sample`, then those of :func:`rel_ball_sample`, drawn
+    one at a time from :func:`rel_samples`.  A.1 is decided by
+    ``f.in_domain`` alone, so a point's one evaluation is ``kappa_fn``, by
+    default the closed form without a second domain check.
     The first violation is returned as a witness; re-evaluating the witness
     reproduces it, and no sample after it is drawn.
 
@@ -86,17 +87,14 @@ def amenability_probe(
         raise ValueError("amenability is probed only where kappa_tilde is finite")
     bound = a * Fraction(kt_x)
     radius = 1 / bound
-    chi = x.chi()
-    bits = sample_bits(x, radius)
     if certify and radius <= 1:
-        upper = f.kappa_upper(ball_box(x, radius, bits))
+        upper = f.kappa_upper(ball_box(x, radius, sample_bits(x, radius)))
         if upper is not None and 1 + upper <= bound:
             return AmenabilityVerdict(a, True, True, None, n, kt_x)
     n_boundary = n // 2
-    steps = chain(sample_steps(len(chi), radius, n_boundary, seed, sphere=True),
-                  sample_steps(len(chi), radius, n - n_boundary, seed, sphere=False))
-    for used, (v, rho) in enumerate(steps, 1):
-        y = rel_step(x, v, rho, chi, bits) if rho else x
+    samples = chain(rel_samples(x, radius, n_boundary, seed, sphere=True),
+                    rel_samples(x, radius, n - n_boundary, seed, sphere=False))
+    for used, y in enumerate(samples, 1):
         if not f.in_domain(y.coords):
             return AmenabilityVerdict(a, False, True, y, used, kt_x)
         kt_y = kappa_fn(y).kappa_tilde

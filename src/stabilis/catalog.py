@@ -39,6 +39,8 @@ from .reals import (
     ExactReal,
     Interval,
     PrecisionError,
+    _over_lcm,
+    _sum_sq,
     cos_iv,
     nth_root_fraction,
     pi_iv,
@@ -71,15 +73,6 @@ def _sqrt_mid(q: Fraction) -> Fraction:
     return sqrt_iv(q, 192).midpoint()
 
 
-def _over_lcm(vals: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(numerators, denominator) of ``vals`` over their least common denominator.
-
-    A sum of them is then one Fraction with one gcd, not a gcd per term.
-    """
-    den = math.lcm(*(v.denominator for v in vals))
-    return [v.numerator * (den // v.denominator) for v in vals], den
-
-
 def _sum(terms: Sequence[ExactReal]) -> ExactReal:
     """Exact sum: over one common denominator when every term is a Fraction.
 
@@ -93,12 +86,6 @@ def _sum(terms: Sequence[ExactReal]) -> ExactReal:
     for t in terms:
         out = out + t
     return out
-
-
-def _sum_sq(vals: Sequence[Fraction]) -> Fraction:
-    """Sum of squares over one common denominator, with integer numerators."""
-    nums, den = _over_lcm(vals)
-    return Fraction(sum(n * n for n in nums), den * den)
 
 
 def _products_over(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -637,12 +624,13 @@ class MatmulEntry(CatalogFunction):
         return _kappa_of_sum(*_products_over([xs[a] for a, _ in pairs], [xs[b] for _, b in pairs]), 2)
 
 
-class Matmul2x2(CatalogFunction):
-    """The full 2x2 matrix product (A, B) -> AB, row-major in and out."""
+class Matmul2x2(Composite):
+    """The full 2x2 matrix product (A, B) -> AB, row-major in and out: Strassen's
+    scheme, StrassenG after StrassenH, evaluated entry by entry."""
 
     def __init__(self):
+        super().__init__(StrassenG(), StrassenH())
         self.id = "matmul_2x2"
-        self.in_dim, self.out_dim = 8, 4
         self._entries = [MatmulEntry(i, j) for i in (1, 2) for j in (1, 2)]
 
     def exact(self, xs):
@@ -827,13 +815,11 @@ def _fp_lin(xs, terms, p):
 
 
 def _then(g: str, h: str) -> Callable:
-    """The runner of algorithm ``g`` applied to the outputs of algorithm ``h``.
-
-    Both stages get the composite's function: a runner reads only ``f.k``
-    from ``f``, and each composite keeps its stages' k.  The runners are
-    looked up in ALGORITHMS at call time.
+    """The runner of algorithm ``g`` applied to the outputs of algorithm ``h``,
+    for a :class:`Composite` f: each stage runs on its own function, ``f.g``
+    or ``f.h``.  The runners are looked up in ALGORITHMS at call time.
     """
-    return lambda f, xs, p: ALGORITHMS[g][1](f, ALGORITHMS[h][1](f, xs, p), p)
+    return lambda f, xs, p: ALGORITHMS[g][1](f.g, ALGORITHMS[h][1](f.h, xs, p), p)
 
 
 def _run_power(f: Power, xs, p):

@@ -42,6 +42,7 @@ class ExprError(ValueError):
 
 MAX_BITS = 1 << 20  # of the numerator and denominator of each rational a point expression builds
 POINT_BITS = 4 * MAX_BITS  # of all the rationals one point builds, each counted once
+MAX_DEPTH = 1 << 17  # the bits beyond a width b that a certified value's enclosure at b may ask of pi
 
 _NUMBER = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 _EXPONENT = re.compile(r"[+-]?[0-9]+")
@@ -54,11 +55,13 @@ def _bits(v: Fraction) -> int:
 class _Certified(NamedTuple):
     """A certified value of a point with the budget's account of it: ``mag``,
     an m with |value| < 2**m, or None for a reciprocal, whose magnitude no
-    operand bounds; and ``weight``, the cost of each bit it is asked deeper."""
+    operand bounds; ``weight``, the cost of each bit it is asked deeper; and
+    ``depth``, the bits beyond a width b that its enclosure at b asks of pi."""
 
     value: CertifiedReal
     mag: int | None
     weight: int
+    depth: int
 
     def __neg__(self) -> "_Certified":
         return self._replace(value=-self.value)
@@ -91,7 +94,9 @@ class _Budget:
     the bits of the base's magnitude, and asks the base 8|e| bits deeper; a
     product asks each factor the bits of both magnitudes deeper.  Each bit
     that a value is asked deeper costs its weight: 1 per pi in it, plus |e|
-    per power.  So the budget bounds the work of a whole point.
+    per power.  So the budget bounds the work of a whole point.  Machin's
+    series for pi costs more than linearly in the width, so no value may
+    ask pi more than MAX_DEPTH bits deeper than it is asked itself.
     """
 
     left = POINT_BITS
@@ -111,6 +116,12 @@ class _Budget:
         return v
 
     @staticmethod
+    def deeper(depth: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ExprError(f"a value in the point asks pi more than {MAX_DEPTH} bits deeper")
+        return depth
+
+    @staticmethod
     def measure(v: _Node) -> int:
         """The magnitude bound of an operand of a product or power.  A
         reciprocal's is read from its enclosure at 8 bits, the least width
@@ -124,20 +135,23 @@ class _Budget:
         m = self.measure(v)
         self.spend(abs(e) * (8 * abs(e) + max(m, 0)))  # the raised endpoint beyond |e| b bits
         self.spend(8 * abs(e) * v.weight)
-        return _Certified(v.value ** e, e * m if e > 0 else None, v.weight + abs(e))
+        depth = self.deeper(v.depth + 8 * abs(e))
+        return _Certified(v.value ** e, e * m if e > 0 else None, v.weight + abs(e), depth)
 
     def combine(self, op: type, a: _Node, c: _Node) -> _Certified:
         """``a op c`` for + - * / when a or c is a certified real."""
         w = _weight(a) + _weight(c)
+        depth = max(v.depth for v in (a, c) if isinstance(v, _Certified))
         if op is ast.Div and isinstance(c, Fraction):
             op, c = ast.Mult, 1 / c  # a certified value is scaled by the exact reciprocal
         if op is ast.Mult:
             ma, mc = self.measure(a), self.measure(c)
-            self.spend((8 + max(ma, 1) + max(mc, 1)) * w)
-            return _Certified(_real(a) * _real(c), ma + mc, w)
+            extra = 8 + max(ma, 1) + max(mc, 1)
+            self.spend(extra * w)
+            return _Certified(_real(a) * _real(c), ma + mc, w, self.deeper(depth + extra))
         ma, mc = _mag(a), _mag(c)
         mag = None if op is ast.Div or ma is None or mc is None else max(ma, mc) + 1
-        return _Certified(_BINARY[op](_real(a), _real(c)), mag, w)
+        return _Certified(_BINARY[op](_real(a), _real(c)), mag, w, self.deeper(depth + (8 if op is ast.Div else 4)))
 
 
 _UNARY = {ast.UAdd: lambda v: v, ast.USub: operator.neg}
@@ -153,7 +167,7 @@ def _value(node: ast.expr, src: str, budget: _Budget) -> _Node:
         budget.check(3 * abs(int(m[2][1:])) if m[2] else 0)
         return budget.charge(Fraction(text))
     if isinstance(node, ast.Name) and node.id == "pi":
-        return _Certified(pi_real(), 2, 1)
+        return _Certified(pi_real(), 2, 1, 0)
     if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
         return _UNARY[type(node.op)](_value(node.operand, src, budget))
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
@@ -384,14 +398,13 @@ def _function_options(cmd):
 @main.command()
 @click.argument("function")
 @click.argument("point")
-@click.option("--sample", is_flag=True, help="Use the black-box sampling estimator.")
-@click.option("--method", type=click.Choice(["auto", "closed", "jacobian", "sampled"]), default="auto")
+@click.option("--method", type=click.Choice(["auto", "jacobian", "sampled"]), default="auto")
 @_function_options
 @_computation("condition_number")
-def cond(function, point, sample, method, seed, **kw):
+def cond(function, point, method, seed, **kw):
     """Condition number of FUNCTION at POINT (e.g. `cond product 1,2,3`)."""
     f, pt = _function_at(function, point, **kw)
-    if sample or method == "sampled":
+    if method == "sampled":
         rep = kappa_sampled(f, pt, seed=seed)
     elif method == "jacobian":
         rep = kappa_jacobian(f, pt)

@@ -30,7 +30,7 @@ import numpy as np
 from .catalog import CatalogFunction, DomainError, _sqrt_mid
 from .fpcore import fl, to_exact
 from .reals import ExactReal
-from .relmetric import RelPoint, rel_dist, rel_factors, rel_sphere_sample, rel_step, sample_bits
+from .relmetric import RelPoint, rel_dist, rel_sphere_sample, rel_step, sample_bits, step_factors
 
 ExtReal = Fraction | float  # exact rational, or math.inf
 
@@ -250,7 +250,7 @@ def kappa_sampled(
     last two levels agree within 1%, otherwise the max is reported with
     ``converged=False``.  Sign-pattern breaks and blow-ups surface as an
     infinite estimate.  Probes step at the width :func:`sample_bits` gives
-    each radius, 64 bits below the largest coordinate's magnitude and the
+    each radius, 80 bits below the largest coordinate's magnitude and the
     radius: with a coarser step factor every probe of x = pi*2^k + 1 would
     land on a multiple of pi plus 1, hiding the condition number.
 
@@ -302,7 +302,7 @@ def kappa_sampled(
 
         # axis probes double as local-map estimation; each scales one
         # coordinate by rel_step's factor exp(r) or exp(-r), taken once
-        up, down = rel_factors([1], r, bits), rel_factors([1], -r, bits)
+        up, down = step_factors([1], r, bits), step_factors([1], -r, bits)
         for i in chi:
             fy = measure(x.scaled((i,), up))
             if fy is not None and fy.pattern == fx.pattern:

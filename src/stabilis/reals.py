@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, TypeVar, Union
+from typing import Callable, Sequence, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -43,6 +43,21 @@ def refine(decide: Callable[[int], T | None], start: int, what: str) -> T:
         if out is not None:
             return out
     raise PrecisionError(f"cannot decide {what} at {start << REFINE_DOUBLINGS} bits")
+
+
+def _over_lcm(vals: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(numerators, denominator) of ``vals`` over their least common denominator.
+
+    A sum of them is then one Fraction with one gcd, not a gcd per term.
+    """
+    den = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals], den
+
+
+def _sum_sq(vals: Sequence[Fraction]) -> Fraction:
+    """Sum of squares over one common denominator, with integer numerators."""
+    nums, den = _over_lcm(vals)
+    return Fraction(sum(n * n for n in nums), den * den)
 
 
 # ---------------------------------------------------------------------------
@@ -193,44 +208,38 @@ class Interval:
 # inputs are handled by a single evaluation path.
 
 
+def _arccot(k: int, scale: int, alternate: bool) -> tuple[int, int]:
+    """(S, E) with |atan(1/k) * 2**scale - S| <= E, or the same for atanh(1/k)
+    when not ``alternate``: the series sum (+-1)**j / ((2j + 1) k**(2j + 1)).
+
+    E is 4 ulps per term: 4 for the floors of each term after the first, 2
+    for the first, and 2 for the tail, which the first omitted term bounds.
+    """
+    k2 = k * k
+    num = (1 << scale) // k
+    total = num
+    j = 1
+    while num:
+        num //= k2
+        term = num // (2 * j + 1)
+        total += -term if alternate and j % 2 else term
+        j += 1
+    return total, 4 * j
+
+
 @lru_cache(maxsize=64)
 def _pi_core(scale: int) -> tuple[int, int]:
     """Machin's formula: pi = 16 atan(1/5) - 4 atan(1/239)."""
-
-    def atan_inv(k: int) -> tuple[int, int]:
-        k2 = k * k
-        num = (1 << scale) // k
-        total = num
-        err = 2
-        j = 1
-        sign = -1
-        while num:
-            num //= k2
-            total += sign * (num // (2 * j + 1))
-            err += 4
-            sign = -sign
-            j += 1
-        return total, err + 2
-
-    s5, e5 = atan_inv(5)
-    s239, e239 = atan_inv(239)
+    s5, e5 = _arccot(5, scale, True)
+    s239, e239 = _arccot(239, scale, True)
     return 16 * s5 - 4 * s239, 16 * e5 + 4 * e239
 
 
 @lru_cache(maxsize=64)
 def _ln2_core(scale: int) -> tuple[int, int]:
-    """ln 2 = 2 atanh(1/3) = 2 * sum 1/(3**(2j+1) (2j+1))."""
-    num = (1 << scale) // 3
-    total = num
-    err = 2
-    j = 1
-    while num:
-        num //= 9
-        total += num // (2 * j + 1)
-        err += 4
-        j += 1
-    # tail bounded by the first omitted term, itself below 1 ulp here
-    return 2 * total, 2 * (err + 2)
+    """ln 2 = 2 atanh(1/3)."""
+    s, e = _arccot(3, scale, False)
+    return 2 * s, 2 * e
 
 
 def _constant_iv(core: Callable[[int], tuple[int, int]], bits: int) -> Interval:

@@ -7,10 +7,11 @@ computed from exact coordinate ratios through certified log enclosures
 (default resolution 192 bits), so they are never the dominant error
 source in stability measurements.
 
-Sampling is deterministic: sample ``i`` of a run draws from a Philox
-stream with ``key=seed`` and ``counter=[0, 0, kind, i]`` (kind 0 for
-ball samples, 1 for boundary samples), so runs parallelize without
-coordination.
+Samples are relative steps (:func:`rel_step`) at :func:`sample_bits`,
+drawn lazily and deterministically (:func:`rel_samples`): sample ``i`` of
+a run draws from a Philox stream with ``key=seed`` and ``counter=[0, 0,
+kind, i]`` (kind 0 for ball samples, 1 for boundary samples), so runs
+parallelize without coordination.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .reals import (
     CertifiedReal,
     ExactReal,
     Interval,
+    _sum_sq,
     as_interval,
     exp_ends,
     exp_iv,
@@ -39,7 +41,7 @@ from .reals import (
 )
 
 DIST_BITS = 192
-SAMPLE_BITS = 176
+SAMPLE_BITS = 192  # the least width of a sampled step's factors
 SPHERE_INSET = Fraction(1, 2**64)  # sphere samples sit this relative fraction inside the radius
 BOX_BITS = 80  # the width of ball_box's factor enclosures
 
@@ -187,29 +189,23 @@ def rel_dist(x: RelPoint, y: RelPoint, bits: int = DIST_BITS) -> ExtDist:
 
 
 def abs_dist(x: RelPoint, y: RelPoint) -> Fraction:
-    """Euclidean (Frobenius) distance, for absolute-error comparisons."""
+    """Euclidean (Frobenius) distance, for absolute-error comparisons; the
+    squared differences of rational coordinates are summed exactly."""
     bits = DIST_BITS
     if x.dim != y.dim:
         raise DimensionMismatch(f"dimension mismatch: {x.dim} != {y.dim}")
-    # squared differences of rational coordinates, summed exactly in
-    # integers: their sum is num / den**2
-    num, den = 0, 1
+    exact: list[Fraction] = []
     sqs: list[Interval] = []
     for a, b in zip(x.coords, y.coords):
         if isinstance(a, Fraction) and isinstance(b, Fraction):
-            dd = a.denominator * b.denominator
-            d = a.numerator * b.denominator - b.numerator * a.denominator
-            g = math.gcd(dd, den)
-            num = num * (dd // g) ** 2 + d * d * (den // g) ** 2
-            den = den // g * dd
+            exact.append(a - b)
         else:
             d = as_interval(a, bits + 8) - as_interval(b, bits + 8)
             sqs.append((d * d).rescale(2 * bits + 16))
+    q = _sum_sq(exact)
     if not sqs:
-        if num == 0:
-            return Fraction(0)
-        return _root_ratio(num, den * den, bits).midpoint()
-    sqs.append(Interval.from_fraction(Fraction(num, den * den), 2 * bits + 16))
+        return q if q == 0 else _root_ratio(q.numerator, q.denominator, bits).midpoint()
+    sqs.append(Interval.from_fraction(q, 2 * bits + 16))
     return _root_sum(sqs, bits).midpoint()
 
 
@@ -410,15 +406,9 @@ def rel_step(x: RelPoint, v: Sequence, rho, chi: Sequence[int] | None = None,
     """x moved a relative distance rho along v, which spans the coordinates chi.
 
     chi defaults to the nonzero coordinates of x; :meth:`RelPoint.scaled`
-    applies the factors of :func:`rel_factors`.
+    applies the factors of :func:`step_factors` at ``bits``.
     """
-    return x.scaled(x.chi() if chi is None else chi, rel_factors(v, rho, bits))
-
-
-def rel_factors(v: Sequence, rho, bits: int = SAMPLE_BITS) -> list[tuple[int, int]]:
-    """The factors by which :func:`rel_step` at ``bits`` scales the coordinates:
-    :func:`step_factors` at bits + 16."""
-    return step_factors(v, rho, bits + 16)
+    return x.scaled(x.chi() if chi is None else chi, step_factors(v, rho, bits))
 
 
 def ball_box(x: RelPoint, r: Fraction, bits: int) -> list[Interval]:
@@ -426,56 +416,50 @@ def ball_box(x: RelPoint, r: Fraction, bits: int) -> list[Interval]:
     with float v and |rho| <= r <= 1, for x of rational coordinates.
 
     Each factor lies within 2**-k of exp(w) for some |w| <= |rho|, k the
-    least :func:`step_midpoint_error` at bits + 16 over all directions (the
+    least :func:`step_midpoint_error` at ``bits`` over all directions (the
     one of a largest |v_i| in [2**-32, 2**-31)); so it lies in [exp(-r),
     exp(r)] widened by 2**-k.
     """
     lo, hi = exp_iv(-r, BOX_BITS), exp_iv(r, BOX_BITS)
     s = max(lo.scale, hi.scale)
-    pad = 1 << max(s - step_midpoint_error([2.0**-32], bits + 16), 0)
+    pad = 1 << max(s - step_midpoint_error([2.0**-32], bits), 0)
     return x.box(x.chi(), Interval(lo.rescale(s).lo - pad, hi.rescale(s).hi + pad, s))
 
 
 def sample_bits(x: RelPoint, r: Fraction) -> int:
-    """The width at which to step x by relative distances up to r > 0: at least
-    SAMPLE_BITS, and 64 bits below both r and the largest certified-real
-    coordinate's magnitude.  A step factor's error is then far below r, and a
-    step resolves the low bits of a huge certified coordinate (at 176 bits
-    every step of x = pi*2^k + 1 would land on a multiple of pi plus 1).  A
-    step of a rational coordinate is an exact product and loses no bits."""
+    """The width of the factors that step x by relative distances up to r > 0:
+    at least SAMPLE_BITS, and 80 bits below both r and the largest
+    certified-real coordinate's magnitude.  A step factor's error is then far
+    below r, and a step resolves the low bits of a huge certified coordinate
+    (at 192 bits every step of x = pi*2^k + 1 would land on a multiple of pi
+    plus 1).  A step of a rational coordinate is an exact product."""
     inv_r = -(-r.denominator // r.numerator)  # ceil(1/r): 2^k >= 1/r exactly when 2^k >= inv_r
-    return max([SAMPLE_BITS, 64 + (inv_r - 1).bit_length()]
-               + [c.enclosure(0).mag_bits() + 64 for c in x.coords if isinstance(c, CertifiedReal)])
+    return max([SAMPLE_BITS, 80 + (inv_r - 1).bit_length()]
+               + [c.enclosure(0).mag_bits() + 80 for c in x.coords if isinstance(c, CertifiedReal)])
 
 
-def sample_steps(d: int, r: Fraction, n: int, seed: int, sphere: bool) -> Iterator[tuple[list[float] | None, Fraction]]:
-    """The steps of n samples of :func:`rel_sphere_sample` (sphere) or
-    :func:`rel_ball_sample` of radius r around a point with d nonzero
-    coordinates: per sample, in order, a direction v and a length rho, or
-    (None, 0) for the point itself.
+def rel_samples(x: RelPoint, r: Fraction, n: int, seed: int, sphere: bool) -> Iterator[RelPoint]:
+    """The n points of :func:`rel_sphere_sample` (sphere) or
+    :func:`rel_ball_sample` of radius r around x, in order and lazily: a
+    reader that stops early draws no further.
 
-    Sample i draws from counter [0, 0, 1, i] on the sphere, where rho is r
-    shrunk by SPHERE_INSET, and from [0, 0, 0, i] in the ball, where rho is
-    uniform in [0, r) and a direction is drawn only for rho > 0.  When d or r
-    is 0 every sample is the point itself.  A reader that stops early draws
-    no further.
+    Sample i draws from counter [0, 0, 1, i] on the sphere, where its length
+    rho is r shrunk by SPHERE_INSET, and from [0, 0, 0, i] in the ball, where
+    rho is uniform in [0, r).  It is x stepped by rho along a standard-normal
+    direction, drawn only for rho > 0, or x itself; every sample is x when x
+    is all zero or r is 0.
     """
-    if not d or not r:
-        yield from repeat((None, Fraction(0)), n)
+    chi = x.chi()
+    if not chi or not r:
+        yield from repeat(x, n)
         return
+    bits = sample_bits(x, r)
     at = philox_stream(seed)
     inset = r * (1 - SPHERE_INSET)
     for i in range(n):
         gen = at([0, 0, int(sphere), i])
         rho = inset if sphere else r * Fraction(int(gen.integers(0, 2**53)), 2**53)
-        yield (_direction(gen, d) if rho else None), rho
-
-
-def _sample(x: RelPoint, r: Fraction, n: int, seed: int, sphere: bool) -> list[RelPoint]:
-    """The points of :func:`sample_steps` around x, stepped at :func:`sample_bits`."""
-    chi = x.chi()
-    bits = sample_bits(x, r) if r else 0
-    return [rel_step(x, v, rho, chi, bits) if rho else x for v, rho in sample_steps(len(chi), r, n, seed, sphere)]
+        yield rel_step(x, _direction(gen, len(chi)), rho, chi, bits) if rho else x
 
 
 def rel_ball_sample(x: RelPoint, r, n: int, seed: int) -> list[RelPoint]:
@@ -483,19 +467,20 @@ def rel_ball_sample(x: RelPoint, r, n: int, seed: int) -> list[RelPoint]:
 
     Construction: a standard-normal direction on the nonzero support, a
     radius uniform in [0, r), and coordinatewise exponential scaling at
-    :func:`sample_bits` of the radius r.  Deterministic for a given seed;
-    the ball around an all-zero point is the point itself.
+    :func:`sample_bits` of the radius r (:func:`rel_samples`).
+    Deterministic for a given seed; the ball around an all-zero point is
+    the point itself.
     """
     rf = to_real(r)
     if not isinstance(rf, Fraction) or rf < 0:
         raise ValueError("ball radius must be a finite nonnegative rational")
-    return _sample(x, rf, n, seed, sphere=False)
+    return list(rel_samples(x, rf, n, seed, sphere=False))
 
 
 def rel_sphere_sample(x: RelPoint, r, n: int, seed: int) -> list[RelPoint]:
     """n points at relative distance ~r (shrunk by SPHERE_INSET to stay
-    inside), stepped at :func:`sample_bits`."""
+    inside), stepped at :func:`sample_bits` (:func:`rel_samples`)."""
     rf = to_real(r)
     if not isinstance(rf, Fraction) or rf <= 0:
         raise ValueError("sphere radius must be a positive rational")
-    return _sample(x, rf, n, seed, sphere=True)
+    return list(rel_samples(x, rf, n, seed, sphere=True))

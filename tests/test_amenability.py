@@ -138,8 +138,9 @@ class TestLowWidthDecisions:
         f, x = catalog_function("sum", k=2), RelPoint.of(Fraction(-2, 5), Fraction(8, 3))
         exact = self.verdict(f, lambda pt: kappa_inside(f, pt), x, Fraction(11, 10), 40, 2)
         built, drawn = self.count_steps(monkeypatch), []
-        steps = amenability.sample_steps
-        monkeypatch.setattr(amenability, "sample_steps", lambda *a, **kw: (drawn.append(s) or s for s in steps(*a, **kw)))
+        samples = amenability.rel_samples
+        monkeypatch.setattr(amenability, "rel_samples",
+                            lambda *a, **kw: (drawn.append(y) or y for y in samples(*a, **kw)))
         v = amenability_probe(f, None, x, Fraction(11, 10), 40, seed=2)
         assert not v.passed and v.samples_used == 12
         assert repr((v, v.witness.coords)) == exact

@@ -14,12 +14,15 @@ from stabilis.catalog import (
     CatalogFunction,
     Composite,
     DomainError,
+    Hadamard,
     LinearMap,
+    NumericalAlgorithm,
     Sin,
     Summation,
     _sqrt_mid,
     _sum_kappa,
     _sum_sq,
+    _then,
     algorithm,
     babylonian_sqrt,
     catalog_function,
@@ -312,6 +315,15 @@ class TestRegistry:
         got = RelPoint(alg.evaluate([fl(c, t) for c in xs], t))
         ref = RelPoint(alg.exact_reference(xs))
         assert rel_dist(ref, got, bits=256) < Fraction(1, 2**150)
+
+    def test_composed_runner_runs_each_stage_on_its_own_function(self):
+        # a plain Composite keeps no k of its own: the stages read theirs
+        f = Composite(Summation(3), Hadamard(3))
+        alg = NumericalAlgorithm("naive_sum o hadamard", f, _then("naive_sum", "hadamard"))
+        ref = algorithm("inner_product", k=3)
+        xs = [fl(Fraction(n, d), 53) for n, d in ((1, 3), (-2, 1), (5, 7), (3, 1), (11, 13), (-7, 4))]
+        got, want = alg.evaluate(xs, 53), ref.evaluate(xs, 53)
+        assert [(v.sign, v.mantissa, v.exponent) for v in got] == [(v.sign, v.mantissa, v.exponent) for v in want]
 
     @pytest.mark.parametrize("name", sorted(n for n, (_, per) in FUNCTIONS.items() if per))
     def test_cli_sizing_gives_the_input_dimension(self, name):

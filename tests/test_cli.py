@@ -152,7 +152,7 @@ class TestCond:
 
     def test_sampled_close_to_closed(self, runner):
         closed = runner.invoke(main, ["cond", "sum", "1,2,3"])
-        sampled = runner.invoke(main, ["cond", "--sample", "sum", "1,2,3"])
+        sampled = runner.invoke(main, ["cond", "--method", "sampled", "sum", "1,2,3"])
         kc = float(closed.output.split("kappa = ")[1].splitlines()[0])
         ks = float(sampled.output.split("kappa = ")[1].splitlines()[0])
         assert abs(ks - kc) <= 0.05 * kc
@@ -199,10 +199,10 @@ class TestCond:
         assert f"kappa = {kappa}\n" in r.stdout
 
     def test_sampled_at_a_huge_sine_argument_does_not_converge(self, runner):
-        # probes at 176 bits would all land on pi*2^3000*F + F with F a dyadic
+        # probes at 192 bits would all land on pi*2^3000*F + F with F a dyadic
         # step factor, an even multiple of pi plus F, and report |cot 1|
         t0 = time.perf_counter()
-        r = runner.invoke(main, ["cond", "--sample", "sin", "pi*2^3000+1"])
+        r = runner.invoke(main, ["cond", "--method", "sampled", "sin", "pi*2^3000+1"])
         assert time.perf_counter() - t0 < 30
         assert r.exit_code == 0, r.output
         assert "kappa = inf\n" in r.stdout
@@ -232,10 +232,13 @@ class TestCond:
         assert r.exit_code == 2
         assert "bits" in r.output
 
-    @pytest.mark.parametrize("point", ["(pi^300)^300*(pi^300)^300", "(pi^200)^200*(pi^200)^200", "(pi*2^3000)^300"])
+    @pytest.mark.parametrize("point", ["(pi^300)^300*(pi^300)^300", "(pi^200)^200*(pi^200)^200", "(pi*2^3000)^300",
+                                       "pi*2^1000000", "pi*2^60000*2*2", "(pi*2^65536)^2*2^65536"])
     def test_oversized_certified_product_is_a_prompt_usage_error(self, runner, point):
         # a product asks each factor its magnitude's bits deeper, and a power's
-        # endpoints have its base's magnitude bits on top of the width asked
+        # endpoints have its base's magnitude bits on top of the width asked;
+        # nested products and powers add up the bits they ask of pi, whose
+        # series costs more than linearly in the width
         t0 = time.perf_counter()
         r = runner.invoke(main, ["cond", "sqrt", point])
         assert time.perf_counter() - t0 < 2
@@ -338,8 +341,8 @@ class TestAmen:
         assert "witness" in r.output
 
     def test_huge_rational_coordinate_is_prompt(self, runner):
-        # a step of a rational coordinate is exact, so it is sampled at 176 bits;
-        # 64 bits below its magnitude, the 400 exp factors would take about 10 s
+        # a step of a rational coordinate is exact, so it is sampled at 192 bits;
+        # 80 bits below its magnitude, the 400 exp factors would take about 10 s
         t0 = time.perf_counter()
         r = runner.invoke(main, ["amen", "sum", "--x", "2^10000,1", "--a", "64"])
         assert time.perf_counter() - t0 < 5

@@ -250,7 +250,7 @@ class TestBallSampling:
     @pytest.mark.parametrize("x", [RelPoint.of(pi_real() * 2**200 + 1), RelPoint.of(3, Fraction(-5, 7))],
                              ids=["certified", "rational"])
     def test_tiny_radius_stays_in_the_ball(self, x):
-        # at a fixed 176 bits a step factor's own error exceeds r by far;
+        # at a fixed 192 bits a step factor's own error exceeds r by far;
         # DIST_BITS = 192 cannot resolve distances near r, hence 800 bits
         r = Fraction(1, 2**250)
         for y in rel_sphere_sample(x, r, 8, seed=3):
@@ -262,11 +262,11 @@ class TestBallSampling:
         F = Fraction
         small = RelPoint.of(F(-7, 2), 2**111, pi_real() * 2**100)
         for r in (F(1), F(1, 2**112), F(3, 2**113)):
-            assert sample_bits(small, r) == 176
-        assert sample_bits(small, F(1, 2**112 + 1)) == 177
-        assert sample_bits(small, F(1, 2**250)) == 314
-        assert sample_bits(RelPoint.of(F(1, 3), F(2**150 + 1, 2)), F(1, 8)) == 176  # a rational steps exactly
-        assert sample_bits(RelPoint.of(pi_real() * 2**200 + 1, 0), F(1, 8)) == 64 + 202
+            assert sample_bits(small, r) == 192
+        assert sample_bits(small, F(1, 2**112 + 1)) == 193
+        assert sample_bits(small, F(1, 2**250)) == 330
+        assert sample_bits(RelPoint.of(F(1, 3), F(2**150 + 1, 2)), F(1, 8)) == 192  # a rational steps exactly
+        assert sample_bits(RelPoint.of(pi_real() * 2**200 + 1, 0), F(1, 8)) == 80 + 202
 
 
 def spec_factors(v, rho, bits):
