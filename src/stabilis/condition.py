@@ -7,9 +7,11 @@ Three routes are provided and cross-checked against each other:
 * a black-box sampling estimator of the defining limit.
 
 The estimator decides most of its probes from float bounds on the two
-distances (:func:`dist_bounds`) and computes the exact 192-bit distances
-only for a probe whose ratio could raise the running sup, so its reports
-are those of the exact computation.
+distances (:func:`dist_bounds`, over rational, interval and certified-real
+coordinates), most random probes before they are built (from enclosures
+of their step factors and ``exact`` on the box they span), and computes
+the exact 192-bit distances only for a probe whose ratio could raise the
+running sup, so its reports are those of the exact computation.
 
 The spectral norm is certified: the largest eigenvalue of the exact
 integer Gram matrix is bracketed by Rayleigh quotients from below and by
@@ -23,14 +25,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .catalog import CatalogFunction, DomainError, _sqrt_mid
 from .fpcore import fl, to_exact
-from .reals import ExactReal
-from .relmetric import RelPoint, rel_dist, rel_sphere_sample, rel_step, sample_bits, step_factors
+from .reals import CertifiedReal, ExactReal, Interval
+from .relmetric import (
+    BOX_BITS,
+    DIST_BITS,
+    RelPoint,
+    factor_bounds,
+    rel_dist,
+    rel_step,
+    sample_bits,
+    step_factors,
+    step_stream,
+)
 
 ExtReal = Fraction | float  # exact rational, or math.inf
 
@@ -176,60 +188,120 @@ DEFAULT_RADII = (Fraction(1, 1000), Fraction(1, 10000), Fraction(1, 100000))
 # rel_dist's 192-bit midpoint is bounded relative to the distance only above it
 FLOAT_FLOOR = 2.0**-60
 
+# dist_bounds takes a certified real as the enclosure that rel_dist's
+# certified path starts from, so it sees the width rel_dist will use and
+# leaves every cached enclosure as the exact path would
+CERT_BITS = DIST_BITS + 8
 
-def dist_bounds(x: RelPoint, y: RelPoint) -> tuple[float, float] | None:
-    """Floats lo <= rel_dist(x, y) <= hi, or None.
+# kappa_sampled stops deciding a level's random probes on boxes after this
+# many attempts in a row fail: where the ratios tie the sup (copy), every
+# attempt fails and only adds to the probe's cost
+BOX_PATIENCE = 4
 
-    None when the sign patterns differ, a coordinate is a certified real,
-    some ratio a/b lies outside (1/3, 3), or the distance may be below
-    ``FLOAT_FLOOR`` (every |z| below it, so every distance under 2**-60).
 
-    For Fraction coordinates a, b of one sign let p = |a.num * b.den| and
-    q = |b.num * a.den|: log(a/b) = 2 atanh z with z = (p - q)/(p + q), and
-    for |z| < 1/2, 2|z| <= |2 atanh z| <= 2|z| c(z), c(z) = 1 + z^2/(3(1 - z^2))
-    (the tail of z + z^3/3 + z^5/5 + ... is below the geometric series
-    z^3/3 (1 + z^2 + ...)); c increases with |z|.  So the distance D lies in
-    [2 S, 2 c(z_max) S] for S the Euclidean norm of z.
+def _magnitude(c) -> tuple[int, int, int, int] | None:
+    """(sign, lo, hi, den) with |c| in [lo, hi] / den, for a rational, an
+    Interval or a CertifiedReal (its enclosure at CERT_BITS); None when the
+    enclosure leaves the sign open."""
+    if isinstance(c, CertifiedReal):
+        c = c.enclosure(CERT_BITS)
+    elif not isinstance(c, Interval):  # isinstance on Fraction, an ABC, is slow
+        n = c.numerator
+        return (n > 0) - (n < 0), abs(n), abs(n), c.denominator
+    lo, hi, s = c.lo, c.hi, c.scale
+    if lo <= 0 <= hi and (lo or hi):
+        return None
+    sign = (lo > 0) - (hi < 0)
+    if sign < 0:
+        lo, hi = -hi, -lo
+    return (sign, lo, hi, 1 << s) if s >= 0 else (sign, lo << -s, hi << -s, 1)
+
+
+def dist_bounds(x: Iterable, y: Iterable) -> tuple[float, float] | None:
+    """Floats lo <= rel_dist(x, y) <= hi, or None, for x and y of one
+    dimension (RelPoints or sequences of coordinates).
+
+    A coordinate is a Fraction, an integer Interval, which stands for every
+    rational in it (the bounds hold for each such point), or a CertifiedReal.
+    None when the signs may differ, some ratio a/b may lie outside (1/3, 3),
+    the distance may be below ``FLOAT_FLOOR`` (every |z| below it, so every
+    distance under 2**-60), or a certified pair is too wide (below).
+
+    For coordinates a, b of one sign, log(a/b) = 2 atanh z with z = (a/b -
+    1)/(a/b + 1), increasing in a/b; for |z| < 1/2, 2|z| <= |2 atanh z| <=
+    2|z| c(z), c(z) = 1 + z^2/(3(1 - z^2)) (the tail of z + z^3/3 + z^5/5 +
+    ... is below the geometric series z^3/3 (1 + z^2 + ...)); c increases
+    with |z|.  Over the enclosures, a/b runs from p/q = |a|_lo/|b|_hi to
+    P/Q = |a|_hi/|b|_lo, all four integers over the sides' denominators, so
+    |z| is at most the larger |z| of the two ends and at least the nearer
+    one, or 0 when the range holds 1 (a rational gives one end).  So the
+    distance D lies in [2 S_lo, 2 c(z_max) S_hi] for S_lo and S_hi the
+    Euclidean norms of those least and greatest |z|.
 
     Float error, for n coordinates and u = 2**-53.  Int true division
-    rounds each |z| correctly, however large the integers: within u
-    relative, or 2**-1075 absolute below 2**-1022.  The float sum of squares
-    is then within (n + 3) u of sum z^2, the absolute terms adding under
-    n 2**-954 of it because z_max >= 2**-60; its root is within (n + 6) u
-    of S, and c and the last products add a few u more.  The margin
-    m = (n + 16) 2**-48 = 32 (n + 16) u covers all of it and the midpoint's
-    offset below.
+    rounds each z correctly, however large the integers: within u
+    relative, or 2**-1075 absolute below 2**-1022.  Each float sum of squares
+    is then within (n + 3) u of its sum, the absolute terms adding under
+    n 2**-954 of it because the largest least |z| is >= 2**-60; its root is
+    within (n + 6) u of S, and c and the last products add a few u more.
+    The margin m = (n + 16) 2**-48 = 32 (n + 16) u covers all of it and the
+    midpoint's offset below.
 
     Midpoint offset.  ``rel_dist`` returns the midpoint M of an enclosure
-    [L, H] of D, so |M - D| <= H - L.  With a ratio in (1/3, 3),
-    ``log_iv(., 192)`` adds at most 3 multiples of ln 2 (below 2**-300
-    wide) to 2 atanh of a reduced |z| < 1/3 at W = 224 bits, whose series
-    has at most 71 terms, err <= 9 + 6*71 units and width 4 err < 2**11
-    units of 2**-224: each log enclosure is below w = 2**-212 wide.  Its
-    square is below 2 w |l_i| + 2 w**2 wide plus 2 units of 2**-400 for the
-    rescale, so the sum T is below 2 w sqrt(n) D + n 2**-398 wide
-    (sum |l_i| <= sqrt(n) D), and ``sqrt_iv(T, 192)`` at 208 bits is below
-    (T_hi - T_lo)/D + 2**-207 wide.  For D >= 2**-60 that is, relative to D,
-    2**-151 sqrt(n) + n 2**-278 + 2**-147 < 2**-100 for any n below 2**90.
+    [L, H] of D, so |M - D| <= H - L.  Let w bound the width of each pair's
+    enclosure of log(a/b); the squares' sum T is then below 2 w sqrt(n) D +
+    n (w**2 + 2**-398) wide (sum |l_i| <= sqrt(n) D), and ``sqrt_iv(T,
+    192)`` at 208 bits is below (T_hi - T_lo)/D + 2**-207 wide.  A pair of
+    rationals (an Interval's points are rational) has its ratio exactly:
+    with it in (1/3, 3), ``log_iv(., 192)`` adds at most 3 multiples of ln 2
+    (below 2**-300 wide) to 2 atanh of a reduced |z| < 1/3 at W = 224 bits,
+    whose series has at most 71 terms, err <= 9 + 6*71 units and width
+    4 err < 2**11 units of 2**-224: w = 2**-212.  A pair with a certified
+    real takes ``signed_interval(., 200)`` of each side, which is the
+    enclosure at CERT_BITS read here when its sign is certain, and of a
+    rational side an enclosure below 2**-200 wide.  Each is required below
+    2**-128 relative width: a certified side by its own ends, a rational
+    side by being at least 2**-72.  The quotient at 200 bits (ends in (1/4,
+    4)) is then below 2**-126 relative width, and ``log_iv`` of its two
+    ends (each as above) gives w < 2**-125.  For D >= 2**-60 the offset,
+    relative to D, is below 2**-64 sqrt(n) + n 2**-129 + 2**-147, far
+    inside the margin's slack of 31 (n + 16) u.
     """
-    if x.pattern != y.pattern:
-        return None
-    ss = top = 0.0
-    for a, b in zip(x.coords, y.coords):
-        if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
+    ss_lo = ss_hi = top_lo = top_hi = 0.0
+    n = 0
+    for a, b in zip(x, y):
+        n += 1
+        ea, eb = _magnitude(a), _magnitude(b)
+        if ea is None or eb is None or ea[0] != eb[0]:
             return None
-        p = abs(a.numerator * b.denominator)
-        q = abs(b.numerator * a.denominator)
-        if p != q:
-            z = abs(p - q) / (p + q)
-            ss += z * z
-            if z > top:
-                top = z
-    if not FLOAT_FLOOR <= top < 0.5:
+        sign, alo, ahi, ad = ea
+        _, blo, bhi, bd = eb
+        if not sign:
+            continue
+        if isinstance(a, CertifiedReal) or isinstance(b, CertifiedReal):
+            # rel_dist's certified path: each side below 2**-128 relative width
+            for c, (_, c_lo, c_hi, c_den) in ((a, ea), (b, eb)):
+                if isinstance(c, CertifiedReal):
+                    wide = (c_hi - c_lo) << 128 > c_lo
+                else:  # enclosed at 200 bits: at least 2**-72 in size
+                    wide = c_lo << 72 < c_den
+                if wide:
+                    return None
+        p, q, P, Q = alo * bd, bhi * ad, ahi * bd, blo * ad
+        z, Z = (p - q) / (p + q), (P - Q) / (P + Q)  # z <= Z
+        hi = max(-z, Z)
+        lo = z if z > 0 else -Z if Z < 0 else 0.0
+        ss_lo += lo * lo
+        ss_hi += hi * hi
+        if lo > top_lo:
+            top_lo = lo
+        if hi > top_hi:
+            top_hi = hi
+    if not (FLOAT_FLOOR <= top_lo and top_hi < 0.5):
         return None
-    m = (len(x.coords) + 16) * 2.0**-48
-    d = 2 * math.sqrt(ss)
-    return d * (1 - m), d * (1 + top * top / (3 - 3 * top * top)) * (1 + m)
+    m = (n + 16) * 2.0**-48
+    c = 1 + top_hi * top_hi / (3 - 3 * top_hi * top_hi)
+    return 2 * math.sqrt(ss_lo) * (1 - m), 2 * math.sqrt(ss_hi) * c * (1 + m)
 
 
 def kappa_sampled(
@@ -242,9 +314,9 @@ def kappa_sampled(
     """Estimate kappa by probing the ball of each radius in the schedule.
 
     For each radius the estimator takes the sup of the measured distance
-    ratio over sampled points: coordinate-axis probes, random directions,
-    and one refined direction aligned with the top singular direction of
-    the probe-estimated local map (all at distance ~r).
+    ratio over sampled points: coordinate-axis probes, one refined
+    direction aligned with the top singular direction of the
+    probe-estimated local map, and random directions (all at distance ~r).
     The schedule must be nonempty and strictly decreasing, with positive
     radii (ValueError otherwise); the estimate is accepted when the
     last two levels agree within 1%, otherwise the max is reported with
@@ -254,14 +326,24 @@ def kappa_sampled(
     radius: with a coarser step factor every probe of x = pi*2^k + 1 would
     land on a multiple of pi plus 1, hiding the condition number.
 
-    Only a probe whose ratio exceeds the running sup changes the report.
-    Once the sup is positive, a probe with :func:`dist_bounds` for both
-    pairs whose upper ratio bound is certainly below the sup (or any probe
-    with bounds on x, y once the sup is infinite) skips the exact
-    distances; its distance to x is then known to be nonzero and finite,
-    as the exact path would find.  Every other probe (flat ratios that tie
-    the sup, certified-real coordinates) is measured exactly, so the report
-    is the exact computation's, bit for bit.
+    Only a probe whose ratio exceeds the running sup changes the report,
+    and each level's estimate is a max, so the order of the probes does
+    not matter: the refined direction reads only the axis probes and runs
+    before the random ones, which then meet a sup near its final value.
+    Once the sup is positive, a probe is skipped when :func:`dist_bounds`
+    bounds both pairs and the upper ratio bound is certainly below the sup
+    (or the sup is infinite); its distance to x is then known to be
+    nonzero and finite, as the exact path would find.  For a rational x
+    with more than one nonzero coordinate, a map defined everywhere and
+    r <= 1, a random probe is first decided unbuilt: its distance to x is
+    bounded from the enclosures of its step factors (:func:`factor_bounds`
+    at BOX_BITS, which hold the factors ``rel_step`` would apply) against
+    1, and f's from ``f.exact`` on the box of its coordinates
+    (:meth:`RelPoint.box`).  A map that does not run on boxes raises
+    TypeError, and the call then builds every probe; after BOX_PATIENCE
+    undecided boxes in a row, so does the level.  Every other probe (flat
+    ratios that tie the sup, undecided signs) is built and measured
+    exactly, so the report is the exact computation's, bit for bit.
     """
     radii = [Fraction(r) for r in radii]
     if not radii or radii[-1] <= 0 or any(a <= b for a, b in zip(radii, radii[1:])):
@@ -269,12 +351,31 @@ def kappa_sampled(
     fx = RelPoint(f.exact(x.coords))
     chi = x.chi()
     m = len(chi)
+    ones = (Fraction(1),) * m
+    # random probes decided on boxes: f defined everywhere, x rational, and
+    # more than one coordinate (a one-coordinate probe costs no more to
+    # build than to decide on a box)
+    boxes = m > 1 and not f.restricts and all(isinstance(c, Fraction) for c in x.coords)
     failures = 0
     estimates: list[ExtReal] = []
     for level, r in enumerate(radii):
         bits = sample_bits(x, r)
         best: ExtReal = Fraction(0)
         probe_logs: list[list[float]] = []
+
+        def below(bxy: tuple[float, float] | None, fys) -> bool:
+            """Whether a probe at a distance within bxy of x, with f-values
+            fys, has a ratio certainly below the positive sup (or the sup is
+            infinite)."""
+            if bxy is None or (bff := dist_bounds(fx, fys)) is None:
+                return False
+            try:
+                fb = float(best)  # correctly rounded; inf for an infinite sup
+            except OverflowError:  # a finite sup past the floats: measure exactly
+                return False
+            # a normal fb is within u of best, so a product 2**-40 under
+            # fb * bxy[0] is under best * bxy[0]
+            return fb == math.inf or (fb > 2.0**-900 and bff[1] < fb * bxy[0] * (1 - 2.0**-40))
 
         def measure(y: RelPoint):
             nonlocal best, failures
@@ -283,14 +384,8 @@ def kappa_sampled(
             except (DomainError, ZeroDivisionError):
                 failures += 1
                 return None
-            if best > 0:
-                bxy = dist_bounds(x, y)
-                if bxy is not None:
-                    if best == math.inf:
-                        return fy
-                    bff = dist_bounds(fx, fy)
-                    if bff is not None and bff[1] < best * Fraction(bxy[0]):
-                        return fy
+            if best > 0 and below(dist_bounds(x, y), fy):
+                return fy
             dxy = rel_dist(x, y)
             if dxy == 0 or dxy == math.inf:
                 return None
@@ -312,9 +407,6 @@ def kappa_sampled(
                 ]
                 probe_logs.append(col)
             measure(x.scaled((i,), down))
-        n_random = max(8, n_dirs - 2 * m - 1)
-        for y in rel_sphere_sample(x, r, n_random, seed + 7919 * level):
-            measure(y)
         # refined direction from the probe matrix
         if len(probe_logs) == m and m > 1:
             L = np.array(probe_logs, dtype=float).T  # out_dim x m
@@ -329,6 +421,22 @@ def kappa_sampled(
                 wfr = [Fraction(float(c)).limit_denominator(10**12) for c in v]
                 measure(rel_step(x, wfr, r, chi, bits))
                 measure(rel_step(x, wfr, -r, chi, bits))
+        # an all-zero x has no random probe: each would be x, at distance 0
+        n_random = max(8, n_dirs - 2 * m - 1) if m else 0
+        misses = 0  # box attempts in a row that did not decide their probe
+        for v, rho in step_stream(m, r, n_random, seed + 7919 * level, sphere=True):
+            if boxes and misses < BOX_PATIENCE and best > 0 and r <= 1:
+                factors = factor_bounds(v, rho, BOX_BITS, bits)
+                try:
+                    fbox = f.exact(tuple(x.box(chi, factors)))
+                except TypeError:  # a map that does not run on boxes
+                    boxes = False
+                else:
+                    if below(dist_bounds(ones, factors), fbox):
+                        misses = 0
+                        continue
+                    misses += 1
+            measure(rel_step(x, v, rho, chi, bits))
         estimates.append(best)
 
     kappa: ExtReal

@@ -140,22 +140,50 @@ class Interval:
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo, self.scale)
 
-    def __add__(self, other: "Interval") -> "Interval":
-        s = max(self.scale, other.scale)
+    # An int or Fraction operand c is rounded outward at this interval's own
+    # scale, so ``exact`` of a rational map encloses the map over a box of
+    # Intervals.  In ``__add__`` and ``__mul__`` the operand's kind is told by
+    # the AttributeError alone, since an isinstance test would slow
+    # Interval-with-Interval, the hot path; the reflected operators only
+    # ever see other kinds.
+
+    def __add__(self, other: "Interval | Fraction | int") -> "Interval":
+        try:
+            s = max(self.scale, other.scale)
+        except AttributeError:
+            return self.__radd__(other)
         a, b = self.rescale(s), other.rescale(s)
         return Interval(a.lo + b.lo, a.hi + b.hi, s)
 
-    def __sub__(self, other: "Interval") -> "Interval":
+    def __radd__(self, c: Fraction | int) -> "Interval":
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        return self + Interval.from_fraction(c, self.scale)
+
+    def __sub__(self, other: "Interval | Fraction | int") -> "Interval":
         return self + (-other)
 
-    def __mul__(self, other: "Interval") -> "Interval":
-        cands = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
+    def __rsub__(self, c: Fraction | int) -> "Interval":
+        return (-self).__radd__(c)
+
+    def __mul__(self, other: "Interval | Fraction | int") -> "Interval":
+        try:
+            cands = (
+                self.lo * other.lo,
+                self.lo * other.hi,
+                self.hi * other.lo,
+                self.hi * other.hi,
+            )
+        except AttributeError:
+            return self.__rmul__(other)
         return Interval(min(cands), max(cands), self.scale + other.scale)
+
+    def __rmul__(self, c: Fraction | int) -> "Interval":
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        p, q = c.numerator, c.denominator
+        lo, hi = (self.lo * p, self.hi * p) if p >= 0 else (self.hi * p, self.lo * p)
+        return Interval(lo // q, -(-hi // q), self.scale)
 
     def mul_int(self, k: int) -> "Interval":
         if k >= 0:

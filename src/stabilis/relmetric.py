@@ -8,10 +8,12 @@ computed from exact coordinate ratios through certified log enclosures
 source in stability measurements.
 
 Samples are relative steps (:func:`rel_step`) at :func:`sample_bits`,
-drawn lazily and deterministically (:func:`rel_samples`): sample ``i`` of
+drawn lazily and deterministically (:func:`step_stream`): step ``i`` of
 a run draws from a Philox stream with ``key=seed`` and ``counter=[0, 0,
 kind, i]`` (kind 0 for ball samples, 1 for boundary samples), so runs
-parallelize without coordination.
+parallelize without coordination.  :func:`rel_samples` builds the points;
+a caller that can decide a step from its factors' enclosures
+(:func:`factor_bounds`, :meth:`RelPoint.box`) need not build it.
 """
 
 from __future__ import annotations
@@ -105,16 +107,16 @@ class RelPoint:
         out.pattern = self.pattern
         return out
 
-    def box(self, chi: Sequence[int], factor: Interval) -> list[Interval]:
+    def box(self, chi: Sequence[int], factors: Iterable[Interval]) -> list[Interval]:
         """Enclosures of the coordinates of ``scaled(chi, M)`` for every M with
-        each 0 < M[k] in ``factor``, when the coordinates are rational.
+        each 0 < M[k] in ``factors[k]``, when the coordinates are rational.
 
         A coordinate p/q times [lo, hi] * 2**-s lies in [floor(p lo / q),
         ceil(p hi / q)] * 2**-s, the ends swapped for p < 0.  Every other
         coordinate is kept, enclosed at BOX_BITS.
         """
         out: list = list(self.coords)
-        for i in chi:
+        for i, factor in zip(chi, factors):
             p, q = out[i].numerator, out[i].denominator
             lo, hi = (factor.lo, factor.hi) if p >= 0 else (factor.hi, factor.lo)
             out[i] = Interval(p * lo // q, -(-p * hi // q), factor.scale)
@@ -423,7 +425,7 @@ def ball_box(x: RelPoint, r: Fraction, bits: int) -> list[Interval]:
     lo, hi = exp_iv(-r, BOX_BITS), exp_iv(r, BOX_BITS)
     s = max(lo.scale, hi.scale)
     pad = 1 << max(s - step_midpoint_error([2.0**-32], bits), 0)
-    return x.box(x.chi(), Interval(lo.rescale(s).lo - pad, hi.rescale(s).hi + pad, s))
+    return x.box(x.chi(), repeat(Interval(lo.rescale(s).lo - pad, hi.rescale(s).hi + pad, s)))
 
 
 def sample_bits(x: RelPoint, r: Fraction) -> int:
@@ -438,28 +440,38 @@ def sample_bits(x: RelPoint, r: Fraction) -> int:
                + [c.enclosure(0).mag_bits() + 80 for c in x.coords if isinstance(c, CertifiedReal)])
 
 
+def step_stream(d: int, r: Fraction, n: int, seed: int,
+                sphere: bool) -> Iterator[tuple[list[float] | None, Fraction]]:
+    """The (direction, length) of each of n relative steps in R^d (d >= 1) of
+    at most r, in order and lazily: a reader that stops early draws no further.
+
+    Step i draws from a Philox stream with key ``seed`` at counter [0, 0, 1, i]
+    on the sphere, where its length rho is r shrunk by SPHERE_INSET, and at
+    [0, 0, 0, i] in the ball, where rho is uniform in [0, r).  Its direction
+    is standard normal, drawn only for rho > 0 (None otherwise).
+    """
+    at = philox_stream(seed)
+    inset = r * (1 - SPHERE_INSET)
+    for i in range(n):
+        gen = at([0, 0, int(sphere), i])
+        rho = inset if sphere else r * Fraction(int(gen.integers(0, 2**53)), 2**53)
+        yield (_direction(gen, d) if rho else None), rho
+
+
 def rel_samples(x: RelPoint, r: Fraction, n: int, seed: int, sphere: bool) -> Iterator[RelPoint]:
     """The n points of :func:`rel_sphere_sample` (sphere) or
-    :func:`rel_ball_sample` of radius r around x, in order and lazily: a
-    reader that stops early draws no further.
-
-    Sample i draws from counter [0, 0, 1, i] on the sphere, where its length
-    rho is r shrunk by SPHERE_INSET, and from [0, 0, 0, i] in the ball, where
-    rho is uniform in [0, r).  It is x stepped by rho along a standard-normal
-    direction, drawn only for rho > 0, or x itself; every sample is x when x
-    is all zero or r is 0.
+    :func:`rel_ball_sample` of radius r around x, in order and lazily: x
+    stepped by each step of :func:`step_stream` over its nonzero
+    coordinates, at :func:`sample_bits` (x itself for a step of length 0).
+    Every sample is x when x is all zero or r is 0.
     """
     chi = x.chi()
     if not chi or not r:
         yield from repeat(x, n)
         return
     bits = sample_bits(x, r)
-    at = philox_stream(seed)
-    inset = r * (1 - SPHERE_INSET)
-    for i in range(n):
-        gen = at([0, 0, int(sphere), i])
-        rho = inset if sphere else r * Fraction(int(gen.integers(0, 2**53)), 2**53)
-        yield rel_step(x, _direction(gen, len(chi)), rho, chi, bits) if rho else x
+    for v, rho in step_stream(len(chi), r, n, seed, sphere):
+        yield rel_step(x, v, rho, chi, bits) if rho else x
 
 
 def rel_ball_sample(x: RelPoint, r, n: int, seed: int) -> list[RelPoint]:

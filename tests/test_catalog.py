@@ -36,7 +36,8 @@ from stabilis.cli import _resolve_function
 from stabilis.condition import kappa_jacobian
 from stabilis.fpcore import Precision, fl, fp_add, fp_mul, fp_sub, to_exact
 from stabilis.reals import CertifiedReal, Interval, pi_real, real_sign
-from stabilis.relmetric import RelPoint, rel_dist
+from stabilis.relmetric import BOX_BITS, RelPoint, factor_bounds, rel_dist, rel_step, sample_bits, step_stream
+from test_acceptance import CATALOG_FOR_CROSSCHECK
 
 mp.mp.prec = 700
 
@@ -650,6 +651,37 @@ class TestKappaUpper:
         # at a point box with an exact root the bound is the closed form plus the margin
         f, x = catalog_function("inner_product", k=2), (F(3, 2), F(3, 2), F(-2), F(-2))
         assert f.kappa_upper([Interval(3, 3, 1)] * 2 + [Interval(-2, -2, 0)] * 2) == f.kappa_closed(x) + F(1, 2**208) / 6
+
+
+class TestExactOnBoxes:
+    """``exact`` of a rational map runs on a box of Intervals and encloses the
+    map at every point of it; ``sin`` raises TypeError.  A map that restricts
+    its domain is never evaluated on a box."""
+
+    @pytest.mark.parametrize("fid,kw,dim,signed,span", CATALOG_FOR_CROSSCHECK,
+                             ids=[c[0] for c in CATALOG_FOR_CROSSCHECK])
+    def test_box_of_a_step_encloses_the_stepped_point(self, fid, kw, dim, signed, span):
+        f = catalog_function(fid, **kw)
+        if f.restricts:
+            pytest.skip("restricts its domain")
+        pick = random.Random(fid)
+        for seed in range(3):
+            coords = [Fraction(pick.uniform(*span)).limit_denominator(10**6)
+                      * (-1 if signed and pick.random() < 0.5 else 1) for _ in range(dim)]
+            if seed == 2 and dim > 1:
+                coords[1] = Fraction(0)  # a zero coordinate is boxed as [0, 0]
+            x = RelPoint(coords)
+            chi, r = x.chi(), Fraction(1, 1000)
+            bits = sample_bits(x, r)
+            for v, rho in step_stream(len(chi), r, 6, seed, sphere=True):
+                box = tuple(x.box(chi, factor_bounds(v, rho, BOX_BITS, bits)))
+                if fid == "sin":
+                    with pytest.raises(TypeError):
+                        f.exact(box)
+                    return
+                fy = f.exact(rel_step(x, v, rho, chi, bits).coords)
+                for iv, c in zip(f.exact(box), fy):
+                    assert iv.lower() <= c <= iv.upper() if isinstance(iv, Interval) else iv == c
 
 
 def _bits(ys):

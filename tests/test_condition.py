@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stabilis import condition
+from stabilis import condition, relmetric
 from stabilis.catalog import catalog_function, sqrt_real, strassen_input
 from stabilis.condition import (
     FLOAT_FLOOR,
@@ -21,8 +21,8 @@ from stabilis.condition import (
     stacking_bounds,
 )
 from stabilis.fpcore import fl, to_exact
-from stabilis.reals import pi_real
-from stabilis.relmetric import RelPoint, rel_dist
+from stabilis.reals import CertifiedReal, Interval, pi_real
+from stabilis.relmetric import BOX_BITS, RelPoint, factor_bounds, rel_dist, rel_step, sample_bits
 from test_acceptance import CATALOG_FOR_CROSSCHECK
 
 rng = random.Random(91)
@@ -340,6 +340,41 @@ class TestFloatDecisions:
         assert repr(fast) == repr(exact)
         assert 2 * n_fast < calls[0]
 
+    def test_random_probes_are_decided_unbuilt(self, monkeypatch):
+        """On strassen_h the built random probes fall 4-fold against the exact
+        path; on norm2, whose outputs are certified reals, the exact distances
+        fall 2-fold."""
+        built, calls = [0], [0]
+        step, dist = relmetric.rel_step, condition.rel_dist
+
+        def counted_step(x, v, *args, **kw):
+            built[0] += isinstance(v[0], float)  # random directions are floats, the refined one rational
+            return step(x, v, *args, **kw)
+
+        def counted_dist(x, y):
+            calls[0] += 1
+            return dist(x, y)
+
+        for mod in (relmetric, condition):
+            monkeypatch.setattr(mod, "rel_step", counted_step, raising=False)
+        monkeypatch.setattr(condition, "rel_dist", counted_dist)
+        h, n2 = catalog_function("strassen_h"), catalog_function("norm2", k=3)
+        xh, xn = RelPoint.of(1, 2, 3, 4, 5, 6, 7, 8), RelPoint.of(Fraction(3, 2), -2, Fraction(17, 5))
+
+        def run():
+            built[0] = 0
+            rh = _sampled(h, xh, 3)
+            n_built, calls[0] = built[0], 0
+            rn = _sampled(n2, xn, 3)
+            return repr((rh, rn)), n_built, calls[0]
+
+        fast, built_fast, dists_fast = run()
+        monkeypatch.setattr(condition, "dist_bounds", lambda x, y: None)
+        exact, built_exact, dists_exact = run()
+        assert fast == exact
+        assert 4 * built_fast <= built_exact
+        assert 2 * dists_fast <= dists_exact
+
 
 def _ratios():
     """Ratios b/a: equal, within the floor, near 1, near 3 and 1/3 (|z| near 1/2), far."""
@@ -374,6 +409,42 @@ def _pairs(draw):
     return RelPoint(xs), RelPoint(ys)
 
 
+def _actual(draw, q: Fraction):
+    """q, or a certified real of about its size: a multiple of pi or a root."""
+    kind = draw(st.sampled_from(["rational", "pi", "root"]))
+    if kind == "pi":
+        return pi_real() * (q / 3)
+    if kind == "root":
+        r = sqrt_real(abs(q) * Fraction(2, 3))
+        return r if q > 0 else -r
+    return q
+
+
+def _seen(draw, t):
+    """How dist_bounds is shown the coordinate t: t itself, or, for a rational,
+    an Interval of 64 to 200 bits around it, each end moved out up to 3 units."""
+    if isinstance(t, Fraction) and t and draw(st.booleans()):
+        s = draw(st.integers(64, 200)) - (t.numerator.bit_length() - t.denominator.bit_length())
+        iv = Interval.from_fraction(t, s)
+        return Interval(iv.lo - draw(st.integers(0, 3)), iv.hi + draw(st.integers(0, 3)), s)
+    return t
+
+
+@st.composite
+def _enclosed_pairs(draw):
+    """(x, y, what dist_bounds sees of x, of y): points of one sign pattern
+    with rational and certified coordinates, some rationals seen as Intervals."""
+    dim = draw(st.integers(1, 4))
+    xs, ys = [], []
+    for _ in range(dim):
+        q = Fraction(draw(st.integers(1, 2**62)), draw(st.integers(1, 2**62))) * draw(st.sampled_from([1, -1]))
+        a = _actual(draw, q)
+        b = a * draw(_ratios()) if draw(st.booleans()) else _actual(draw, q * draw(_ratios()))
+        xs.append(a)
+        ys.append(b)
+    return xs, ys, [_seen(draw, a) for a in xs], [_seen(draw, b) for b in ys]
+
+
 class TestDistBounds:
     @settings(max_examples=300)
     @given(_pairs())
@@ -386,6 +457,33 @@ class TestDistBounds:
         lo, hi = b
         assert Fraction(lo) <= d <= Fraction(hi)
         assert d >= FLOAT_FLOOR  # a distance under the floor gives None
+
+    @settings(max_examples=300, deadline=None)
+    @given(_enclosed_pairs())
+    def test_bounds_hold_over_enclosures(self, pair):
+        xs, ys, seen_x, seen_y = pair
+        x, y = RelPoint(xs), RelPoint(ys)
+        b = dist_bounds(seen_x, seen_y)
+        if b is None:
+            return
+        d = rel_dist(x, y)
+        assert Fraction(b[0]) <= d <= Fraction(b[1])
+        assert d >= FLOAT_FLOOR
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(Fraction(-8), Fraction(8), max_denominator=10**6), min_size=1, max_size=6),
+           st.lists(st.floats(-8, 8, allow_nan=False), min_size=6, max_size=6).filter(any),
+           st.sampled_from([Fraction(1, 2), Fraction(1, 10**3), Fraction(1, 10**6)]))
+    def test_bounds_hold_over_step_boxes(self, coords, v, r):
+        x = RelPoint(coords)
+        chi = x.chi()
+        if not chi or not any(v[:len(chi)]):
+            return
+        v, rho, bits = v[:len(chi)], r * (1 - Fraction(1, 2**64)), sample_bits(x, r)
+        factors = factor_bounds(v, rho, BOX_BITS, bits)
+        d = rel_dist(x, rel_step(x, v, rho, chi, bits))
+        for b in (dist_bounds(x, x.box(chi, factors)), dist_bounds([Fraction(1)] * len(chi), factors)):
+            assert b is not None and Fraction(b[0]) <= d <= Fraction(b[1])
 
     def test_overflowing_coordinates(self):
         a = Fraction(3**1400 + 1, 2**3 + 5)
@@ -401,7 +499,20 @@ class TestDistBounds:
         assert dist_bounds(x, RelPoint.of(1, -2)) is None  # across components
         assert dist_bounds(x, RelPoint.of(3, 2)) is None  # |z| = 1/2
         assert dist_bounds(x, RelPoint.of(1, 2 + Fraction(1, 2**70))) is None  # under the floor
-        assert dist_bounds(RelPoint.of(sqrt_real(Fraction(2)), 2), RelPoint.of(1, 2)) is None  # certified
+        # a certified coordinate is bounded through its enclosure
+        x, y = RelPoint.of(sqrt_real(Fraction(2)), 2), RelPoint.of(1, 2)
+        lo, hi = dist_bounds(x, y)
+        assert Fraction(lo) <= rel_dist(x, y) <= Fraction(hi)
+        # ... unless the enclosure leaves the sign open, is too wide, or the
+        # rational beside it is below 2**-72 (rel_dist's width at 200 bits)
+        open_sign = CertifiedReal(lambda b: Interval(-1, 1, b))
+        assert dist_bounds([open_sign, 2], [1, 2]) is None
+        wide = CertifiedReal(lambda b: Interval(2**60, 2**60 + 2**b, b + 60))
+        assert dist_bounds([wide, Fraction(2)], [Fraction(1), Fraction(2)]) is None
+        tiny = Fraction(1, 2**80)
+        assert dist_bounds([pi_real() * tiny], [3 * tiny]) is None
+        assert dist_bounds([pi_real() * tiny], [pi_real() * (tiny * Fraction(11, 10))]) is not None
+
 
 
 class TestBounds:

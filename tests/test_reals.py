@@ -266,6 +266,27 @@ class TestIntervalArithmetic:
         got = sqrt_iv(iv, bits)
         assert (got.lo, got.hi) == (root(max(iv.lower(), Fraction(0))), root(iv.upper()) + 1)
 
+    @given(st.integers(-2**80, 2**80), st.integers(0, 2**40), st.integers(-40, 200),
+           st.fractions(-10**6, 10**6, max_denominator=10**9) | st.integers(-2**70, 2**70))
+    @settings(max_examples=300)
+    def test_mixed_operators_enclose_at_the_interval_scale(self, lo, w, scale, c):
+        iv = Interval(lo, lo + w, scale)
+        a, b, unit = iv.lower(), iv.upper(), Fraction(1, 2**scale) if scale >= 0 else Fraction(2**-scale)
+        for got, ends in ((iv + c, (a + c, b + c)), (c + iv, (a + c, b + c)), (iv - c, (a - c, b - c)),
+                          (c - iv, (c - b, c - a)), (iv * c, (a * c, b * c)), (c * iv, (a * c, b * c))):
+            # every value of the interval combined with c, rounded outward by under a unit
+            assert got.scale == scale
+            assert min(ends) - unit < got.lower() <= min(ends)
+            assert max(ends) <= got.upper() < max(ends) + unit
+
+    def test_mixed_operators_take_only_rationals(self):
+        iv = Interval(3, 5, 4)
+        for other in (1.5, pi_real()):
+            for op in (lambda: iv + other, lambda: other + iv, lambda: iv * other, lambda: other * iv,
+                       lambda: iv - other, lambda: other - iv):
+                with pytest.raises(TypeError):
+                    op()
+
     def test_divide_through_zero_rejected(self):
         ia = Interval.from_fraction(Fraction(1), 64)
         with pytest.raises(ZeroDivisionError):
