@@ -14,8 +14,9 @@ cross-checks against each other:
                   spectral-norm path).
 
 Alongside, :class:`NumericalAlgorithm` wraps the same functions as
-floating-point programs: every arithmetic step is performed in the
-soft-float system at the requested precision, constants included.
+floating-point programs: every arithmetic step is rounded to the requested
+precision, constants included, in the soft float or, at t = 53 where it
+gives the same bits, in hardware binary64.
 
 Two tables name everything: ``FUNCTIONS`` maps a function name (aliases
 included) to its class and the way the CLI sizes it, and ``ALGORITHMS``
@@ -33,7 +34,21 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Sequence
 
-from .fpcore import FpError, FpNumber, Precision, fl, fp_add, fp_div, fp_mul, fp_sub, fp_zero, to_exact
+from .fpcore import (
+    BINARY64,
+    Binary64Refusal,
+    FpError,
+    FpNumber,
+    Precision,
+    SoftFloat,
+    fl,
+    fp_add,
+    fp_div,
+    fp_mul,
+    fp_sub,
+    fp_zero,
+    to_exact,
+)
 from .reals import (
     CertifiedReal,
     ExactReal,
@@ -667,11 +682,16 @@ def compose(g: CatalogFunction, h: CatalogFunction) -> CatalogFunction:
 class NumericalAlgorithm:
     """A floating-point program implementing a catalog function.
 
-    ``evaluate`` carries out every arithmetic operation in the soft-float
-    system at the requested precision (constants are rounded on entry),
-    mirroring how a strong finite-precision computation replaces the exact
-    one.  ``exact_reference`` is the implemented function's exact value.
-    ``run(function, xs, p)`` returns the outputs as a tuple.
+    ``evaluate`` rounds every arithmetic operation to the requested
+    precision (constants are rounded on entry), mirroring how a strong
+    finite-precision computation replaces the exact one.  ``exact_reference``
+    is the implemented function's exact value.  ``run(function, xs, ar)``
+    returns the outputs as a tuple, with every operation taken from the
+    arithmetic ``ar``: a :class:`~stabilis.fpcore.SoftFloat`, or at t = 53
+    first :data:`~stabilis.fpcore.BINARY64` on Python floats.  When binary64
+    refuses an operation (it cannot show the soft float's bits there), the
+    whole call runs again in the soft float, so the outputs are always the
+    soft float's.
     """
 
     def __init__(self, aid: str, function: CatalogFunction, run: Callable):
@@ -691,7 +711,15 @@ class NumericalAlgorithm:
         p = Precision.of(p)
         if len(xs) != self.in_dim:
             raise ValueError(f"{self.id} expects {self.in_dim} inputs, got {len(xs)}")
-        return self._run(self.function, tuple(xs), p)
+        xs = tuple(xs)
+        if p.t == BINARY64.t:
+            try:
+                out = self._run(self.function, tuple(map(BINARY64.enter, xs)), BINARY64)
+            except Binary64Refusal:
+                pass
+            else:
+                return tuple(map(BINARY64.leave, out))
+        return self._run(self.function, xs, SoftFloat(p))
 
     def exact_reference(self, xs: Coords) -> Coords:
         return self.function.exact(xs)
@@ -791,26 +819,22 @@ def sin_in_precision(x: FpNumber, p: Precision | int) -> FpNumber:
 
 
 # -- runners ----------------------------------------------------------------
-# A runner maps (function, soft-float inputs, precision) to the outputs.  It
-# reads the soft-float operations, babylonian_sqrt and sin_in_precision from
-# the module globals at call time, so a wrapper installed there sees them.
+# A runner maps (function, inputs, arithmetic ar) to the outputs, every
+# operation an ``ar.add``, ``ar.sub``, ``ar.mul``, ``ar.div`` or ``ar.round``.
+# The square root's and the sine's loops run in the soft float only: their
+# runners ask for ``ar.p``, which binary64 refuses.
 
 
-def _fp_fold(op, vals, p):
-    """((v0 op v1) op v2) ... in the working precision."""
-    return reduce(lambda acc, v: op(acc, v, p), vals)
-
-
-def _fp_entry(e: MatmulEntry, xs, p):
+def _fp_entry(e: MatmulEntry, xs, ar):
     (a, b), (c, d) = e._pairs()
-    return _fp_fold(fp_add, [fp_mul(xs[a], xs[b], p), fp_mul(xs[c], xs[d], p)], p)
+    return ar.add(ar.mul(xs[a], xs[b]), ar.mul(xs[c], xs[d]))
 
 
-def _fp_lin(xs, terms, p):
+def _fp_lin(xs, terms, ar):
     acc = None
     for c, i in terms:
         v = xs[i] if c > 0 else -xs[i]
-        acc = v if acc is None else fp_add(acc, v, p)
+        acc = v if acc is None else ar.add(acc, v)
     return acc
 
 
@@ -819,20 +843,14 @@ def _then(g: str, h: str) -> Callable:
     for a :class:`Composite` f: each stage runs on its own function, ``f.g``
     or ``f.h``.  The runners are looked up in ALGORITHMS at call time.
     """
-    return lambda f, xs, p: ALGORITHMS[g][1](f.g, ALGORITHMS[h][1](f.h, xs, p), p)
+    return lambda f, xs, ar: ALGORITHMS[g][1](f.g, ALGORITHMS[h][1](f.h, xs, ar), ar)
 
 
-def _run_power(f: Power, xs, p):
+def _run_power(f: Power, xs, ar):
     if f.j == 0:
-        return (fl(1, p),)
-    acc = _fp_fold(fp_mul, [xs[0]] * abs(f.j), p)
-    return (fp_div(fl(1, p), acc, p) if f.j < 0 else acc,)
-
-
-def _run_affine(f: Affine, xs, p):
-    # built per call, so the table holds the soft-float operations the globals hold now
-    op = {"add": fp_add, "sub": fp_sub, "mul": fp_mul, "div": fp_div}[f.op]
-    return (op(xs[0], fl(f.alpha, p), p),)
+        return (ar.round(1),)
+    acc = reduce(ar.mul, [xs[0]] * abs(f.j))
+    return (ar.div(ar.round(1), acc) if f.j < 0 else acc,)
 
 
 # ---------------------------------------------------------------------------
@@ -865,27 +883,27 @@ FUNCTIONS: dict[str, tuple[type[CatalogFunction], int | None]] = {
 
 # algorithm name -> (name of the function it implements, runner)
 ALGORITHMS: dict[str, tuple[str, Callable]] = {
-    "naive_product": ("product", lambda f, xs, p: (_fp_fold(fp_mul, xs, p),)),
-    "naive_sum": ("sum", lambda f, xs, p: (_fp_fold(fp_add, xs, p),)),
-    "hadamard": ("hadamard", lambda f, xs, p: tuple(fp_mul(xs[i], xs[f.k + i], p) for i in range(f.k))),
-    "tensor_product": ("tensor_product", lambda f, xs, p: tuple(
-        fp_mul(xs[i], xs[f.k + j], p) for i in range(f.k) for j in range(f.l))),
-    "linear_map": ("linear_map", lambda f, xs, p: tuple(
-        _fp_fold(fp_add, [fp_mul(fl(c, p), x, p) for c, x in zip(r, xs)], p) for r in f.rows)),
+    "naive_product": ("product", lambda f, xs, ar: (reduce(ar.mul, xs),)),
+    "naive_sum": ("sum", lambda f, xs, ar: (reduce(ar.add, xs),)),
+    "hadamard": ("hadamard", lambda f, xs, ar: tuple(ar.mul(xs[i], xs[f.k + i]) for i in range(f.k))),
+    "tensor_product": ("tensor_product", lambda f, xs, ar: tuple(
+        ar.mul(xs[i], xs[f.k + j]) for i in range(f.k) for j in range(f.l))),
+    "linear_map": ("linear_map", lambda f, xs, ar: tuple(
+        reduce(ar.add, [ar.mul(ar.round(c), x) for c, x in zip(r, xs)]) for r in f.rows)),
     "inner_product": ("inner_product", _then("naive_sum", "hadamard")),
-    "copy": ("copy", lambda f, xs, p: xs + xs),
+    "copy": ("copy", lambda f, xs, ar: xs + xs),
     "squared_norm": ("squared_norm", _then("inner_product", "copy")),
     "norm2": ("norm2", _then("babylonian_sqrt", "squared_norm")),
-    "babylonian_sqrt": ("sqrt", lambda f, xs, p: (babylonian_sqrt(xs[0], p),)),
+    "babylonian_sqrt": ("sqrt", lambda f, xs, ar: (babylonian_sqrt(xs[0], ar.p),)),
     "power": ("power", _run_power),
-    "scalar_affine": ("affine", _run_affine),
-    "strassen_h": ("strassen_h", lambda f, xs, p: tuple(
-        fp_mul(_fp_lin(xs, at, p), _fp_lin(xs, bt, p), p) for at, bt in _H_TERMS)),
-    "strassen_g": ("strassen_g", lambda f, xs, p: tuple(_fp_lin(xs, t, p) for t in _G_TERMS)),
+    "scalar_affine": ("affine", lambda f, xs, ar: (getattr(ar, f.op)(xs[0], ar.round(f.alpha)),)),
+    "strassen_h": ("strassen_h", lambda f, xs, ar: tuple(
+        ar.mul(_fp_lin(xs, at, ar), _fp_lin(xs, bt, ar)) for at, bt in _H_TERMS)),
+    "strassen_g": ("strassen_g", lambda f, xs, ar: tuple(_fp_lin(xs, t, ar) for t in _G_TERMS)),
     "strassen_2x2": ("matmul_2x2", _then("strassen_g", "strassen_h")),
-    "matmul_2x2": ("matmul_2x2", lambda f, xs, p: tuple(_fp_entry(e, xs, p) for e in f._entries)),
-    "matmul_entry": ("matmul_entry", lambda f, xs, p: (_fp_entry(f, xs, p),)),
-    "sin_working": ("sin", lambda f, xs, p: (sin_in_precision(xs[0], p),)),
+    "matmul_2x2": ("matmul_2x2", lambda f, xs, ar: tuple(_fp_entry(e, xs, ar) for e in f._entries)),
+    "matmul_entry": ("matmul_entry", lambda f, xs, ar: (_fp_entry(f, xs, ar),)),
+    "sin_working": ("sin", lambda f, xs, ar: (sin_in_precision(xs[0], ar.p),)),
 }
 
 

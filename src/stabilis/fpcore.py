@@ -13,10 +13,15 @@ routine, ``_round_scaled``: the operations, rationals (a quotient with two
 guard bits and a sticky remainder) and the endpoints of an enclosure alike.
 The test-suite checks every operation bit-for-bit against the independent
 compute-exactly-then-round oracle.
+
+The catalog's runners take their operations from an arithmetic object:
+:class:`SoftFloat` at any precision, or :data:`BINARY64`, hardware floats
+accepted only where they give the soft float's bits at t = 53.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -336,3 +341,139 @@ def fp_div(a: FpNumber, b: FpNumber, p: Precision | int) -> FpNumber:
         return fp_zero()
     twoexp = a.exponent - ma.bit_length() - (b.exponent - mb.bit_length())
     return _round_quotient(a.sign * b.sign, ma, mb, twoexp, t)
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic objects: one runner, the soft float or binary64
+# ---------------------------------------------------------------------------
+
+
+class SoftFloat:
+    """The soft float at precision p, as the arithmetic a runner is handed:
+    ``add``, ``sub``, ``mul`` and ``div`` of FpNumbers, and ``round`` of an
+    exact constant.  Each looks its operation up among the module globals at
+    call time, so a wrapper installed over ``fp_add`` sees every call.
+    """
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: Precision | int):
+        self.p = Precision.of(p)
+
+    def add(self, a: FpNumber, b: FpNumber) -> FpNumber:
+        return fp_add(a, b, self.p)
+
+    def sub(self, a: FpNumber, b: FpNumber) -> FpNumber:
+        return fp_sub(a, b, self.p)
+
+    def mul(self, a: FpNumber, b: FpNumber) -> FpNumber:
+        return fp_mul(a, b, self.p)
+
+    def div(self, a: FpNumber, b: FpNumber) -> FpNumber:
+        return fp_div(a, b, self.p)
+
+    def round(self, c) -> FpNumber:
+        return round_to_nearest(c, self.p)
+
+
+class Binary64Refusal(Exception):
+    """Binary64 cannot show that an operation gives the soft float's bits."""
+
+
+_TINY = 2.0 ** -1022  # the least positive normal binary64 value
+_INF = math.inf
+_TWO53 = 2.0 ** 53
+_frexp, _ldexp = math.frexp, math.ldexp
+
+
+class Binary64:
+    """IEEE 754 binary64 through Python floats, accepted where it is the soft
+    float at t = 53.
+
+    Python's float ``+ - * /`` round to nearest, ties to even, onto the 53-bit
+    grid, as the soft float does; the two part only where binary64's exponent
+    range ends.  So a result r is accepted when it is finite with
+    |r| > 2**-1022 (an exact value below 2**-1022 rounds to at most 2**-1022
+    in magnitude), or is zero from exact operands: a sum of normal values is
+    zero only when it is exactly zero, and a product or quotient only when an
+    operand is.  Anything else (underflow, overflow, division by zero, a
+    constant out of range) raises :class:`Binary64Refusal`, and so does a
+    runner that asks for the soft float's precision ``p``.
+
+    Values enter by :meth:`enter` and leave by :meth:`leave`; zero is the one
+    float zero, since the soft float has no signed zero and a zero's sign
+    never reaches a nonzero result here.
+    """
+
+    __slots__ = ()
+    t = 53
+
+    @property
+    def p(self) -> Precision:
+        raise Binary64Refusal("a soft-float loop has no binary64 version")
+
+    @staticmethod
+    def enter(x: FpNumber) -> float:
+        """x exactly, when its mantissa is t bits wide and it is normal.
+
+        A narrower mantissa is refused too: a runner may pass an input through
+        unchanged, and the soft float then keeps its width.
+        """
+        m = x.mantissa
+        if m >> 52 != 1 or not -1021 <= x.exponent <= 1024:
+            if not m:
+                return 0.0
+            raise Binary64Refusal("input out of binary64's normal range or width")
+        return _ldexp(x.sign * m, x.exponent - 53)
+
+    @staticmethod
+    def leave(r: float) -> FpNumber:
+        if not r:
+            return fp_zero()
+        m, e = _frexp(r)
+        return _fp(1, int(m * _TWO53), e) if m > 0 else _fp(-1, int(-m * _TWO53), e)
+
+    @staticmethod
+    def add(a: float, b: float) -> float:
+        r = a + b
+        if r and not _TINY < abs(r) < _INF:
+            raise Binary64Refusal("sum out of range")
+        return r
+
+    @staticmethod
+    def sub(a: float, b: float) -> float:
+        r = a - b
+        if r and not _TINY < abs(r) < _INF:
+            raise Binary64Refusal("difference out of range")
+        return r
+
+    @staticmethod
+    def mul(a: float, b: float) -> float:
+        r = a * b
+        if a and b and not _TINY < abs(r) < _INF:
+            raise Binary64Refusal("product out of range")
+        return r
+
+    @staticmethod
+    def div(a: float, b: float) -> float:
+        if not b:
+            raise Binary64Refusal("division by zero")
+        r = a / b
+        if a and not _TINY < abs(r) < _INF:
+            raise Binary64Refusal("quotient out of range")
+        return r
+
+    @staticmethod
+    def round(c: int | Fraction) -> float:
+        """float(c), correctly rounded (CPython rounds an int or an integer
+        quotient to nearest, ties to even)."""
+        try:
+            r = float(c)
+        except OverflowError:
+            raise Binary64Refusal("constant out of range") from None
+        if c and not _TINY < abs(r) < _INF:
+            raise Binary64Refusal("constant out of range")
+        return r
+
+
+BINARY64 = Binary64()

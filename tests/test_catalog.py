@@ -34,7 +34,21 @@ from stabilis.catalog import (
 )
 from stabilis.cli import _resolve_function
 from stabilis.condition import kappa_jacobian
-from stabilis.fpcore import Precision, fl, fp_add, fp_mul, fp_sub, to_exact
+from stabilis import fpcore
+from stabilis.fpcore import (
+    BINARY64,
+    Binary64Refusal,
+    FpDivisionByZero,
+    FpNumber,
+    Precision,
+    SoftFloat,
+    fl,
+    fp_add,
+    fp_mul,
+    fp_sub,
+    fp_zero,
+    to_exact,
+)
 from stabilis.reals import CertifiedReal, Interval, pi_real, real_sign
 from stabilis.relmetric import BOX_BITS, RelPoint, factor_bounds, rel_dist, rel_step, sample_bits, step_stream
 from test_acceptance import CATALOG_FOR_CROSSCHECK
@@ -732,3 +746,110 @@ class TestComposedAlgorithms:
         m7 = mul(sub(a12, a22), add(b21, b22))
         c = [add(sub(add(m1, m4), m5), m7), add(m3, m5), add(m2, m4), add(add(sub(m1, m2), m3), m6)]
         assert _bits(algorithm("strassen_2x2").evaluate(xs, t)) == _bits(c)
+
+
+# signed values with t = 53 bit mantissas, with exponents near 1, anywhere in
+# binary64's normal range, or at either end of it, where sums, products and
+# quotients leave the range
+_b64_value = st.builds(
+    FpNumber,
+    st.sampled_from([-1, 1]),
+    st.integers(2**52, 2**53 - 1),
+    st.one_of(st.sampled_from([-1021, -1020, -1000, -40, -1, 0, 1, 40, 1000, 1024]), st.integers(-1021, 1024)),
+)
+# coordinates of the Strassen family [[1, e], [e, 1]], each moved by a small
+# relative step, e from 2^-1030 (below the normal range) to 1
+_eps_value = st.builds(
+    lambda one, k, d: fl(1 if one else Fraction(1 + Fraction(d, 2**20), 2**k), 53),
+    st.booleans(),
+    st.integers(0, 1030),
+    st.integers(-2**19, 2**19),
+)
+
+
+@st.composite
+def _b64_inputs(draw, n: int):
+    xs = draw(st.lists(st.one_of(_b64_value, _b64_value, _eps_value, st.just(fp_zero())), min_size=n, max_size=n))
+    # cancellations: some coordinates are the negation of others, exactly or
+    # but for the last mantissa bit
+    for i, j, d in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-1, 1)),
+                                 max_size=n)):
+        x = xs[i]
+        near = x.mantissa + d
+        xs[j] = FpNumber(-x.sign, near, x.exponent) if 2**52 <= near < 2**53 else -x
+    # in one example of eight, one input narrower than 53 bits
+    if draw(st.integers(0, 7)) == 0:
+        xs[draw(st.integers(0, n - 1))] = FpNumber(1, draw(st.integers(1, 2**20)), draw(st.integers(-40, 40)))
+    return xs
+
+
+class TestBinary64:
+    """At t = 53, evaluate runs in hardware binary64 where it gives the soft
+    float's bits, and reruns the call in the soft float where it cannot."""
+
+    SOFT_ONLY = {"babylonian_sqrt", "norm2", "sin_working"}
+
+    @staticmethod
+    def _soft(alg, xs):
+        return alg._run(alg.function, tuple(xs), SoftFloat(53))
+
+    @staticmethod
+    def _hardware(alg, xs):
+        return alg._run(alg.function, tuple(map(BINARY64.enter, xs)), BINARY64)
+
+    def _matches_soft_float(self, alg, xs):
+        try:
+            want = self._soft(alg, xs)
+        except FpDivisionByZero:
+            with pytest.raises(FpDivisionByZero):
+                alg.evaluate(xs, 53)
+            return
+        got = alg.evaluate(xs, 53)
+        assert got == want
+        assert [v.as_exact_string() for v in got] == [v.as_exact_string() for v in want]
+
+    @pytest.mark.parametrize("aid", sorted(set(ALGORITHMS) - SOFT_ONLY))
+    @given(data=st.data())
+    @settings(max_examples=35)
+    def test_every_hardware_runner_equals_the_soft_float(self, aid, data):
+        kw, _ = TestRegistry.CASES[aid]
+        alg = algorithm(aid, **kw)
+        self._matches_soft_float(alg, data.draw(_b64_inputs(alg.in_dim), label="xs"))
+
+    @pytest.mark.parametrize("aid,kw,xs", [
+        ("naive_sum", dict(k=2), [FpNumber(1, 2**52, -1059), fl(1, 53)]),  # an input of 2^-1060
+        ("naive_product", dict(k=2), [fl(Fraction(1, 2**600), 53)] * 2),  # underflows
+        ("naive_product", dict(k=2), [FpNumber(1, 2**53 - 1, -1000), fl(Fraction(1, 2**30), 53)]),  # subnormal
+        ("naive_sum", dict(k=2), [FpNumber(1, 2**52 + 1, -1021), FpNumber(-1, 2**52, -1021)]),  # subnormal
+        ("naive_product", dict(k=2), [fl(2**600, 53)] * 2),  # overflows
+        ("naive_sum", dict(k=2), [FpNumber(1, 2**59 + 1, 3), fl(1, 53)]),  # a 60-bit mantissa
+        ("scalar_affine", dict(op="mul", alpha=Fraction(1, 2**1100)), [fl(2**100, 53)]),  # constant underflows
+        ("scalar_affine", dict(op="div", alpha=2**1100), [fl(2**100, 53)]),  # constant overflows
+        ("power", dict(exponent=-1), [fp_zero()]),  # division by zero
+        ("power", dict(exponent=-1), [FpNumber(1, 2**53 - 1, 1023)]),  # a subnormal quotient
+        ("babylonian_sqrt", {}, [fl(2, 53)]),  # a soft-float loop
+    ], ids=["subnormal-input", "underflow", "subnormal-product", "subnormal-sum", "overflow", "wide-input", "tiny-constant", "huge-constant",
+            "div-by-zero", "subnormal-quotient", "soft-only"])
+    def test_refusal_falls_back_on_the_soft_float(self, aid, kw, xs):
+        alg = algorithm(aid, **kw)
+        with pytest.raises(Binary64Refusal):
+            self._hardware(alg, xs)
+        self._matches_soft_float(alg, xs)
+
+    def test_affine_division_by_zero_cannot_be_built(self):
+        # so the division by zero that reaches a runner is power[-j] at 0
+        with pytest.raises(ValueError):
+            algorithm("scalar_affine", op="div", alpha=0)
+
+    def test_soft_float_runs_through_the_module_globals(self, monkeypatch):
+        calls = []
+        orig = fpcore.fp_add
+        monkeypatch.setattr(fpcore, "fp_add", lambda a, b, p: calls.append(p.t) or orig(a, b, p))
+        alg = algorithm("naive_sum", k=3)
+        xs = [fl(Fraction(n, 7), 53) for n in (1, 2, 3)]
+        want = self._soft(alg, xs)
+        assert calls == [53, 53]
+        assert alg.evaluate(xs, 53) == want
+        assert calls == [53, 53]  # in hardware
+        alg.evaluate(xs, 24)
+        assert calls == [53, 53, 24, 24]
