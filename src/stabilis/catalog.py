@@ -8,7 +8,9 @@ cross-checks against each other:
 * ``jacobian``  - the derivative matrix, derived from ``exact`` by
                   forward-mode differentiation on exact dual numbers
                   (:class:`_Dual`) for every function, composites included,
-                  so a rational map's entries are exact;
+                  so a rational map's entries are exact: ``derivatives``
+                  with unit seeds, or with the coordinates for f(x) and
+                  the scaled partials x_j df_i/dx_j;
 * ``kappa_closed`` - the closed-form condition number in the relative
                   metric, where one exists (None falls back to the
                   spectral-norm path).
@@ -244,15 +246,24 @@ class CatalogFunction:
     def exact(self, xs: Coords) -> Coords:
         raise NotImplementedError
 
-    def jacobian(self, xs: Coords) -> list[list[ExactReal]] | None:
-        """The derivative matrix: ``exact`` evaluated on dual numbers seeded
-        with unit partials, a missing partial being an exact 0."""
-        one, zero = Fraction(1), Fraction(0)
+    def derivatives(self, xs: Coords, seeds: dict) -> tuple[Coords, list[dict]] | None:
+        """f(xs) and the outputs' partial maps from one dual pass of ``exact``:
+        input j carries the partial ``seeds[j]`` (none if j is not a key), so
+        output i maps j to seeds[j] df_i/dx_j, an exact 0 left out.  None
+        where a stage has no derivative, such as the root at 0."""
         try:
-            ys = self.exact(tuple(_Dual(x, {i: one}) for i, x in enumerate(xs)))
-        except DomainError:  # a stage without a derivative there, such as the root at 0
+            ys = self.exact(tuple(_Dual(x, {j: seeds[j]} if j in seeds else {}) for j, x in enumerate(xs)))
+        except DomainError:
             return None
-        return [[d.get(j, zero) for j in range(self.in_dim)] for d in (_Dual.of(y).d for y in ys)]
+        ys = [_Dual.of(y) for y in ys]
+        return tuple(y.v for y in ys), [y.d for y in ys]
+
+    def jacobian(self, xs: Coords) -> list[list[ExactReal]] | None:
+        """The derivative matrix: :meth:`derivatives` with unit seeds, a
+        missing partial being an exact 0."""
+        one, zero = Fraction(1), Fraction(0)
+        out = self.derivatives(xs, {j: one for j in range(self.in_dim)})
+        return None if out is None else [[d.get(j, zero) for j in range(self.in_dim)] for d in out[1]]
 
     def kappa_closed(self, xs: Coords):
         """Closed-form condition number, or None if only the spectral path applies."""
@@ -566,13 +577,6 @@ def sin_enclosures(x: ExactReal, start: int = 192) -> tuple[int, Interval, Inter
 # -- Strassen / matmul -------------------------------------------------------
 
 
-def _lin(xs, terms):
-    acc: ExactReal = Fraction(0)
-    for c, i in terms:
-        acc = acc + c * xs[i]
-    return acc
-
-
 _H_TERMS = [
     # (a-side terms, b-side terms); h_i = (sum a) * (sum b)
     ([(1, 0), (1, 3)], [(1, 4), (1, 7)]),
@@ -600,7 +604,8 @@ class StrassenH(CatalogFunction):
         self.in_dim, self.out_dim = 8, 7
 
     def exact(self, xs):
-        return tuple(_lin(xs, at) * _lin(xs, bt) for at, bt in _H_TERMS)
+        return tuple(_sum([c * xs[i] for c, i in at]) * _sum([c * xs[i] for c, i in bt])
+                     for at, bt in _H_TERMS)
 
 
 class StrassenG(CatalogFunction):
@@ -611,7 +616,7 @@ class StrassenG(CatalogFunction):
         self.in_dim, self.out_dim = 7, 4
 
     def exact(self, xs):
-        return tuple(_lin(xs, t) for t in _G_TERMS)
+        return tuple(_sum([c * xs[i] for c, i in t]) for t in _G_TERMS)
 
 
 class MatmulEntry(CatalogFunction):
@@ -797,7 +802,7 @@ def sin_in_precision(x: FpNumber, p: Precision | int) -> FpNumber:
     else:
         def red(bits: int) -> Interval:
             w = bits + mag + max(1, abs(n).bit_length()) + 16
-            return (Interval.from_fraction(X, w) - pi_iv(w).mul_int(n)).rescale(bits + 16)
+            return (Interval.from_fraction(X, w) - n * pi_iv(w)).rescale(bits + 16)
 
         rhat = fl(CertifiedReal(red), p)
     # Taylor loop in the working precision

@@ -31,7 +31,7 @@ import numpy as np
 
 from .catalog import CatalogFunction, DomainError, _sqrt_mid
 from .fpcore import fl, to_exact
-from .reals import CertifiedReal, ExactReal, Interval
+from .reals import CertifiedReal, ExactReal, Interval, real_sign
 from .relmetric import (
     BOX_BITS,
     DIST_BITS,
@@ -128,39 +128,37 @@ def _dominates(s: Fraction | int, G: list[list[int]]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def kappa_from_jacobian(x: RelPoint, fx: RelPoint, jac: Sequence[Sequence]) -> ConditionReport:
-    """kappa = || diag(f(x))^+  J  diag(x) ||_2.
+def kappa_from_jacobian(x: RelPoint, fx: RelPoint, partials: Sequence[dict]) -> ConditionReport:
+    """kappa = || diag(f(x))^+  J  diag(x) ||_2, where ``partials[i]`` maps
+    input j to x_j df_i/dx_j (an absent j, as every zero coordinate, is 0).
 
-    Zero output coordinates drop their rows (Moore-Penrose), zero input
-    coordinates null their columns; the caller asserts that the smooth
-    case of the derivative formula applies at x.
+    An output that is an exact 0 drops its row (Moore-Penrose) when its map
+    is empty, as it is constant to first order, and makes kappa infinite
+    when it has a nonzero partial.  A zero of higher order, such as a
+    product of two vanishing linear forms, is not detected: it drops too.
     """
-    m, n = x.dim, fx.dim
-    if len(jac) != n or any(len(r) != m for r in jac):
-        raise ValueError("jacobian dimensions do not match the points")
+    m = x.dim
+    if len(partials) != fx.dim or any(j >= m for d in partials for j in d):
+        raise ValueError("the partial maps do not match the points")
+    zero = Fraction(0)
     rows = []
-    for i in range(n):
-        if fx.pattern[i] == 0:
-            continue
-        row = []
-        for j in range(m):
-            if x.pattern[j] == 0:
-                row.append(Fraction(0))
-            else:
-                row.append(jac[i][j] * x.coords[j] / fx.coords[i])
-        rows.append(row)
-    if not rows:
-        return ConditionReport.make(Fraction(0), "jacobian", x)
-    return ConditionReport.make(spectral_norm(rows), "jacobian", x)
+    for fi, s, d in zip(fx.coords, fx.pattern, partials):
+        if s == 0:
+            if any(real_sign(p) for p in d.values()):
+                return ConditionReport.make(math.inf, "jacobian", x)
+        else:
+            rows.append([d[j] / fi if j in d else zero for j in range(m)])
+    return ConditionReport.make(spectral_norm(rows) if rows else zero, "jacobian", x)
 
 
 def kappa_jacobian(f: CatalogFunction, x: RelPoint) -> ConditionReport:
-    """Derivative-route condition number of a catalog function at x."""
-    jac = f.jacobian(x.coords)
-    if jac is None:
+    """Derivative-route condition number of a catalog function at x: one
+    dual pass of f seeded with each nonzero coordinate gives f(x) and the
+    scaled partials."""
+    out = f.derivatives(x.coords, {j: x.coords[j] for j in x.chi()})
+    if out is None:
         raise ValueError(f"{f.id} has no usable jacobian at this point")
-    fx = RelPoint(f.exact(x.coords))
-    return kappa_from_jacobian(x, fx, jac)
+    return kappa_from_jacobian(x, RelPoint(out[0]), out[1])
 
 
 def kappa_closed_form(f: CatalogFunction, x: RelPoint) -> ConditionReport:

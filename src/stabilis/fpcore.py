@@ -442,10 +442,7 @@ class Binary64:
 
     @staticmethod
     def sub(a: float, b: float) -> float:
-        r = a - b
-        if r and not _TINY < abs(r) < _INF:
-            raise Binary64Refusal("difference out of range")
-        return r
+        return Binary64.add(a, -b)  # float negation is exact
 
     @staticmethod
     def mul(a: float, b: float) -> float:

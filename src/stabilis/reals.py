@@ -185,11 +185,6 @@ class Interval:
         lo, hi = (self.lo * p, self.hi * p) if p >= 0 else (self.hi * p, self.lo * p)
         return Interval(lo // q, -(-hi // q), self.scale)
 
-    def mul_int(self, k: int) -> "Interval":
-        if k >= 0:
-            return Interval(self.lo * k, self.hi * k, self.scale)
-        return Interval(self.hi * k, self.lo * k, self.scale)
-
     def divide(self, other: "Interval", scale: int) -> "Interval":
         """self / other at the given result scale; other must exclude zero."""
         if other.hi < 0:
@@ -344,7 +339,7 @@ def log_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
     at = Interval(2 * (s - err), 2 * (s + err), W)
     if e == 0:
         return at
-    return at + ln2_iv(W + e.bit_length() + 4).mul_int(e)
+    return at + e * ln2_iv(W + e.bit_length() + 4)
 
 
 # ln 2 * 2**128 to within a few units: picks the reduction multiple of ln 2
@@ -395,7 +390,7 @@ def exp_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
         num, den = (x.lo + x.hi) << max(k, 0), c << max(-k, 0)
         n = (2 * num + den) // (2 * den)
         if n != 0:
-            y = x - ln2_iv(W + n.bit_length() + 8).mul_int(n)
+            y = x - n * ln2_iv(W + n.bit_length() + 8)
     y = y.rescale(W)
     if y.lo < -(3 << (W - 2)) or y.hi > (3 << (W - 2)):
         # |y| should be <= ~0.75; fall back on endpoint splitting
@@ -452,7 +447,7 @@ def _sincos_iv(x: Union[Fraction, int, Interval], bits: int, kind: str) -> Inter
     q = x.divide(pi, 64)
     n = (q.lo + q.hi + (1 << 64)) >> 65  # round midpoint of x/pi to nearest int
     piW = pi_iv(W + max(1, abs(n).bit_length()) + 16)
-    r = (x - piW.mul_int(n)).rescale(W)
+    r = (x - n * piW).rescale(W)
     hw = (r.hi - r.lo) // 2 + 1
     mid = (r.lo + r.hi) // 2
     if abs(mid) + hw > (27 << W) // 16:  # |r| should be < pi/2 + slack
@@ -486,7 +481,14 @@ def sqrt_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
         return Interval(math.isqrt(lo), math.isqrt(hi) + 1, W)
     if x.numerator < 0:
         raise ValueError("sqrt of a negative value")
-    lo = math.isqrt((x.numerator << (2 * W)) // x.denominator)
+    return sqrt_ratio_iv(x.numerator, x.denominator, bits)
+
+
+def sqrt_ratio_iv(num: int, den: int, bits: int) -> Interval:
+    """``sqrt_iv(Fraction(num, den), bits)`` for integers num >= 0, den > 0,
+    which need not be reduced: the floor of the root depends on the value."""
+    W = bits + 16
+    lo = math.isqrt((num << (2 * W)) // den)
     return Interval(lo, lo + 1, W)
 
 

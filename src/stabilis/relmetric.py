@@ -39,6 +39,7 @@ from .reals import (
     real_sign,
     signed_interval,
     sqrt_iv,
+    sqrt_ratio_iv,
     to_real,
 )
 
@@ -168,14 +169,6 @@ def _root_sum(sqs: Iterable[Interval | None], bits: int) -> Interval | None:
     return None if total is None else sqrt_iv(total.clip_nonneg(), bits)
 
 
-def _root_ratio(num: int, den: int, bits: int) -> Interval:
-    """``sqrt_iv(Fraction(num, den), bits)`` from the integers: the floor of
-    the root depends on the value alone, so num/den need not be reduced."""
-    W = bits + 16
-    lo = math.isqrt((num << (2 * W)) // den)
-    return Interval(lo, lo + 1, W)
-
-
 def rel_dist(x: RelPoint, y: RelPoint, bits: int = DIST_BITS) -> ExtDist:
     """Distance in the coordinatewise relative-error metric.
 
@@ -206,7 +199,7 @@ def abs_dist(x: RelPoint, y: RelPoint) -> Fraction:
             sqs.append((d * d).rescale(2 * bits + 16))
     q = _sum_sq(exact)
     if not sqs:
-        return q if q == 0 else _root_ratio(q.numerator, q.denominator, bits).midpoint()
+        return q if q == 0 else sqrt_ratio_iv(q.numerator, q.denominator, bits).midpoint()
     sqs.append(Interval.from_fraction(q, 2 * bits + 16))
     return _root_sum(sqs, bits).midpoint()
 
@@ -231,7 +224,7 @@ def scaled_dists(xs: Sequence[int], ys: Sequence[int], scale: int) -> tuple[Inte
     if not num:
         return rel, None
     k = 2 * scale
-    return rel, _root_ratio(num << k, 1, bits) if k >= 0 else _root_ratio(num, 1 << -k, bits)
+    return rel, sqrt_ratio_iv(num << k, 1, bits) if k >= 0 else sqrt_ratio_iv(num, 1 << -k, bits)
 
 
 def geodesic_point(x: RelPoint, y: RelPoint, s) -> RelPoint:
@@ -345,7 +338,7 @@ def step_enclosures(v: Sequence, rho, bits: int) -> list[Interval]:
     p, q = rho.as_integer_ratio()
     # the norm's enclosure is [r, r + 1] * 2**-(bits + 16); each end of the
     # quotient is floored outward by the divisor's far end, as divide does
-    r = _root_ratio(sum(a * a for a in ns), den * den, bits).lo
+    r = sqrt_ratio_iv(sum(a * a for a in ns), den * den, bits).lo
     out = []
     for a in ns:
         lo, rem = divmod((p * a) << bits, q * den)

@@ -198,6 +198,20 @@ class TestCond:
         assert r.exit_code == 0, r.output
         assert f"kappa = {kappa}\n" in r.stdout
 
+    @pytest.mark.parametrize("args,kappa", [
+        # an exact-zero output with a nonzero partial: c_12 = 1 - 1 and c_22 = 1 - 1
+        (["matmul_2x2", "1,1,1,1,1,-1,-1,1"], "inf"),
+        (["strassen_g", "1,0,0,-1,0,0,0"], "inf"),
+        # exact-zero outputs constant to first order drop their rows
+        (["matmul_2x2", "1,0,0,1,1,0,0,1"], "1.4142135623730951"),
+        (["--method", "jacobian", "product", "pi,0"], "0.0"),
+    ])
+    def test_zero_outputs_on_the_derivative_route(self, runner, args, kappa):
+        r = runner.invoke(main, ["cond"] + args)
+        assert r.exit_code == 0, r.output
+        assert "method = jacobian\n" in r.stdout
+        assert f"kappa = {kappa}\n" in r.stdout
+
     def test_sampled_at_a_huge_sine_argument_does_not_converge(self, runner):
         # probes at 192 bits would all land on pi*2^3000*F + F with F a dyadic
         # step factor, an even multiple of pi plus F, and report |cot 1|
@@ -394,6 +408,11 @@ class TestExcess:
         r = runner.invoke(main, ["excess", name, name, "--x", x])
         assert r.exit_code == 2
         assert f"function {name!r} needs option {option!r}" in r.output
+
+    def test_zero_output_of_g_makes_the_excess_undefined(self, runner):
+        r = runner.invoke(main, ["excess", "strassen_g", "strassen_h", "--x", "1,1,1,1,1,-1,-1,1"])
+        assert r.exit_code == 0, r.output
+        assert "excess = undefined (composite kappa is infinite)\n" in r.stdout
 
     def test_inner_from_parts(self, runner):
         r = runner.invoke(main, ["excess", "sum", "hadamard", "--x", "1,1,1,1"])

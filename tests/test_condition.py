@@ -244,6 +244,44 @@ class TestJacobianAgreesWithClosedForm:
             assert abs(kc - kj) <= Fraction(1, 10**12) * max(1, kc), f.id
 
 
+class TestZeroOutputs:
+    """Where an output is an exact 0, the derivative route agrees with the
+    closed form: a row constant to first order drops, and a nonzero
+    partial makes kappa infinite."""
+
+    MAPS = [
+        ("product", dict(k=3)),
+        ("sum", dict(k=3)),
+        ("hadamard", dict(k=2)),
+        ("tensor_product", dict(k=2, l=2)),
+        ("linear_map", dict(rows=[[1, -2, 3]])),
+        ("inner_product", dict(k=2)),
+        ("copy", dict(k=2)),
+        ("squared_norm", dict(k=2)),
+        ("power", dict(exponent=3)),
+        ("affine", dict(op="add", alpha=-2)),
+        ("affine", dict(op="mul", alpha=3)),
+        ("matmul_entry", dict(i=1, j=2)),
+    ]
+
+    @pytest.mark.parametrize("fid,kw", MAPS)
+    def test_derivative_route_matches_the_closed_form(self, fid, kw):
+        f = catalog_function(fid, **kw)
+        draw = random.Random(5)
+        seen = 0
+        for _ in range(300):
+            xs = tuple(Fraction(draw.randint(-2, 3)) for _ in range(f.in_dim))
+            if all(f.exact(xs)):
+                continue
+            seen += 1
+            kc, kj = f.kappa_closed(xs), kappa_jacobian(f, RelPoint(xs)).kappa
+            if kc in (0, math.inf):
+                assert kj == kc, xs
+            else:
+                assert abs(kc - kj) <= Fraction(1, 10**12) * kc, xs
+        assert seen
+
+
 class TestSampledEstimator:
     def test_product_within_two_percent(self):
         f = catalog_function("product", k=3)
@@ -582,4 +620,4 @@ class TestReportInvariants:
         x = RelPoint.of(1, 2, 3)
         fx = RelPoint.of(6)
         with pytest.raises(ValueError):
-            kappa_from_jacobian(x, fx, [[1, 1]])
+            kappa_from_jacobian(x, fx, [{0: 1}, {1: 2}])

@@ -144,7 +144,7 @@ def reference_exp_iv(x, bits):
     n = (2 * num + den) // (2 * den)
     if n != 0:
         l2 = ln2_iv(W + n.bit_length() + 8)
-        y = x - l2.mul_int(n)
+        y = x - n * l2
     else:
         y = x
     y = y.rescale(W)

@@ -1,0 +1,37 @@
+"""The benchmark's tracer (``bench/tracing.py``) installs on the package.
+
+The tracer wraps functions and methods by name, so renaming or deleting
+one of them would otherwise break only the benchmark's traced runs.
+"""
+
+from fractions import Fraction
+from pathlib import Path
+
+from stabilis import condition, fpcore
+from stabilis.catalog import CatalogFunction, catalog_function
+from stabilis.reals import sqrt_iv
+from stabilis.relmetric import RelPoint
+
+
+def test_tracer_wraps_and_restores_the_package(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracing import Tracer
+
+    fp_add, exact = fpcore.fp_add, CatalogFunction.exact
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert fpcore.fp_add is not fp_add
+        rep = condition.kappa_jacobian(catalog_function("sum", k=2), RelPoint.of(1, 2))
+        spans = tracer.summarize()
+    finally:
+        tracer.uninstall()
+    assert fpcore.fp_add is fp_add and CatalogFunction.exact is exact
+    assert spans["trace.spans"] > 0
+    # one dual pass: f(x) and the scaled partials from a single exact call
+    for name, calls in [("condition.kappa_jacobian", 1), ("condition.kappa_from_jacobian", 1),
+                        ("condition.spectral_norm", 1), ("catalog.exact", 1)]:
+        assert spans[f"{name}.calls"] == calls, name
+    assert spans.get("catalog.jacobian.calls", 0) == 0
+    # the rows (1/3, 2/3): kappa = sqrt(5)/3
+    assert abs(rep.kappa - sqrt_iv(Fraction(5, 9), 192).midpoint()) <= Fraction(1, 2**100)
