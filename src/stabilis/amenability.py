@@ -3,8 +3,9 @@
 Amenability of a function at a point asks two things of the ball of
 radius 1/(a * kappa_tilde) around it: the ball stays inside the domain
 (A.1) and the condition number grows by at most the factor a inside it
-(A.2).  The probe checks both empirically on sampled points and returns
-a self-certifying witness on failure.
+(A.2).  The probe checks both on sampled points, unless a certified bound
+on the condition number over a box holding the ball passes them all, and
+returns a self-certifying witness on failure.
 
 The numerical excess factor of a decomposition f = g o h,
 
@@ -22,7 +23,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Sequence
 
-from .catalog import CatalogFunction, Product, Sin, Summation, _frac_only, _sqrt_mid, compose, sin_enclosures
+from .catalog import CatalogFunction, Product, Sin, Summation, _rational, _sqrt_mid, compose, sin_enclosures
 from .condition import ConditionReport, ExtReal, kappa_closed_form, kappa_inside
 from .reals import Interval, PrecisionError, _over_lcm, real_sign, refine
 from .relmetric import RelPoint, ball_box, rel_samples, sample_bits
@@ -67,7 +68,8 @@ def amenability_probe(
     With the default closed form, a rational x, an f defined everywhere and
     a radius of at most 1, the samples are first decided together at low
     width: every one passes, and none is built, when 1 + ``f.kappa_upper``
-    of a box holding the whole ball (:func:`ball_box`) is at most a*kt.
+    of a box holding the whole ball (:func:`ball_box`) is at most a*kt,
+    which any such f that runs on boxes can show (``sin`` cannot).
     Otherwise each sample is built and checked exactly, so every verdict,
     witness and count is bit for bit that of checking every point exactly.
     """
@@ -80,7 +82,7 @@ def amenability_probe(
     if kappa_fn is None:
         kt_x = kappa_closed_form(f, x).kappa_tilde
         kappa_fn = lambda pt: kappa_inside(f, pt)
-        certify = not f.restricts and all(isinstance(c, Fraction) for c in x.coords)
+        certify = not f.restricts and _rational(x.coords)
     else:
         kt_x = kappa_fn(x).kappa_tilde
     if kt_x == math.inf:
@@ -140,7 +142,9 @@ def gradient_criterion(f: CatalogFunction, x: RelPoint, q) -> bool:
         # over one denominator x_i = n_i/D, with s = sum n_i and N = sum n_i^2,
         # x_i d(kappa)/dx_i = sgn(s) n_i (n_i s - N) / (sqrt(N) s^2), so the
         # left side squared is W/(N s^4) and the right side q (sqrt(N)/|s| + 1)^2
-        ns, _ = _over_lcm(_frac_only(x.coords, "the summation gradient"))
+        if not _rational(x.coords):
+            raise TypeError("the summation gradient requires exact rational coordinates")
+        ns, _ = _over_lcm(x.coords)
         s = sum(ns)
         if s == 0:
             raise ValueError("kappa is infinite at this point")

@@ -1,6 +1,6 @@
 """Elementary function catalog and the finite-precision algorithms for it.
 
-Every entry exposes three consistent views that the rest of the package
+Every entry exposes four consistent views that the rest of the package
 cross-checks against each other:
 
 * ``exact``     - reference semantics over exact reals (rational maps stay
@@ -13,7 +13,8 @@ cross-checks against each other:
                   the scaled partials x_j df_i/dx_j;
 * ``kappa_closed`` - the closed-form condition number in the relative
                   metric, where one exists (None falls back to the
-                  spectral-norm path).
+                  spectral-norm path);
+* ``kappa_upper`` - a certified bound on it over a box, from one dual pass.
 
 Alongside, :class:`NumericalAlgorithm` wraps the same functions as
 floating-point programs: every arithmetic step is rounded to the requested
@@ -76,18 +77,20 @@ class DomainError(ValueError):
     """Input outside the function's domain."""
 
 
-def _frac_only(xs: Coords, what: str) -> tuple[Fraction, ...]:
-    if any(not isinstance(v, Fraction) for v in xs):
-        raise TypeError(f"{what} requires exact rational coordinates")
-    return xs  # type: ignore[return-value]
+def _rational(xs: Coords) -> bool:
+    """Whether every coordinate is an exact rational."""
+    return all(isinstance(v, Fraction) for v in xs)
 
 
 def _sqrt_mid(q: Fraction) -> Fraction:
-    """Rational midpoint of a 192-bit certified sqrt enclosure (exact when possible)."""
+    """The exact root, or the midpoint of ``sqrt_iv(q, b)``, b = max(192, 128 -
+    e // 2) for 2**(e-1) < q < 2**(e+1): 192 for a root of at least 2**-64,
+    and good to 128 relative bits below it."""
     r = nth_root_fraction(q, 2)
     if r is not None:
         return r
-    return sqrt_iv(q, 192).midpoint()
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    return sqrt_iv(q, max(192, 128 - (e >> 1))).midpoint()
 
 
 def _sum(terms: Sequence[ExactReal]) -> ExactReal:
@@ -105,48 +108,19 @@ def _sum(terms: Sequence[ExactReal]) -> ExactReal:
     return out
 
 
-def _products_over(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(numerators, denominator) of the products x_i * y_i over the product
-    of the two sides' common denominators: no Fraction per product."""
-    nx, dx = _over_lcm(xs)
-    ny, dy = _over_lcm(ys)
-    return [a * b for a, b in zip(nx, ny)], dx * dy
-
-
 def _sum_kappa(terms: Sequence[Fraction], c: int = 1):
     """Condition number sqrt(c * sum t^2) / |sum t| of summing ``terms``.
 
     ``c`` counts the relative perturbations that reach each term (2 when a
     term is a product of two inputs).
     """
-    return _kappa_of_sum(*_over_lcm(terms), c)
-
-
-def _kappa_of_sum(nums: Sequence[int], den: int, c: int = 1):
-    """:func:`_sum_kappa` of the terms nums[i] / den."""
+    nums, den = _over_lcm(terms)
     if not any(nums):
         return Fraction(0)
     s = sum(nums)
     if s == 0:
         return math.inf
     return _sqrt_mid(Fraction(c * sum(n * n for n in nums), den * den)) / Fraction(abs(s), den)
-
-
-def _kappa_bound(terms: Sequence[Interval], c: int = 1) -> Fraction | None:
-    """An upper bound on :func:`_sum_kappa` of terms anywhere in the enclosures
-    ``terms``, or None when the enclosure of their sum holds 0.
-
-    Over the enclosures, Q_hi = c * sum max(lo^2, hi^2) >= c * sum t^2 and
-    S_lo <= |sum t|.  ``_sqrt_mid`` is the exact root or the midpoint of a
-    2**-208-wide enclosure of it, so kappa <= (sqrt(Q_hi) + 2**-208) / S_lo.
-    """
-    s = max(t.scale for t in terms)
-    ts = [t.rescale(s) for t in terms]  # exact: a finer scale only shifts
-    lo, hi = sum(t.lo for t in ts), sum(t.hi for t in ts)
-    if lo <= 0 <= hi:
-        return None
-    q = c * sum(max(t.lo * t.lo, t.hi * t.hi) for t in ts)
-    return (math.isqrt(q - 1) + 1 + Fraction(2) ** (s - 208)) / min(abs(lo), abs(hi))
 
 
 def sqrt_real(x: ExactReal | _Dual) -> ExactReal | _Dual:
@@ -188,8 +162,9 @@ class _Dual:
     Derivatives*, 2nd ed., SIAM 2008).
 
     A zero partial is never stored and a missing one is 0; :func:`_mul`
-    keeps certified reals from exact factors 0.  A certified real compares
-    equal to no number, so ``v == 0`` and ``v == 1`` hold only for exact ones.
+    keeps certified reals from exact factors 0.  A certified real or an
+    Interval (a dual pass on a box) compares equal to no number, so
+    ``v == 0`` and ``v == 1`` hold only for exact ones.
     """
 
     __slots__ = ("v", "d")
@@ -270,9 +245,36 @@ class CatalogFunction:
         return None
 
     def kappa_upper(self, ivs: Sequence[Interval]) -> Fraction | None:
-        """An upper bound on ``kappa_closed`` at every point of the box of
-        coordinate enclosures ``ivs``, or None where none is known."""
-        return None
+        """An upper bound on the kappa that ``condition.kappa_inside`` reports
+        at every point of the box of coordinate enclosures ``ivs``, or None.
+
+        One dual pass seeded with the enclosures encloses f_i and x_j
+        df_i/dx_j over the box (Moore, Kearfott and Cloud, *Introduction to
+        Interval Analysis*, SIAM 2009, ch. 6), so every scaled Jacobian S
+        there has |S_ij| <= M_ij = max |x_j df_i/dx_j| / min |f_i| and
+        ||S||_2 <= ||M||_2; the margin 2**-90 covers ``spectral_norm``'s
+        2**-100 and the closed forms' rounding.  A row 0 on the box with zero
+        partials drops; None where another output's enclosure holds 0, or
+        where f restricts its domain or does not run on boxes.
+        """
+        from .condition import spectral_norm  # condition imports this module
+
+        if self.restricts:
+            return None
+        try:
+            ys, partials = self.derivatives(tuple(ivs), dict(enumerate(ivs)))
+        except TypeError:  # sin
+            return None
+        rows = []
+        for y, d in zip(ys, partials):  # y an Interval or an exact 0; each partial carries its seed
+            a = abs(y)
+            lo, hi = (a.lower(), a.upper()) if isinstance(a, Interval) else (a, a)
+            if hi == 0 and all(p.lo == p.hi == 0 for p in d.values()):
+                continue
+            if lo == 0:
+                return None
+            rows.append([abs(d[j]).upper() / lo if j in d else 0 for j in range(self.in_dim)])
+        return spectral_norm(rows) * (1 + Fraction(1, 2**90))
 
     def in_domain(self, xs: Coords) -> bool:
         """Whether xs lies in the domain: on rational coordinates, False
@@ -342,10 +344,7 @@ class Summation(CatalogFunction):
         return (_sum(xs),)
 
     def kappa_closed(self, xs):
-        return _sum_kappa(_frac_only(xs, "summation kappa"))
-
-    def kappa_upper(self, ivs):
-        return _kappa_bound(ivs)
+        return _sum_kappa(xs) if _rational(xs) else None
 
 
 class Hadamard(CatalogFunction):
@@ -405,9 +404,8 @@ class LinearMap(CatalogFunction):
         return tuple(_sum([c * v for c, v in zip(r, xs) if c]) for r in self.rows)
 
     def kappa_closed(self, xs):
-        if self.out_dim != 1:
+        if self.out_dim != 1 or not _rational(xs):
             return None  # stacked rows go through the spectral path
-        xs = _frac_only(xs, "linear map kappa")
         return _sum_kappa([c * v for c, v in zip(self.rows[0], xs)])
 
 
@@ -422,11 +420,7 @@ class InnerProduct(Composite):
     def kappa_closed(self, xs):
         # a relative perturbation reaches each product through both factors,
         # hence the sqrt(2) on top of the summation-stage condition number
-        xs = _frac_only(xs, "inner product kappa")
-        return _kappa_of_sum(*_products_over(xs[:self.k], xs[self.k:]), 2)
-
-    def kappa_upper(self, ivs):
-        return _kappa_bound([a * b for a, b in zip(ivs[:self.k], ivs[self.k:])], 2)
+        return _sum_kappa([a * b for a, b in zip(xs[:self.k], xs[self.k:])], 2) if _rational(xs) else None
 
 
 class Copy(CatalogFunction):
@@ -451,10 +445,9 @@ class SquaredNorm(Composite):
         self.k = k
 
     def kappa_closed(self, xs):
-        xs = _frac_only(xs, "squared norm kappa")
-        q = _sum_sq(xs)
-        if q == 0:
-            return Fraction(0)
+        q = _sum_sq(xs) if _rational(xs) else None
+        if not q:
+            return q  # None at a certified coordinate, 0 at the origin
         q4 = _sum_sq([v * v for v in xs])
         return 2 * _sqrt_mid(q4) / q
 
@@ -484,7 +477,7 @@ class Norm2(Composite):
 
     def kappa_closed(self, xs):
         # sqrt has condition number 1/2 wherever it is differentiable
-        return self.h.kappa_closed(xs) / 2
+        return self.h.kappa_closed(xs) / 2 if _rational(xs) else None
 
 
 class Power(CatalogFunction):
@@ -531,7 +524,8 @@ class Affine(CatalogFunction):
             return Fraction(0)
         if self.op in ("mul", "div"):
             return Fraction(0) if self.alpha == 0 else Fraction(1)
-        x = _frac_only(xs, "affine kappa")[0]
+        if not _rational(xs):
+            return None
         fx = x + self.alpha if self.op == "add" else x - self.alpha
         if fx == 0:
             return math.inf
@@ -639,9 +633,8 @@ class MatmulEntry(CatalogFunction):
 
     def kappa_closed(self, xs):
         # inner-product special case: both factors of each product perturb
-        xs = _frac_only(xs, "matmul entry kappa")
-        pairs = self._pairs()
-        return _kappa_of_sum(*_products_over([xs[a] for a, _ in pairs], [xs[b] for _, b in pairs]), 2)
+        (p, q), (r, s) = self._pairs()
+        return _sum_kappa([xs[p] * xs[q], xs[r] * xs[s]], 2) if _rational(xs) else None
 
 
 class Matmul2x2(Composite):

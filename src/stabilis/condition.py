@@ -86,8 +86,8 @@ def spectral_norm(rows: Sequence[Sequence]) -> Fraction:
     A = A if len(A) <= len(A[0]) else list(zip(*A))
     G = [[sum(a * b for a, b in zip(r, s)) for s in A] for r in A]
     lo = max(r[i] for i, r in enumerate(G))
-    if lo == 0:
-        return Fraction(0)
+    if lo == 0 or len(G) == 1:  # lambda_max is the one diagonal entry, or 0
+        return _sqrt_mid(Fraction(lo)) / den
     sh = max(lo.bit_length() - 60, 0)  # |G_ij| <= max diag: the floats stay finite
     w = np.linalg.eigh(np.array([[float(g >> sh) for g in r] for r in G]))[1][:, -1]
     v = [round(float(c) * 2**53) for c in w]

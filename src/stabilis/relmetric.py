@@ -112,15 +112,12 @@ class RelPoint:
         """Enclosures of the coordinates of ``scaled(chi, M)`` for every M with
         each 0 < M[k] in ``factors[k]``, when the coordinates are rational.
 
-        A coordinate p/q times [lo, hi] * 2**-s lies in [floor(p lo / q),
-        ceil(p hi / q)] * 2**-s, the ends swapped for p < 0.  Every other
-        coordinate is kept, enclosed at BOX_BITS.
+        A rational times an Interval is rounded outward at the Interval's
+        scale.  Every other coordinate is kept, enclosed at BOX_BITS.
         """
         out: list = list(self.coords)
-        for i, factor in zip(chi, factors):
-            p, q = out[i].numerator, out[i].denominator
-            lo, hi = (factor.lo, factor.hi) if p >= 0 else (factor.hi, factor.lo)
-            out[i] = Interval(p * lo // q, -(-p * hi // q), factor.scale)
+        for i, factor in zip(chi, factors):  # Fraction.__mul__ would first refuse the Interval
+            out[i] = factor.__rmul__(out[i])
         return [c if isinstance(c, Interval) else Interval.from_fraction(c, BOX_BITS) for c in out]
 
     def same_component(self, other: "RelPoint") -> bool:

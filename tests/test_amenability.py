@@ -19,6 +19,7 @@ from stabilis.condition import kappa_closed_form, kappa_inside
 from stabilis.fpcore import fl, to_exact
 from stabilis.reals import pi_real
 from stabilis.relmetric import RelPoint
+from test_catalog import BOXED, boxed_map
 
 rng = random.Random(5150)
 
@@ -109,13 +110,13 @@ class TestLowWidthDecisions:
             return repr(e)
         return repr((v, v.witness and v.witness.coords))
 
-    @given(st.sampled_from(["sum", "product", "inner_product"]), st.integers(1, 16),
+    @given(st.sampled_from(BOXED), st.integers(1, 16),
            st.sampled_from([Fraction(1, 4), 1, 2, 8]), st.sampled_from([1, 2, 7, 40]), st.integers(0, 2**16),
            st.data())
-    @settings(max_examples=100)
+    @settings(max_examples=200)
     def test_same_verdict_as_the_exact_path(self, fid, k, a, n, seed, data):
         # a = 1/4 gives radii above 1, where the ball's certificate does not apply
-        f = catalog_function(fid, k=k)
+        f = boxed_map(fid, k)
         x = RelPoint(data.draw(st.lists(_signed, min_size=f.in_dim, max_size=f.in_dim), label="x"))
         exact = self.verdict(f, lambda pt: kappa_inside(f, pt), x, a, n, seed)
         assert self.verdict(f, None, x, a, n, seed) == exact

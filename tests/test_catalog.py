@@ -16,8 +16,11 @@ from stabilis.catalog import (
     DomainError,
     Hadamard,
     LinearMap,
+    Norm2,
     NumericalAlgorithm,
+    Power,
     Sin,
+    Sqrt,
     Summation,
     _sqrt_mid,
     _sum_kappa,
@@ -33,7 +36,7 @@ from stabilis.catalog import (
     strassen_input,
 )
 from stabilis.cli import _resolve_function
-from stabilis.condition import kappa_jacobian
+from stabilis.condition import kappa_inside, kappa_jacobian
 from stabilis import fpcore
 from stabilis.fpcore import (
     BINARY64,
@@ -50,7 +53,17 @@ from stabilis.fpcore import (
     to_exact,
 )
 from stabilis.reals import CertifiedReal, Interval, pi_real, real_sign
-from stabilis.relmetric import BOX_BITS, RelPoint, factor_bounds, rel_dist, rel_step, sample_bits, step_stream
+from stabilis.relmetric import (
+    BOX_BITS,
+    RelPoint,
+    ball_box,
+    factor_bounds,
+    rel_dist,
+    rel_sphere_sample,
+    rel_step,
+    sample_bits,
+    step_stream,
+)
 from test_acceptance import CATALOG_FOR_CROSSCHECK
 
 mp.mp.prec = 700
@@ -636,14 +649,32 @@ class TestCommonDenominatorSums:
             assert (e.lo, e.hi, e.scale) == (w.lo, w.hi, w.scale)
 
 
-class TestKappaUpper:
-    """kappa_upper of a box bounds kappa_closed at every rational point of it."""
+# every catalog map defined everywhere that runs on boxes (sin raises TypeError)
+BOXED = ("sum", "product", "inner_product", "hadamard", "copy", "squared_norm", "tensor_product",
+         "linear_map", "affine", "matmul_entry", "strassen_h", "strassen_g", "matmul_2x2")
 
-    @given(st.sampled_from(["sum", "product", "inner_product"]), st.integers(1, 6), st.sampled_from([0, 8, 100]),
-           st.data())
+
+def boxed_map(fid: str, k: int) -> CatalogFunction:
+    """The map ``fid`` of BOXED, sized by k where it has a size."""
+    if fid == "tensor_product":
+        return catalog_function(fid, k=k, l=k % 3 + 1)
+    if fid == "linear_map":
+        return catalog_function(fid, rows=[[(-1) ** (i + j) * (i + j + 1) for j in range(k)] for i in range(k % 2 + 1)])
+    if fid == "affine":
+        return catalog_function(fid, op=("add", "sub", "mul", "div")[k % 4], alpha=Fraction(7, 5))
+    if fid in ("matmul_entry", "strassen_h", "strassen_g", "matmul_2x2"):
+        return catalog_function(fid)
+    return catalog_function(fid, k=k)
+
+
+class TestKappaUpper:
+    """kappa_upper of a box bounds the kappa that kappa_inside reports at every
+    rational point of it."""
+
+    @given(st.sampled_from(BOXED), st.integers(1, 6), st.sampled_from([0, 8, 100]), st.data())
     @settings(max_examples=200)
     def test_bounds_kappa_closed_inside_the_box(self, fid, k, scale, data):
-        f = catalog_function(fid, k=k)
+        f = boxed_map(fid, k)
         ends = st.tuples(st.integers(-2**12, 2**20), st.integers(0, 2**12) | st.just(0))
         ivs = [Interval(lo, lo + w, scale) for lo, w in data.draw(st.lists(ends, min_size=f.in_dim,
                                                                            max_size=f.in_dim), label="box")]
@@ -654,17 +685,59 @@ class TestKappaUpper:
         within = st.fractions(min_value=0, max_value=1, max_denominator=2**40)
         for _ in range(4):
             pt = tuple(Fraction(iv.lo + (iv.hi - iv.lo) * data.draw(within), 2**scale) for iv in ivs)
-            assert f.kappa_closed(pt) <= upper
+            assert kappa_inside(f, RelPoint(pt)).kappa <= upper
+
+    @pytest.mark.parametrize("fid", BOXED)
+    def test_bounds_kappa_on_the_sphere(self, fid):
+        # the sphere of radius 1/(a kt) is where kappa grows most
+        pick = random.Random(fid)
+        f = boxed_map(fid, 3)
+        for seed, a in enumerate((1, 1, 4)):
+            x = RelPoint([Fraction(pick.uniform(0.2, 5)).limit_denominator(10**6) * pick.choice((1, -1))
+                          for _ in range(f.in_dim)])
+            r = 1 / (a * kappa_inside(f, x).kappa_tilde)
+            upper = f.kappa_upper(ball_box(x, r, sample_bits(x, r)))
+            if upper is None:
+                continue
+            for y in rel_sphere_sample(x, r, 8, seed):
+                assert kappa_inside(f, y).kappa <= upper
 
     def test_corners_and_the_none_cases(self):
         F = Fraction
+        assert not any(boxed_map(fid, 2).restricts for fid in BOXED)
+        restricting = {Sqrt, Norm2, Power}
+        assert {type(boxed_map(fid, 2)) for fid in BOXED} == {cls for cls, _ in FUNCTIONS.values()} - restricting - {Sin}
         assert catalog_function("sum", k=2).kappa_upper([Interval(-1, 1, 0), Interval(0, 0, 0)]) is None
-        assert catalog_function("sqrt").kappa_upper([Interval(1, 2, 0)]) is None  # no bound known
+        assert catalog_function("sqrt").kappa_upper([Interval(1, 2, 0)]) is None  # restricts its domain
+        assert catalog_function("sin").kappa_upper([Interval(1, 2, 0)]) is None  # does not run on boxes
+        # an output that is 0 on the box with a nonzero partial has no bound
+        assert LinearMap([[1, -1]]).kappa_upper([Interval(1, 1, 0)] * 2) is None
         assert catalog_function("product", k=3).kappa_upper([Interval(-1, 1, 0)] * 3) == _sqrt_mid(F(3))
         assert catalog_function("product", k=2).kappa_upper([Interval(0, 0, 0), Interval(1, 2, 0)]) == 0
-        # at a point box with an exact root the bound is the closed form plus the margin
-        f, x = catalog_function("inner_product", k=2), (F(3, 2), F(3, 2), F(-2), F(-2))
-        assert f.kappa_upper([Interval(3, 3, 1)] * 2 + [Interval(-2, -2, 0)] * 2) == f.kappa_closed(x) + F(1, 2**208) / 6
+        # at a point box the bound is the closed form up to the margin; hadamard's
+        # second output is 0 there with zero partials, and drops
+        for f, x in ((catalog_function("inner_product", k=2), (F(3, 2), F(3, 2), F(-2), F(-2))),
+                     (catalog_function("hadamard", k=2), (F(1), F(0), F(1), F(0)))):
+            upper = f.kappa_upper([Interval.from_fraction(c, 1) for c in x])
+            assert f.kappa_closed(x) <= upper <= f.kappa_closed(x) * (1 + F(1, 2**80))
+
+
+class TestScaleInvariance:
+    """kappa of a map homogeneous in x is the same at 2**-k x, to 2**-100 relative,
+    however small the coordinates: each root is good to 128 relative bits."""
+
+    @pytest.mark.parametrize("fid,kw,dim,signed,span", [c for c in CATALOG_FOR_CROSSCHECK
+                                                        if c[0] not in ("affine", "sin")],
+                             ids=[c[0] for c in CATALOG_FOR_CROSSCHECK if c[0] not in ("affine", "sin")])
+    def test_kappa_at_tiny_coordinates(self, fid, kw, dim, signed, span):
+        f = catalog_function(fid, **kw)
+        pick = random.Random(fid)
+        x = [Fraction(pick.uniform(*span)).limit_denominator(10**6) * (-1 if signed and pick.random() < 0.5 else 1)
+             for _ in range(dim)]
+        want = kappa_inside(f, RelPoint(x)).kappa
+        for k in (100, 300, 600):
+            got = kappa_inside(f, RelPoint([c / 2**k for c in x])).kappa
+            assert abs(got - want) <= want / 2**100, k
 
 
 class TestExactOnBoxes:

@@ -199,6 +199,28 @@ class TestCond:
         assert f"kappa = {kappa}\n" in r.stdout
 
     @pytest.mark.parametrize("args,kappa", [
+        (["squared_norm", "pi,1"], "1.8252983769810431"),
+        (["sum", "pi,1"], "0.7960484251433965"),  # sqrt(pi^2 + 1) / (pi + 1)
+        (["affine", "pi", "--op", "add", "--alpha", "1"], "0.7585469929947761"),  # pi / (pi + 1)
+    ])
+    def test_closed_forms_leave_certified_coordinates_to_the_jacobian(self, runner, args, kappa):
+        # a closed form on exact rationals only: auto prints what the derivative route prints
+        for method in ("jacobian", "auto"):
+            r = runner.invoke(main, ["cond", "--method", method] + args)
+            assert r.exit_code == 0, r.output
+            assert f"method = jacobian\nkappa = {kappa}\n" in r.stdout
+
+    @pytest.mark.parametrize("args,kappa", [
+        (["sum", "1e-70,2e-70"], "0.7453559924999299"),  # as at 1,2: sqrt 5 / 3
+        (["squared_norm", "1e-40,1e-40"], "1.4142135623730951"),
+    ])
+    def test_closed_forms_at_tiny_coordinates(self, runner, args, kappa):
+        r = runner.invoke(main, ["cond"] + args)
+        assert r.exit_code == 0, r.output
+        assert "method = closed_form\n" in r.stdout
+        assert f"kappa = {kappa}\n" in r.stdout
+
+    @pytest.mark.parametrize("args,kappa", [
         # an exact-zero output with a nonzero partial: c_12 = 1 - 1 and c_22 = 1 - 1
         (["matmul_2x2", "1,1,1,1,1,-1,-1,1"], "inf"),
         (["strassen_g", "1,0,0,-1,0,0,0"], "inf"),
@@ -413,6 +435,12 @@ class TestExcess:
         r = runner.invoke(main, ["excess", "strassen_g", "strassen_h", "--x", "1,1,1,1,1,-1,-1,1"])
         assert r.exit_code == 0, r.output
         assert "excess = undefined (composite kappa is infinite)\n" in r.stdout
+
+    def test_certified_point_takes_the_jacobian_route(self, runner):
+        r = runner.invoke(main, ["excess", "sum", "hadamard", "--x", "pi,1,1,1"])
+        assert r.exit_code == 0, r.output
+        assert "kt_f_at_x = 2.1257824791435347\n" in r.stdout
+        assert "excess = 2.039740429325108\n" in r.stdout
 
     def test_inner_from_parts(self, runner):
         r = runner.invoke(main, ["excess", "sum", "hadamard", "--x", "1,1,1,1"])
