@@ -192,8 +192,9 @@ FLOAT_FLOOR = 2.0**-60
 CERT_BITS = DIST_BITS + 8
 
 # kappa_sampled stops deciding a level's random probes on boxes after this
-# many attempts in a row fail: where the ratios tie the sup (copy), every
-# attempt fails and only adds to the probe's cost
+# many attempts in a row fail, and its built probes by float bounds when
+# this many are undecided before any is decided: where the ratios tie the
+# sup (copy, sqrt), every attempt fails and only adds to the probe's cost
 BOX_PATIENCE = 4
 
 
@@ -251,10 +252,11 @@ def dist_bounds(x: Iterable, y: Iterable) -> tuple[float, float] | None:
     n (w**2 + 2**-398) wide (sum |l_i| <= sqrt(n) D), and ``sqrt_iv(T,
     192)`` at 208 bits is below (T_hi - T_lo)/D + 2**-207 wide.  A pair of
     rationals (an Interval's points are rational) has its ratio exactly:
-    with it in (1/3, 3), ``log_iv(., 192)`` adds at most 3 multiples of ln 2
-    (below 2**-300 wide) to 2 atanh of a reduced |z| < 1/3 at W = 224 bits,
-    whose series has at most 71 terms, err <= 9 + 6*71 units and width
-    4 err < 2**11 units of 2**-224: w = 2**-212.  A pair with a certified
+    with it in (1/3, 3), ``log_ends`` at 192 bits (``log_iv``'s enclosure)
+    adds at most 3 multiples of ln 2 (below 2**-300 wide) to 2 atanh of a
+    reduced |z| < 1/3 at W = 224 bits, whose series has at most 71 terms,
+    err <= 9 + 6*71 units and width 4 err < 2**11 units of 2**-224: w =
+    2**-212.  A pair with a certified
     real takes ``signed_interval(., 200)`` of each side, which is the
     enclosure at CERT_BITS read here when its sign is certain, and of a
     rational side an enclosure below 2**-200 wide.  Each is required below
@@ -339,9 +341,14 @@ def kappa_sampled(
     1, and f's from ``f.exact`` on the box of its coordinates
     (:meth:`RelPoint.box`).  A map that does not run on boxes raises
     TypeError, and the call then builds every probe; after BOX_PATIENCE
-    undecided boxes in a row, so does the level.  Every other probe (flat
-    ratios that tie the sup, undecided signs) is built and measured
-    exactly, so the report is the exact computation's, bit for bit.
+    undecided boxes in a row, so does the level.  A level whose first
+    BOX_PATIENCE tries of the float bounds on built probes all fail
+    measures its other probes without them (the ratios of ``sqrt`` tie the
+    sup on every probe); once one is decided, every later probe is tried
+    (a one-coordinate map such as ``sin`` ties the sup at one of its two
+    probe points and not at the other).  Every other probe (flat ratios
+    that tie the sup, undecided signs) is built and measured exactly, so
+    the report is the exact computation's, bit for bit.
     """
     radii = [Fraction(r) for r in radii]
     if not radii or radii[-1] <= 0 or any(a <= b for a, b in zip(radii, radii[1:])):
@@ -360,6 +367,8 @@ def kappa_sampled(
         bits = sample_bits(x, r)
         best: ExtReal = Fraction(0)
         probe_logs: list[list[float]] = []
+        # built probes the float bounds left undecided, and whether one was decided
+        undecided, decided = 0, False
 
         def below(bxy: tuple[float, float] | None, fys) -> bool:
             """Whether a probe at a distance within bxy of x, with f-values
@@ -376,14 +385,17 @@ def kappa_sampled(
             return fb == math.inf or (fb > 2.0**-900 and bff[1] < fb * bxy[0] * (1 - 2.0**-40))
 
         def measure(y: RelPoint):
-            nonlocal best, failures
+            nonlocal best, failures, undecided, decided
             try:
                 fy = RelPoint(f.exact(y.coords))
             except (DomainError, ZeroDivisionError):
                 failures += 1
                 return None
-            if best > 0 and below(dist_bounds(x, y), fy):
-                return fy
+            if best > 0 and (decided or undecided < BOX_PATIENCE):
+                if below(dist_bounds(x, y), fy):
+                    decided = True
+                    return fy
+                undecided += 1
             dxy = rel_dist(x, y)
             if dxy == 0 or dxy == math.inf:
                 return None

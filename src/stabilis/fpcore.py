@@ -9,8 +9,10 @@ mathematical round-to-nearest (ties to even) onto the precision-t grid.
 The arithmetic here is a genuine soft-float implementation (aligned
 addition with a sticky path, double-width multiplication, division by
 integer quotient and remainder).  Every result goes through one rounding
-routine, ``_round_scaled``: the operations, rationals (a quotient with two
-guard bits and a sticky remainder) and the endpoints of an enclosure alike.
+routine, ``_round_scaled``: the operations and rationals (a quotient with
+two guard bits and a sticky remainder) alike.  The two ends of an
+enclosure are rounded by its rule without building either
+(``_round_ends``), which gives their common value or None.
 The test-suite checks every operation bit-for-bit against the independent
 compute-exactly-then-round oracle.
 
@@ -225,6 +227,36 @@ def _round_scaled(sign: int, m: int, twoexp: int, t: int, exact: bool = True) ->
     return _fp(sign, keep, twoexp + L)
 
 
+def _nearest(m: int, t: int) -> tuple[int, int]:
+    """(keep, L): the integer m > 0 rounded to nearest, ties to even, is the
+    t-bit mantissa keep in the binade [2**(L-1), 2**L), as ``_round_scaled``
+    rounds it."""
+    L = m.bit_length()
+    drop = L - t
+    if drop <= 0:
+        return m << -drop, L
+    keep = m >> drop
+    rem = m - (keep << drop)
+    half = 1 << (drop - 1)
+    if rem > half or (rem == half and keep & 1):
+        keep += 1
+        if keep >> t:  # carried to 2**t: the next binade
+            return keep >> 1, L + 1
+    return keep, L
+
+
+def _round_ends(sign: int, lo: int, hi: int, twoexp: int, t: int) -> FpNumber | None:
+    """The t-bit value that sign*m*2**twoexp rounds to for both m = lo and
+    m = hi, integers with 0 < lo <= hi; None when the two round apart.
+    Rounding is monotone, so every m between them rounds to that value too.
+    Only the common result is built.
+    """
+    end = _nearest(hi, t)
+    if _nearest(lo, t) != end:
+        return None
+    return _fp(sign, end[0], twoexp + end[1])
+
+
 def _round_quotient(sign: int, n: int, d: int, twoexp: int, t: int) -> FpNumber:
     """Round sign*(n/d)*2**twoexp to t bits, for positive integers n and d.
 
@@ -271,11 +303,10 @@ def round_to_nearest(x, p: Precision | int) -> FpNumber:
             s = iv.sign()
             if s == 0:
                 return fp_zero()
-            if s is not None:
-                lo = _round_scaled(s, abs(iv.lo), -iv.scale, t)
-                if lo == _round_scaled(s, abs(iv.hi), -iv.scale, t):
-                    return lo
-            return None
+            if s is None:
+                return None
+            lo, hi = (iv.lo, iv.hi) if s > 0 else (-iv.hi, -iv.lo)
+            return _round_ends(s, lo, hi, -iv.scale, t)
 
         return refine(decide, t + 64, "a rounding: the value is an exact tie, or too close to one")
     raise TypeError(f"cannot round a {type(x).__name__}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .catalog import NumericalAlgorithm, Sin, sin_in_precision, high_precision_sin, strassen_input
 from .condition import ExtReal, kappa_closed_form
-from .fpcore import FpError, FpNumber, Precision, _round_quotient, _round_scaled, fl, fp_zero, to_exact
+from .fpcore import FpError, FpNumber, Precision, _round_ends, fl, fp_zero, to_exact
 from .reals import CertifiedReal, Interval, PrecisionError, log_iv, pi_iv, pi_real, signed_interval, sqrt_iv
 from .relmetric import (
     RelPoint,
@@ -197,15 +197,27 @@ def log_spaced(lo: float, hi: float, n: int) -> list[Fraction]:
     return [Fraction(float(v)) for v in vals]
 
 
-def _round_times(b: Fraction, m: int, e: int, t: int) -> FpNumber:
-    """fl(b * m * 2**e) at t bits, for an integer m > 0."""
+def _round_times(b: Fraction, lo: int, hi: int, e: int, t: int) -> FpNumber | None:
+    """fl(b * m * 2**e) at t bits, the same for every integer m in [lo, hi]
+    (0 < lo <= hi), or None when the ends round apart (:func:`_round_ends`).
+
+    A dyadic b scales the ends exactly.  Otherwise each end b * m is the
+    integer quotient q and a sticky bit, 2q + (remainder != 0) one binary
+    place lower, with q of t + 2 bits or more: that rounds as the quotient
+    does, since no rounding boundary lies strictly between q and q + 1.
+    """
     n, d = b.numerator, b.denominator
     if not n:
         return fp_zero()
-    sign = 1 if n > 0 else -1
+    lo, hi = abs(n) * lo, abs(n) * hi
     if d & (d - 1):
-        return _round_quotient(sign, abs(n) * m, d, e, t)
-    return _round_scaled(sign, abs(n) * m, e - d.bit_length() + 1, t)
+        k = t + 2 - lo.bit_length() + d.bit_length()
+        ql, rl = divmod(lo << k, d) if k >= 0 else divmod(lo, d << -k)
+        qh, rh = divmod(hi << k, d) if k >= 0 else divmod(hi, d << -k)
+        lo, hi, e = 2 * ql + (rl != 0), 2 * qh + (rh != 0), e - k - 1
+    else:
+        e -= d.bit_length() - 1
+    return _round_ends(1 if n > 0 else -1, lo, hi, e, t)
 
 
 # The perturbation factors are the midpoints of their STEP_BITS-bit enclosures;
@@ -226,8 +238,8 @@ def _certified_inputs(base: Sequence[Fraction], draws: list[float], p: Precision
     out = []
     for v, bs in ((draws[:4], base[:4]), (draws[4:], base[4:])):
         for b, e in zip(bs, factor_bounds(v, _HALF, p.t + LOW_GUARD, STEP_BITS)):
-            x = _round_times(b, e.lo, -e.scale, p.t)
-            if x != _round_times(b, e.hi, -e.scale, p.t):
+            x = _round_times(b, e.lo, e.hi, -e.scale, p.t)
+            if x is None:
                 return None
             out.append(x)
     return out
@@ -282,7 +294,7 @@ def strassen_experiment(
             fp_in = _certified_inputs(base, draws, p)
             if fp_in is None:
                 factors = step_factors(draws[:4], _HALF, STEP_BITS) + step_factors(draws[4:], _HALF, STEP_BITS)
-                fp_in = [_round_times(b, m, e, t) for b, (m, e) in zip(base, factors)]
+                fp_in = [_round_times(b, m, m, e, t) for b, (m, e) in zip(base, factors)]
             # the rounded matrices are the run's inputs; the reference
             # multiplies exactly the same values, isolating algorithm error.
             # The product is bilinear, so it is formed from the integers

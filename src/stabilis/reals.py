@@ -265,9 +265,14 @@ def _ln2_core(scale: int) -> tuple[int, int]:
     return 2 * s, 2 * e
 
 
+def _constant_scale(bits: int) -> int:
+    """The scale a constant is taken at for ``bits``: the first multiple of 64 >= ``bits`` + 64."""
+    return ((bits + 63) // 64 + 1) * 64
+
+
 def _constant_iv(core: Callable[[int], tuple[int, int]], bits: int) -> Interval:
-    """A constant from its memoised core, at the first multiple of 64 bits >= ``bits`` + 64."""
-    scale = ((bits + 63) // 64 + 1) * 64
+    """A constant from its memoised core, at :func:`_constant_scale` of ``bits``."""
+    scale = _constant_scale(bits)
     s, e = core(scale)
     return Interval(s - e, s + e, scale)
 
@@ -307,7 +312,6 @@ def _atanh_core(Z: int, W: int, hw: int) -> tuple[int, int]:
 
 def log_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
     """Enclosure of the natural logarithm of a positive value."""
-    W = bits + 32
     if isinstance(x, Interval):
         if x.sign() != 1:
             raise ValueError("log of a non-positive enclosure")
@@ -316,9 +320,21 @@ def log_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
         s = max(lo.scale, hi.scale)
         lo, hi = lo.rescale(s), hi.rescale(s)
         return Interval(lo.lo, hi.hi, s)
-    num, den = x.numerator, x.denominator
-    if num <= 0:
+    if x.numerator <= 0:
         raise ValueError("log of a non-positive value")
+    return Interval(*log_ends(x.numerator, x.denominator, bits))
+
+
+def log_ends(num: int, den: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, scale) of ``log_iv(Fraction(num, den), bits)``, for coprime
+    positive integers num and den, in integers alone.
+
+    With W = bits + 32, x = num/den is m * 2**e for m in (1/2, 4/3], and
+    log x = 2 atanh((m - 1)/(m + 1)) + e ln 2: the atanh series at scale W,
+    and e times the enclosure of ln 2 that ``ln2_iv(W + e.bit_length() + 4)``
+    gives, added at that enclosure's finer scale.
+    """
+    W = bits + 32
     e = num.bit_length() - den.bit_length()
     # the bit lengths give m = x / 2**e in (1/2, 2); one more step where
     # m > 4/3 leaves m in (1/2, 4/3] (4/7 keeps e = 0), so the atanh
@@ -333,13 +349,16 @@ def log_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
         mn, md = num, den << e
     else:
         mn, md = num << -e, den
-    zn, zd = mn - md, mn + md
-    Z = (zn << W) // zd
-    s, err = _atanh_core(Z, W, 1)
-    at = Interval(2 * (s - err), 2 * (s + err), W)
+    s, err = _atanh_core(((mn - md) << W) // (mn + md), W, 1)
+    lo, hi = 2 * (s - err), 2 * (s + err)
     if e == 0:
-        return at
-    return at + e * ln2_iv(W + e.bit_length() + 4)
+        return lo, hi, W
+    scale = _constant_scale(W + e.bit_length() + 4)
+    c, ce = _ln2_core(scale)
+    k = scale - W
+    if e > 0:
+        return (lo << k) + e * (c - ce), (hi << k) + e * (c + ce), scale
+    return (lo << k) + e * (c + ce), (hi << k) + e * (c - ce), scale
 
 
 # ln 2 * 2**128 to within a few units: picks the reduction multiple of ln 2
@@ -365,48 +384,70 @@ def _exp_enclosure(M: int, hw: int, W: int) -> Interval:
     return Interval(total - err, total + err, W)
 
 
-def exp_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
-    """Enclosure of exp(x).
+def _exp_reduced(lo: int, hi: int, scale: int, bits: int) -> Interval | None:
+    """exp on [lo, hi] * 2**-scale with W = bits + 32, in integers; None when
+    the reduced argument is too wide for the series (|y| > 0.75).
 
-    With W = bits + 32, x is reduced to y = x - n ln 2 for n = round(x / ln 2)
-    and exp(y) summed by :func:`_exp_enclosure` at scale W, then scaled by 2**n.
-    When |x| < 1/4 (``mag_bits`` <= -2), n is 0 by construction, since
-    |x / ln 2| < 0.37, so the reduction is skipped: y is x at scale W.
+    x is reduced to y = x - n ln 2 for n = round(x / ln 2), taken from the
+    midpoint against ln 2 to 128 bits (to 64 bits past x's magnitude beyond
+    2**60).  n ln 2 is n times the enclosure ``ln2_iv(W + n.bit_length() +
+    8)`` gives, and y is rounded outward to scale W.  When |x| < 1/4
+    (``mag_bits`` <= -2), n is 0 by construction, since |x / ln 2| < 0.37,
+    so the reduction is skipped: y is x at scale W.  exp(y) is summed by
+    :func:`_exp_enclosure` and scaled by 2**n.
+    """
+    W = bits + 32
+    mag = max(-lo, hi).bit_length() - scale
+    n = 0
+    if mag > -2:
+        if mag <= 60:
+            c, cs = _LN2_Q128, 128  # ln 2 ~ c * 2**-cs
+        else:
+            cs = _constant_scale(mag + 64)
+            c = _ln2_core(cs)[0]
+        k = cs - scale - 1  # mid / ln 2 ~ (lo + hi) * 2**k / c
+        num, den = (lo + hi) << max(k, 0), c << max(-k, 0)
+        n = (2 * num + den) // (2 * den)
+    if n:
+        cs = _constant_scale(W + n.bit_length() + 8)
+        c, ce = _ln2_core(cs)
+        nlo, nhi = (n * (c - ce), n * (c + ce)) if n > 0 else (n * (c + ce), n * (c - ce))
+        top = max(scale, cs)
+        lo = (lo << (top - scale)) - (nhi << (top - cs))
+        hi = (hi << (top - scale)) - (nlo << (top - cs))
+        scale = top
+    lo, hi = _shr_floor(lo, scale - W), _shr_ceil(hi, scale - W)
+    if lo < -(3 << (W - 2)) or hi > (3 << (W - 2)):
+        return None
+    out = _exp_enclosure((lo + hi) // 2, (hi - lo) // 2 + 1, W)
+    return out.scalb(n) if n else out
+
+
+def exp_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
+    """Enclosure of exp(x), by :func:`_exp_reduced` on x's endpoint integers.
+
+    A rational x is first enclosed at bits + 32.  Where the reduced argument
+    is too wide for the series, each endpoint is enclosed on its own.
     """
     if not isinstance(x, Interval):
         x = Interval.from_fraction(x, bits + 32)
-    W = bits + 32
-    y = x
-    n = 0
-    mag = x.mag_bits()
-    if mag > -2:
-        # range-reduce by n = round(mid / ln 2), in integers at any magnitude
-        if mag <= 60:
-            c, c_scale = _LN2_Q128, 128  # ln 2 ~ c * 2**-c_scale
-        else:
-            c_iv = ln2_iv(mag + 64)
-            c, c_scale = (c_iv.lo + c_iv.hi) >> 1, c_iv.scale
-        k = c_scale - x.scale - 1  # mid / ln 2 ~ (lo + hi) * 2**k / c
-        num, den = (x.lo + x.hi) << max(k, 0), c << max(-k, 0)
-        n = (2 * num + den) // (2 * den)
-        if n != 0:
-            y = x - n * ln2_iv(W + n.bit_length() + 8)
-    y = y.rescale(W)
-    if y.lo < -(3 << (W - 2)) or y.hi > (3 << (W - 2)):
-        # |y| should be <= ~0.75; fall back on endpoint splitting
+    out = _exp_reduced(x.lo, x.hi, x.scale, bits)
+    if out is None:
         lo = exp_iv(x.lower(), bits)
         hi = exp_iv(x.upper(), bits)
         s = max(lo.scale, hi.scale)
         return Interval(lo.rescale(s).lo, hi.rescale(s).hi, s)
-    return _exp_enclosure((y.lo + y.hi) // 2, (y.hi - y.lo) // 2 + 1, W).scalb(n)
+    return out
 
 
 def exp_ends(lo: int, hi: int, bits: int) -> Interval:
-    """``exp_iv(Interval(lo, hi, bits), bits)``, with no Interval built where
-    |x| < 1/4: there exp_iv skips its reduction and sums the series at the
-    midpoint, here taken straight from the integers at W = bits + 32."""
-    if max(-lo, hi).bit_length() > bits - 2:  # mag_bits > -2, as in exp_iv
-        return exp_iv(Interval(lo, hi, bits), bits)
+    """``exp_iv(Interval(lo, hi, bits), bits)``, with no Interval built but
+    the result: where |x| < 1/4 the series is summed at the midpoint straight
+    from the integers at W = bits + 32, and elsewhere :func:`_exp_reduced`
+    reduces them by n ln 2.  Only a reduced argument too wide for the series
+    goes through exp_iv, for its endpoint split."""
+    if max(-lo, hi).bit_length() > bits - 2:  # mag_bits > -2, as in _exp_reduced
+        return _exp_reduced(lo, hi, bits, bits) or exp_iv(Interval(lo, hi, bits), bits)
     return _exp_enclosure((lo + hi) << 31, ((hi - lo) << 31) + 1, bits + 32)
 
 

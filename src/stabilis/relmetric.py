@@ -34,6 +34,7 @@ from .reals import (
     as_interval,
     exp_ends,
     exp_iv,
+    log_ends,
     log_iv,
     nth_root_fraction,
     real_sign,
@@ -131,19 +132,33 @@ class RelPoint:
         return f"RelPoint({vals})"
 
 
-def _log_sq(n: int, d: int, bits: int) -> Interval | None:
+# A squared log, or a sum of them, is an integer pair (lo, hi): the
+# enclosure [lo, hi] * 2**-(2 * bits + 16) for the distance's ``bits``.
+SqPair = tuple[int, int]
+
+
+def _log_sq(n: int, d: int, bits: int) -> SqPair | None:
     """Enclosure of log(n/d)**2 for positive integers n, d; None when n == d.
 
-    The ratio is reduced first, as Fraction division gives it: ``log_iv``
+    The ratio is reduced first, as Fraction(n, d) would give it: ``log_ends``
     reduces its argument by the bit lengths of numerator and denominator.
+    The square and its outward rounding are those of ``Interval``.
     """
     if n == d:
         return None
-    lg = log_iv(Fraction(n, d), bits)
-    return (lg * lg).rescale(2 * bits + 16)
+    g = math.gcd(n, d)
+    lo, hi, s = log_ends(n // g, d // g, bits)
+    if lo >= 0:
+        a, b = lo * lo, hi * hi
+    elif hi <= 0:
+        a, b = hi * hi, lo * lo
+    else:
+        a, b = lo * hi, max(lo * lo, hi * hi)
+    k = 2 * (s - bits) - 16
+    return a >> k, -(-b >> k)
 
 
-def _log_ratio_sq(x: ExactReal, y: ExactReal, bits: int) -> Interval | None:
+def _log_ratio_sq(x: ExactReal, y: ExactReal, bits: int) -> SqPair | None:
     """Enclosure of log(x/y)**2 for same-sign nonzero x, y; None if zero."""
     if isinstance(x, Fraction) and isinstance(y, Fraction):
         return _log_sq(abs(x.numerator * y.denominator), abs(y.numerator * x.denominator), bits)
@@ -153,17 +168,21 @@ def _log_ratio_sq(x: ExactReal, y: ExactReal, bits: int) -> Interval | None:
         ix, iy = -ix, -iy
     ratio_iv = ix.divide(iy, bits + 8)
     lg = log_iv(ratio_iv, bits)
-    return (lg * lg).rescale(2 * bits + 16)
+    sq = (lg * lg).rescale(2 * bits + 16)
+    return sq.lo, sq.hi
 
 
-def _root_sum(sqs: Iterable[Interval | None], bits: int) -> Interval | None:
-    """sqrt_iv of the enclosures' sum, added in order at scale 2*bits + 16
-    (the Nones skipped); None when there is nothing to add."""
-    total: Interval | None = None
+def _root_sum(sqs: Iterable[SqPair | None], bits: int) -> Interval | None:
+    """sqrt_iv of the pairs' sum (the Nones skipped); None when there is
+    nothing to add."""
+    lo = hi = 0
+    seen = False
     for sq in sqs:
         if sq is not None:
-            total = sq if total is None else (total + sq).rescale(2 * bits + 16)
-    return None if total is None else sqrt_iv(total.clip_nonneg(), bits)
+            lo += sq[0]
+            hi += sq[1]
+            seen = True
+    return sqrt_iv(Interval(max(lo, 0), hi, 2 * bits + 16), bits) if seen else None
 
 
 def rel_dist(x: RelPoint, y: RelPoint, bits: int = DIST_BITS) -> ExtDist:
@@ -187,17 +206,19 @@ def abs_dist(x: RelPoint, y: RelPoint) -> Fraction:
     if x.dim != y.dim:
         raise DimensionMismatch(f"dimension mismatch: {x.dim} != {y.dim}")
     exact: list[Fraction] = []
-    sqs: list[Interval] = []
+    sqs: list[SqPair] = []
     for a, b in zip(x.coords, y.coords):
         if isinstance(a, Fraction) and isinstance(b, Fraction):
             exact.append(a - b)
         else:
             d = as_interval(a, bits + 8) - as_interval(b, bits + 8)
-            sqs.append((d * d).rescale(2 * bits + 16))
+            sq = (d * d).rescale(2 * bits + 16)
+            sqs.append((sq.lo, sq.hi))
     q = _sum_sq(exact)
     if not sqs:
         return q if q == 0 else sqrt_ratio_iv(q.numerator, q.denominator, bits).midpoint()
-    sqs.append(Interval.from_fraction(q, 2 * bits + 16))
+    qiv = Interval.from_fraction(q, 2 * bits + 16)
+    sqs.append((qiv.lo, qiv.hi))
     return _root_sum(sqs, bits).midpoint()
 
 
@@ -317,8 +338,8 @@ def step_enclosures(v: Sequence, rho, bits: int) -> list[Interval]:
     largest |v_i| lies in [2**top, 2**(top+1)) with top outside [-32, 32],
     v is first divided by 2**top, so that the floors keep their precision:
     only the direction of v matters.  The quotient's two floors are taken
-    here, and ``reals.exp_ends`` sums the series straight from them where
-    |w_i| < 1/4.
+    here, and ``reals.exp_ends`` reduces and sums the series straight from
+    them, with no Interval built but its result.
     """
     ratios = [c.as_integer_ratio() for c in v]
     den = math.lcm(*(d for _, d in ratios))
@@ -360,11 +381,12 @@ def step_midpoint_error(v: Sequence[float], bits: int) -> int:
     :func:`step_enclosures` rescales it, and b = bits: s >= 2**-lost, with
     lost = -top when -32 <= top < 0 and 0 otherwise.  The enclosure of rho * v_i is 2**-b wide and that of s 2**-(b+16), so
     w_i's is below 2**-b * (2 + 2.001/s) after the two outward floors.
-    ``exp_ends``, as ``exp_iv`` at W = b + 32, reduces |w| <= 1 by n = -1,
-    0 or 1 multiples of ln 2 (n = 0 without computing it for |w| < 1/4, at
-    the same integers); its error is 1 + 6j + 8 ulps of 2**-W for the
-    j <= 4W series terms (below 2**-b in all), plus 3 times the reduced
-    argument's half-width, then scaled by 2**n <= 2.  The midpoint's distance, half the
+    ``exp_ends`` works at W = b + 32 on those floors: for |w| < 1/4 it sums
+    the series at their midpoint, and otherwise it first reduces w by n =
+    -1, 0 or 1 multiples of ln 2 (|w| <= 1), whose enclosure is far below
+    2**-W wide.  Its error is 1 + 6j + 8 ulps of 2**-W for the j <= 4W
+    series terms (below 2**-b in all), plus 3 times the reduced argument's
+    half-width, then scaled by 2**n <= 2.  The midpoint's distance, half the
     enclosure's width, is thus below 2**-b * (8 + 6.003/s) < 2**(4 - b + lost);
     k keeps one bit more.
     """

@@ -10,10 +10,12 @@ import random
 import statistics
 import time
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
+from conftest import random_point
 from stabilis.amenability import (
     amenability_probe,
     gradient_criterion,
@@ -53,14 +55,7 @@ def rand_frac(lo=-10**6, hi=10**6, den=10**6) -> Fraction:
     return Fraction(n if n else 1, rng.randint(1, den))
 
 
-def rand_point(k, lo=0.1, hi=8.0, signed=False) -> RelPoint:
-    vals = []
-    for _ in range(k):
-        v = Fraction(rng.uniform(lo, hi)).limit_denominator(10**6)
-        if signed and rng.random() < 0.5:
-            v = -v
-        vals.append(v)
-    return RelPoint(vals)
+rand_point = partial(random_point, rng, lo=0.1, hi=8.0)
 
 
 def test_criterion_01_fp_axioms():

@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import random_point
 from stabilis import amenability, relmetric
 from stabilis.amenability import (
     amenability_probe,
@@ -22,10 +24,7 @@ from stabilis.relmetric import RelPoint
 from test_catalog import BOXED, boxed_map
 
 rng = random.Random(5150)
-
-
-def rand_point(k, lo=0.2, hi=5.0):
-    return RelPoint([Fraction(rng.uniform(lo, hi)).limit_denominator(10**6) for _ in range(k)])
+rand_point = partial(random_point, rng, lo=0.2, hi=5.0)
 
 
 class TestAmenabilityProbe:

@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import random_point
 from stabilis import condition, relmetric
 from stabilis.catalog import catalog_function, sqrt_real, strassen_input
 from stabilis.condition import (
@@ -26,16 +28,7 @@ from stabilis.relmetric import BOX_BITS, RelPoint, factor_bounds, rel_dist, rel_
 from test_acceptance import CATALOG_FOR_CROSSCHECK
 
 rng = random.Random(91)
-
-
-def rand_point(k, lo=0.2, hi=6.0, signed=False):
-    vals = []
-    for _ in range(k):
-        v = Fraction(rng.uniform(lo, hi)).limit_denominator(10**6)
-        if signed and rng.random() < 0.5:
-            v = -v
-        vals.append(v)
-    return RelPoint(vals)
+rand_point = partial(random_point, rng, lo=0.2, hi=6.0)
 
 
 def charpoly_sigma_max(rows: list[list[Fraction]]) -> Fraction:

@@ -5,6 +5,7 @@ it locates the binade by repeated exact comparisons and enumerates the two
 neighbouring grid points as Fractions.
 """
 
+import random
 import time
 from fractions import Fraction
 
@@ -15,6 +16,8 @@ from stabilis.fpcore import (
     FpDivisionByZero,
     FpNumber,
     Precision,
+    _round_ends,
+    _round_scaled,
     dyadic,
     fl,
     fp_add,
@@ -135,6 +138,50 @@ class TestRounding:
         for t in (3, 24, 53):
             for x in (Fraction(1, 10), Fraction(7, 3), Fraction(-355, 113)):
                 assert fl(x, t).precision_bits == t
+
+
+def _two_end_cases(rng: random.Random, t: int) -> list[tuple[int, int]]:
+    """(lo, hi) pairs, 0 < lo <= hi, at the places two-ended rounding can
+    slip: exact ties of either parity, mantissas of t ones that carry to
+    2**t, pairs across a binade edge, zero-width ends, and ends with no
+    more than t bits."""
+    drop = rng.randint(1, 40)
+    keep = rng.getrandbits(t - 1) | (1 << (t - 1))
+    half = 1 << (drop - 1)
+    tie = (keep << drop) | half
+    carry = (((1 << t) - 1) << drop) | rng.choice((half - 1, half, half + 1, (1 << drop) - 1))
+    edge = 1 << rng.randint(t - 3, t + 40)
+    small = rng.getrandbits(rng.randint(1, t)) | 1
+    wide = rng.getrandbits(t + drop) | (1 << (t + drop - 1))
+    out = [(tie, tie), (tie - 1, tie), (tie, tie + 1), (tie - 1, tie + 1), (carry, carry),
+           (carry, carry + rng.randint(0, 2 * half)), (small, small), (small, small + rng.randint(0, 3)),
+           (wide, wide + rng.randint(0, 1 << max(drop - 2, 0))), (wide, wide + rng.getrandbits(drop + 2))]
+    for a, b in ((rng.randint(1, half), rng.randint(0, half)), (1, 0), (0, 1), (rng.getrandbits(drop), 0)):
+        if edge - a > 0:
+            out.append((edge - a, edge + b))
+    return out
+
+
+class TestTwoEndedRounding:
+    """``_round_ends`` against two roundings by ``_round_scaled``."""
+
+    @pytest.mark.parametrize("t", [3, 11, 24, 53, 113, 256])
+    def test_agrees_with_two_roundings(self, t):
+        rng = random.Random(f"two-ends-{t}")
+        decided = undecided = 0
+        for _ in range(400):
+            sign, twoexp = rng.choice((1, -1)), rng.randint(-400, 400)
+            for lo, hi in _two_end_cases(rng, t):
+                a = _round_scaled(sign, lo, twoexp, t)
+                b = _round_scaled(sign, hi, twoexp, t)
+                got = _round_ends(sign, lo, hi, twoexp, t)
+                if (a.sign, a.mantissa, a.exponent) == (b.sign, b.mantissa, b.exponent):
+                    assert (got.sign, got.mantissa, got.exponent) == (a.sign, a.mantissa, a.exponent)
+                    decided += 1
+                else:
+                    assert got is None
+                    undecided += 1
+        assert decided > 1000 and undecided > 1000
 
 
 class TestZivBudget:

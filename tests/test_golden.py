@@ -41,23 +41,38 @@ edited: radius 1/2 sends some exponents past 1/4 and past ln 2 / 2, where
 t = 53 in hardware binary64, before any source file of that change was
 edited: at 1e-320 the inputs are subnormal in binary64, so every sample
 of that row falls back on the soft float, and the rel lops print ``inf``.
+The ``exp_ends`` and ``exp_iv`` enclosures of exponents with |w| in [1/4,
+1.2] and the distances on rational ratios far from 1 were taken at the
+commit before the exp reduction by n ln 2 and the log of a ratio ran on
+endpoint integers, before any source file of that change was edited.
 Any later change that moves a single byte of these outputs fails here.
 """
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+from conftest import random_point
 from stabilis.amenability import amenability_probe
 from stabilis.catalog import catalog_function
 from stabilis.cli import main
 from stabilis.condition import kappa_sampled
 from stabilis.harness import sine_experiment
-from stabilis.reals import CertifiedReal, pi_real
-from stabilis.relmetric import RelPoint, philox_stream, rel_ball_sample, rel_sphere_sample, step_enclosures
+from stabilis.reals import CertifiedReal, Interval, exp_ends, exp_iv, pi_real
+from stabilis.relmetric import (
+    RelPoint,
+    abs_dist,
+    philox_stream,
+    rel_ball_sample,
+    rel_dist,
+    rel_sphere_sample,
+    scaled_dists,
+    step_enclosures,
+)
 
 GOLDEN = {
     ("strassen", "--n-eps", "12", "--samples", "50", "--seed", "3"):
@@ -122,12 +137,7 @@ def _sha(text: str) -> str:
 
 def _point(tag: str, dim: int, signed: bool, hi: float = 8.0) -> RelPoint:
     """Coordinates in [0.1, hi] to six decimals, seeded by ``tag``."""
-    rng = random.Random(tag)
-    out = []
-    for _ in range(dim):
-        v = Fraction(rng.uniform(0.1, hi)).limit_denominator(10**6)
-        out.append(-v if signed and rng.random() < 0.5 else v)
-    return RelPoint(out)
+    return random_point(random.Random(tag), dim, 0.1, hi, signed)
 
 
 # SHA-256 of repr((verdict, witness coordinates)) of amenability_probe at
@@ -234,3 +244,124 @@ def test_step_enclosures_unchanged(bits):
         for v in (draws[:4], draws[4:]):
             out.append([(e.lo, e.hi, e.scale) for e in step_enclosures(v, Fraction(1, 2), bits)])
     assert _sha(repr(out)) == STEPS[bits]
+
+
+def _exp_ends_cases(bits: int) -> list[tuple[int, int]]:
+    """Seeded endpoint pairs (lo, hi) at scale ``bits`` of exponents with |w|
+    in [1/4, 1.2], so the reduction multiple n is -2 to 2: widths from 0 to 2
+    (the widest split at their endpoints), and the edges at |w| = 1/4, near
+    ln 2 / 2 (where n turns from 0 to 1), ln 2 and 1.2."""
+    rng = random.Random(f"exp_ends-{bits}")
+    one = 1 << bits
+    out = []
+    for w in (Fraction(1, 4), Fraction(0.34657359027997264), Fraction(0.6931471805599453), Fraction(6, 5)):
+        m = math.floor(w * one)
+        for s in (1, -1):
+            out += [(s * m, s * m), (s * m - 1, s * m - 1), (s * m - 3, s * m + 3)]
+    for _ in range(160):
+        w = Fraction(rng.uniform(0.25, 1.2)) * rng.choice((-1, 1))
+        lo = math.floor(w * one)
+        width = rng.choice((0, 1, 3, rng.getrandbits(10), rng.getrandbits(bits // 2), one >> 3, one, 2 * one))
+        out.append((lo, lo + width))
+    return out
+
+
+def _exp_fraction_cases() -> list[Fraction]:
+    rng = random.Random("exp_iv-fractions")
+    out = [Fraction(v) for v in (1, -1, 2, -3, 50, -80, 1000)] + [Fraction(2**61 + 1, 3), -Fraction(2**70, 7)]
+    for _ in range(60):
+        w = Fraction(rng.uniform(0.25, 1.2)).limit_denominator(rng.choice((7, 10**3, 10**9)))
+        out.append(w * rng.choice((-1, 1)))
+    return out
+
+
+# SHA-256 of the (lo, hi, scale) of exp_ends(lo, hi, bits), exp_iv of the same
+# Interval, of it at scales bits + 7 and bits - 5, and exp_iv of the
+# Fraction cases, at each width
+EXP_ENDS = {
+    56: "88497118d7beb210b8ceef47f47ca393414cb2f6b3a1b4840629472d6def6778",
+    85: "6134a8a303f5d01da17b2bc03d95e58d5d282957e92ea56960a2e5d2e0a9d0b8",
+    145: "26557b80cd8a3120ff1565d0039094f6f7697080ad2a4518815b8500cdf300f1",
+    176: "bb400388f5e407b2c41eb475699afb35ee9ba1863e9f125e4bfc9a611ce78cd5",
+    200: "6080b332de8d63a32e0df27178cb824a1e677bde1cf08fbe1417fed4f4f73627",
+}
+
+
+@pytest.mark.parametrize("bits", sorted(EXP_ENDS))
+def test_exp_enclosures_unchanged(bits):
+    out = []
+    for lo, hi in _exp_ends_cases(bits):
+        for e in (exp_ends(lo, hi, bits), exp_iv(Interval(lo, hi, bits), bits),
+                  exp_iv(Interval(lo << 7, (hi << 7) + 5, bits + 7), bits),
+                  exp_iv(Interval(lo >> 5, -(-hi >> 5), bits - 5), bits)):
+            out.append((e.lo, e.hi, e.scale))
+    for w in _exp_fraction_cases():
+        e = exp_iv(w, bits)
+        out.append((e.lo, e.hi, e.scale))
+    assert _sha(repr(out)) == EXP_ENDS[bits]
+
+
+def _ratio_points(tag: str) -> list[tuple[RelPoint, RelPoint]]:
+    """Seeded pairs of rational points whose ratios are mostly far from 1
+    (up to 2**+-40), so their logs need the e ln 2 term; some coordinates are
+    equal, near each other, zero in both, or of opposite signs."""
+    rng = random.Random(tag)
+    out = []
+    for _ in range(80):
+        xs, ys = [], []
+        for _ in range(rng.randint(1, 4)):
+            a = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            kind = rng.random()
+            if kind < 0.1:
+                b = a
+            elif kind < 0.3:
+                b = a * Fraction(10**6 + rng.randint(-999, 999), 10**6)
+            elif kind < 0.35:
+                a = b = Fraction(0)
+            else:
+                b = a * Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) * Fraction(2) ** rng.randint(-30, 30)
+            s = rng.choice((1, -1))
+            xs.append(s * a)
+            ys.append(-s * b if rng.random() < 0.03 else s * b)
+        out.append((RelPoint(xs), RelPoint(ys)))
+    out.append((RelPoint.of(pi_real(), Fraction(3, 7)), RelPoint.of(pi_real() * 3, Fraction(-22, -7))))
+    out.append((RelPoint.of(-pi_real(), 5), RelPoint.of(-(pi_real() / 1000), Fraction(5, 2**20))))
+    return out
+
+
+def _scaled_cases(tag: str) -> list[tuple[list[int], list[int], int]]:
+    """Seeded integer vectors of four entries on one binary scale: equal,
+    near, far apart (up to 2**+-40), and now and then zero or of opposite
+    signs."""
+    rng = random.Random(tag)
+    out = []
+    for _ in range(80):
+        xs, ys = [], []
+        for _ in range(4):
+            a = rng.getrandbits(rng.choice((4, 30, 60))) | 1
+            kind = rng.random()
+            b = a if kind < 0.2 else a + rng.randint(-a // 2, 9) if kind < 0.4 else \
+                max((a * rng.getrandbits(20)) >> rng.randint(0, 40), 1)
+            s = 0 if kind > 0.98 else rng.choice((1, -1))
+            xs.append(s * a)
+            ys.append(-s * b if kind > 0.97 else s * b)
+        out.append((xs, ys, rng.randint(-80, 80)))
+    return out
+
+
+def _iv_repr(d):
+    return (d.lo, d.hi, d.scale) if isinstance(d, Interval) else d
+
+
+# SHA-256 of rel_dist (at 192 and 336 bits) and abs_dist over the seeded point
+# pairs, then of the two enclosures scaled_dists gives for the integer cases
+REL_DISTS = (
+    "063e662e3cbadc1abb089943eb3562c4dfc8f98f2211996e3754a61c9d53e587",
+    "b57e31cc96447727b7f02321c02f02364f21b24c3860f77691e221c6a7413292",
+)
+
+
+def test_rational_distances_unchanged():
+    dists = [(rel_dist(x, y), rel_dist(x, y, bits=336), abs_dist(x, y)) for x, y in _ratio_points("rel-pins")]
+    scaled = [tuple(map(_iv_repr, scaled_dists(xs, ys, k))) for xs, ys, k in _scaled_cases("scaled-pins")]
+    assert (_sha(repr(dists)), _sha(repr(scaled))) == REL_DISTS

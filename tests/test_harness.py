@@ -2,12 +2,14 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_point
 from stabilis import harness
 from stabilis.catalog import algorithm, strassen_input
 from stabilis.fpcore import Precision, fl, to_exact
@@ -27,16 +29,7 @@ from stabilis.reals import pi_real
 from stabilis.relmetric import RelPoint, step_factors
 
 rng = random.Random(31)
-
-
-def rand_point(k, lo=0.2, hi=4.0, signed=False):
-    vals = []
-    for _ in range(k):
-        v = Fraction(rng.uniform(lo, hi)).limit_denominator(10**6)
-        if signed and rng.random() < 0.5:
-            v = -v
-        vals.append(v)
-    return RelPoint(vals)
+rand_point = partial(random_point, rng, lo=0.2, hi=4.0)
 
 
 class TestHelpers:
