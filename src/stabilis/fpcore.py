@@ -9,12 +9,14 @@ mathematical round-to-nearest (ties to even) onto the precision-t grid.
 The arithmetic here is a genuine soft-float implementation (aligned
 addition with a sticky path, double-width multiplication, division by
 integer quotient and remainder).  Every result goes through one rounding
-routine, ``_round_scaled``: the operations and rationals (a quotient with
-two guard bits and a sticky remainder) alike.  The two ends of an
-enclosure are rounded by its rule without building either
-(``_round_ends``), which gives their common value or None.
-The test-suite checks every operation bit-for-bit against the independent
-compute-exactly-then-round oracle.
+rule, ``_nearest``, on an integer: an exact value as it is, and an inexact
+one (a quotient, or a sum whose low operand lies far below the rounding
+bits) as an odd integer one binary place lower, its guard bits followed by
+a sticky bit.  ``_round_range`` rounds sign*(n/d)*m*2**e for every m in
+an integer range by that rule at the two ends, and gives their common
+value or None: an enclosure's rounding, and the Strassen experiment's
+inputs.  The test-suite checks every operation bit-for-bit against the
+independent compute-exactly-then-round oracle.
 
 The catalog's runners take their operations from an arithmetic object:
 :class:`SoftFloat` at any precision, or :data:`BINARY64`, hardware floats
@@ -202,35 +204,17 @@ def dyadic(m: int, e: int) -> FpNumber:
 # ---------------------------------------------------------------------------
 
 
-def _round_scaled(sign: int, m: int, twoexp: int, t: int, exact: bool = True) -> FpNumber:
-    """Round sign*m*2**twoexp to t bits (round-to-nearest, ties to even).
-
-    With ``exact=False`` the true magnitude lies strictly inside
-    ``(m, m+1) * 2**twoexp``; ties are then impossible and the nearest
-    value is decided by the remainder alone.  Callers on the inexact path
-    guarantee m has more than t bits.
-    """
-    L = m.bit_length()
-    drop = L - t
-    if drop <= 0:
-        if not exact:
-            raise AssertionError("inexact rounding needs guard bits")
-        return _fp(sign, m << -drop, twoexp + L)
-    keep = m >> drop
-    rem = m - (keep << drop)
-    half = 1 << (drop - 1)
-    # an inexact value lies above m, so a remainder of half rounds up
-    if rem > half or (rem == half and (keep & 1 or not exact)):
-        keep += 1
-    if keep == (1 << t):
-        return _fp(sign, 1 << (t - 1), twoexp + L + 1)
-    return _fp(sign, keep, twoexp + L)
-
-
 def _nearest(m: int, t: int) -> tuple[int, int]:
     """(keep, L): the integer m > 0 rounded to nearest, ties to even, is the
-    t-bit mantissa keep in the binade [2**(L-1), 2**L), as ``_round_scaled``
-    rounds it."""
+    t-bit mantissa keep in the binade [2**(L-1), 2**L).
+
+    This is the one rounding rule onto the t-grid: sign*m*2**e rounds to
+    ``_fp(sign, keep, e + L)``.  A value strictly between the integers m and
+    m + 1, for m of t + 1 bits or more, enters with a sticky bit, as 2m + 1
+    one binary place lower: no rounding boundary lies strictly between m and
+    m + 1, and an odd integer of t + 2 bits or more is no tie, so 2m + 1
+    rounds as the value does.
+    """
     L = m.bit_length()
     drop = L - t
     if drop <= 0:
@@ -245,27 +229,35 @@ def _nearest(m: int, t: int) -> tuple[int, int]:
     return keep, L
 
 
-def _round_ends(sign: int, lo: int, hi: int, twoexp: int, t: int) -> FpNumber | None:
-    """The t-bit value that sign*m*2**twoexp rounds to for both m = lo and
-    m = hi, integers with 0 < lo <= hi; None when the two round apart.
-    Rounding is monotone, so every m between them rounds to that value too.
-    Only the common result is built.
-    """
-    end = _nearest(hi, t)
-    if _nearest(lo, t) != end:
-        return None
-    return _fp(sign, end[0], twoexp + end[1])
-
-
-def _round_quotient(sign: int, n: int, d: int, twoexp: int, t: int) -> FpNumber:
-    """Round sign*(n/d)*2**twoexp to t bits, for positive integers n and d.
-
-    The quotient is shifted to t+2 or t+3 bits: two guard bits plus a
-    sticky remainder decide round-to-nearest-even.
-    """
+def _quotient(n: int, d: int, t: int) -> tuple[int, int]:
+    """(m, k): n/d for positive integers n and d as m * 2**-k for the rule,
+    m = 2q + (r != 0) from the quotient q of t + 2 or t + 3 bits and its
+    remainder r, a sticky bit below two guard bits."""
     k = t + 2 - n.bit_length() + d.bit_length()
     q, r = divmod(n << k, d) if k >= 0 else divmod(n, d << -k)
-    return _round_scaled(sign, q, twoexp - k, t, exact=not r)
+    return 2 * q + (r != 0), k + 1
+
+
+def _round_range(n: int, d: int, lo: int, hi: int, e: int, t: int) -> FpNumber | None:
+    """The t-bit value that (n/d)*m*2**e rounds to for every integer m in
+    [lo, hi] (0 < lo <= hi, d > 0), or None when the two ends round apart.
+    Rounding is monotone, so the ends decide every m between them; only the
+    common result is built.  A dyadic d scales the ends exactly, and any
+    other gives each end as a :func:`_quotient`.
+    """
+    if not n:
+        return fp_zero()
+    if n != 1:
+        lo, hi = abs(n) * lo, abs(n) * hi
+    if d & (d - 1):
+        lo, kl = _quotient(lo, d, t)
+        hi, kh = _quotient(hi, d, t)
+    else:
+        kl = kh = d.bit_length() - 1
+    keep, L = _nearest(hi, t)
+    if _nearest(lo, t) != (keep, L - kh + kl):
+        return None
+    return _fp(1 if n > 0 else -1, keep, e + L - kh)
 
 
 def round_to_nearest(x, p: Precision | int) -> FpNumber:
@@ -284,18 +276,22 @@ def round_to_nearest(x, p: Precision | int) -> FpNumber:
         L = m.bit_length()
         if L <= t:  # zero too
             return x
-        return _round_scaled(x.sign, m, x.exponent - L, t)
+        keep, E = _nearest(m, t)
+        return _fp(x.sign, keep, x.exponent - L + E)
     if isinstance(x, int):
         if x == 0:
             return fp_zero()
-        return _round_scaled(1 if x > 0 else -1, abs(x), 0, t)
+        keep, L = _nearest(abs(x), t)
+        return _fp(1 if x > 0 else -1, keep, L)
     if isinstance(x, float):
         x = to_real(x)
     if isinstance(x, Fraction):
         n = x.numerator
         if n == 0:
             return fp_zero()
-        return _round_quotient(1 if n > 0 else -1, abs(n), x.denominator, 0, t)
+        m, k = _quotient(abs(n), x.denominator, t)
+        keep, L = _nearest(m, t)
+        return _fp(1 if n > 0 else -1, keep, L - k)
     if isinstance(x, CertifiedReal):
 
         def decide(bits: int) -> FpNumber | None:
@@ -306,7 +302,7 @@ def round_to_nearest(x, p: Precision | int) -> FpNumber:
             if s is None:
                 return None
             lo, hi = (iv.lo, iv.hi) if s > 0 else (-iv.hi, -iv.lo)
-            return _round_ends(s, lo, hi, -iv.scale, t)
+            return _round_range(s, 1, lo, hi, -iv.scale, t)
 
         return refine(decide, t + 64, "a rounding: the value is an exact tie, or too close to one")
     raise TypeError(f"cannot round a {type(x).__name__}")
@@ -344,10 +340,13 @@ def fp_add(a: FpNumber, b: FpNumber, p: Precision | int) -> FpNumber:
         v = shi * (mhi << shift) + slo * mlo
         if not v:
             return fp_zero()
-        return _round_scaled(1 if v > 0 else -1, abs(v), elo, t)
-    # the low operand is far below the rounding bits: sticky path
+        keep, L = _nearest(abs(v), t)
+        return _fp(1 if v > 0 else -1, keep, elo + L)
+    # the low operand is far below the rounding bits: the sum lies strictly
+    # inside (m, m+1) * 2**(ehi - G), so it rounds as the sticky 2m + 1
     m = mhi << G if shi == slo else (mhi << G) - 1
-    return _round_scaled(shi, m, ehi - G, t, exact=False)
+    keep, L = _nearest(2 * m + 1, t)
+    return _fp(shi, keep, ehi - G - 1 + L)
 
 
 def fp_sub(a: FpNumber, b: FpNumber, p: Precision | int) -> FpNumber:
@@ -360,7 +359,8 @@ def fp_mul(a: FpNumber, b: FpNumber, p: Precision | int) -> FpNumber:
     if not ma or not mb:
         return fp_zero()
     twoexp = a.exponent - ma.bit_length() + b.exponent - mb.bit_length()
-    return _round_scaled(a.sign * b.sign, ma * mb, twoexp, t)
+    keep, L = _nearest(ma * mb, t)
+    return _fp(a.sign * b.sign, keep, twoexp + L)
 
 
 def fp_div(a: FpNumber, b: FpNumber, p: Precision | int) -> FpNumber:
@@ -371,7 +371,9 @@ def fp_div(a: FpNumber, b: FpNumber, p: Precision | int) -> FpNumber:
     if not ma:
         return fp_zero()
     twoexp = a.exponent - ma.bit_length() - (b.exponent - mb.bit_length())
-    return _round_quotient(a.sign * b.sign, ma, mb, twoexp, t)
+    m, k = _quotient(ma, mb, t)
+    keep, L = _nearest(m, t)
+    return _fp(a.sign * b.sign, keep, twoexp - k + L)
 
 
 # ---------------------------------------------------------------------------

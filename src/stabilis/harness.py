@@ -19,7 +19,7 @@ import numpy as np
 
 from .catalog import NumericalAlgorithm, Sin, sin_in_precision, high_precision_sin, strassen_input
 from .condition import ExtReal, kappa_closed_form
-from .fpcore import FpError, FpNumber, Precision, _round_ends, fl, fp_zero, to_exact
+from .fpcore import FpError, FpNumber, Precision, _round_range, fl, to_exact
 from .reals import CertifiedReal, Interval, PrecisionError, log_iv, pi_iv, pi_real, signed_interval, sqrt_iv
 from .relmetric import (
     RelPoint,
@@ -197,29 +197,6 @@ def log_spaced(lo: float, hi: float, n: int) -> list[Fraction]:
     return [Fraction(float(v)) for v in vals]
 
 
-def _round_times(b: Fraction, lo: int, hi: int, e: int, t: int) -> FpNumber | None:
-    """fl(b * m * 2**e) at t bits, the same for every integer m in [lo, hi]
-    (0 < lo <= hi), or None when the ends round apart (:func:`_round_ends`).
-
-    A dyadic b scales the ends exactly.  Otherwise each end b * m is the
-    integer quotient q and a sticky bit, 2q + (remainder != 0) one binary
-    place lower, with q of t + 2 bits or more: that rounds as the quotient
-    does, since no rounding boundary lies strictly between q and q + 1.
-    """
-    n, d = b.numerator, b.denominator
-    if not n:
-        return fp_zero()
-    lo, hi = abs(n) * lo, abs(n) * hi
-    if d & (d - 1):
-        k = t + 2 - lo.bit_length() + d.bit_length()
-        ql, rl = divmod(lo << k, d) if k >= 0 else divmod(lo, d << -k)
-        qh, rh = divmod(hi << k, d) if k >= 0 else divmod(hi, d << -k)
-        lo, hi, e = 2 * ql + (rl != 0), 2 * qh + (rh != 0), e - k - 1
-    else:
-        e -= d.bit_length() - 1
-    return _round_ends(1 if n > 0 else -1, lo, hi, e, t)
-
-
 # The perturbation factors are the midpoints of their STEP_BITS-bit enclosures;
 # a sample first tries to decide their roundings at t + LOW_GUARD bits.
 STEP_BITS = 176
@@ -230,15 +207,16 @@ _HALF = Fraction(1, 2)
 def _certified_inputs(base: Sequence[Fraction], draws: list[float], p: Precision) -> list[FpNumber] | None:
     """The sample's inputs fl(b_i * M_i), M_i the STEP_BITS-bit factor midpoints,
     decided from their :func:`factor_bounds` at t + LOW_GUARD bits; None when
-    one is undecided.  Rounding is monotone: when both ends of b_i times a
-    bound round alike, so does b_i * M_i.
+    one is undecided.  Each b_i times the bounds' integer range is rounded by
+    :func:`~stabilis.fpcore._round_range`: rounding is monotone, so when both
+    ends round alike, b_i * M_i rounds to that value too.
     """
     if p.t + LOW_GUARD >= STEP_BITS:
         return None
     out = []
     for v, bs in ((draws[:4], base[:4]), (draws[4:], base[4:])):
         for b, e in zip(bs, factor_bounds(v, _HALF, p.t + LOW_GUARD, STEP_BITS)):
-            x = _round_times(b, e.lo, e.hi, -e.scale, p.t)
+            x = _round_range(b.numerator, b.denominator, e.lo, e.hi, -e.scale, p.t)
             if x is None:
                 return None
             out.append(x)
@@ -274,9 +252,12 @@ def strassen_experiment(
     the factors' :func:`factor_bounds` at t + 32 bits (when that is below
     176), and keeps an input when both ends of the bounded product round
     alike.  When any does not, the sample falls back on the
-    176-bit factors.  The lops come from the integer outputs on one binary
-    scale (:func:`scaled_dists`), at the enclosures of :func:`rel_dist` and
-    :func:`abs_dist`.  Every row is the same as at full width.
+    176-bit factors.  Both roundings are fpcore's range rounding
+    (:func:`~stabilis.fpcore._round_range`), a range of one integer in the
+    fallback; the harness rounds nothing itself.  The lops come from the
+    integer outputs on one binary scale (:func:`scaled_dists`), at the
+    enclosures of :func:`rel_dist` and :func:`abs_dist`.  Every row is the
+    same as at full width.
     """
     from .catalog import algorithm as make_alg
 
@@ -294,7 +275,8 @@ def strassen_experiment(
             fp_in = _certified_inputs(base, draws, p)
             if fp_in is None:
                 factors = step_factors(draws[:4], _HALF, STEP_BITS) + step_factors(draws[4:], _HALF, STEP_BITS)
-                fp_in = [_round_times(b, m, m, e, t) for b, (m, e) in zip(base, factors)]
+                fp_in = [_round_range(b.numerator, b.denominator, m, m, e, t)
+                         for b, (m, e) in zip(base, factors)]
             # the rounded matrices are the run's inputs; the reference
             # multiplies exactly the same values, isolating algorithm error.
             # The product is bilinear, so it is formed from the integers

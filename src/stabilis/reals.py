@@ -442,13 +442,10 @@ def exp_iv(x: Union[Fraction, int, Interval], bits: int) -> Interval:
 
 def exp_ends(lo: int, hi: int, bits: int) -> Interval:
     """``exp_iv(Interval(lo, hi, bits), bits)``, with no Interval built but
-    the result: where |x| < 1/4 the series is summed at the midpoint straight
-    from the integers at W = bits + 32, and elsewhere :func:`_exp_reduced`
-    reduces them by n ln 2.  Only a reduced argument too wide for the series
-    goes through exp_iv, for its endpoint split."""
-    if max(-lo, hi).bit_length() > bits - 2:  # mag_bits > -2, as in _exp_reduced
-        return _exp_reduced(lo, hi, bits, bits) or exp_iv(Interval(lo, hi, bits), bits)
-    return _exp_enclosure((lo + hi) << 31, ((hi - lo) << 31) + 1, bits + 32)
+    the result: :func:`_exp_reduced` works on the integers.  Only a reduced
+    argument too wide for the series goes through exp_iv, for its endpoint
+    split."""
+    return _exp_reduced(lo, hi, bits, bits) or exp_iv(Interval(lo, hi, bits), bits)
 
 
 def _sincos_taylor(M: int, W: int, kind: str) -> tuple[int, int]:

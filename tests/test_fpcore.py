@@ -16,8 +16,7 @@ from stabilis.fpcore import (
     FpDivisionByZero,
     FpNumber,
     Precision,
-    _round_ends,
-    _round_scaled,
+    _round_range,
     dyadic,
     fl,
     fp_add,
@@ -162,26 +161,44 @@ def _two_end_cases(rng: random.Random, t: int) -> list[tuple[int, int]]:
     return out
 
 
+# non-dyadic multipliers n/d for the range rounding, as the Strassen inputs use it
+_MULTIPLIERS = ((1, 3), (1, 10), (7, 5), (-2, 3))
+
+
+def _oracle_near(x: Fraction, t: int) -> Fraction:
+    """oracle_round(x, t) with x first scaled near 1 by a power of two, which
+    rounding onto the t-grid commutes with; its binade search is then short."""
+    s = Fraction(2) ** (abs(x.numerator).bit_length() - x.denominator.bit_length())
+    return oracle_round(x / s, t) * s
+
+
 class TestTwoEndedRounding:
-    """``_round_ends`` against two roundings by ``_round_scaled``."""
+    """``_round_range`` against the oracle's rounding of each end, for the
+    multiplier 1 and for non-dyadic ones (over the same ends, and over ends
+    scaled by the denominator, which keep the exact ties of 1/d and -2/d)."""
 
     @pytest.mark.parametrize("t", [3, 11, 24, 53, 113, 256])
     def test_agrees_with_two_roundings(self, t):
         rng = random.Random(f"two-ends-{t}")
-        decided = undecided = 0
+        pick = random.Random(f"multipliers-{t}")
+        decided, undecided = [0, 0], [0, 0]  # multiplier 1, non-dyadic
         for _ in range(400):
             sign, twoexp = rng.choice((1, -1)), rng.randint(-400, 400)
+            scale = Fraction(2) ** twoexp
             for lo, hi in _two_end_cases(rng, t):
-                a = _round_scaled(sign, lo, twoexp, t)
-                b = _round_scaled(sign, hi, twoexp, t)
-                got = _round_ends(sign, lo, hi, twoexp, t)
-                if (a.sign, a.mantissa, a.exponent) == (b.sign, b.mantissa, b.exponent):
-                    assert (got.sign, got.mantissa, got.exponent) == (a.sign, a.mantissa, a.exponent)
-                    decided += 1
-                else:
-                    assert got is None
-                    undecided += 1
-        assert decided > 1000 and undecided > 1000
+                bn, bd = pick.choice(_MULTIPLIERS)
+                c = pick.choice((1, bd))
+                for n, d, lo, hi in ((sign, 1, lo, hi), (sign * bn, bd, c * lo, c * hi)):
+                    a = _oracle_near(Fraction(n * lo, d) * scale, t)
+                    b = _oracle_near(Fraction(n * hi, d) * scale, t)
+                    got = _round_range(n, d, lo, hi, twoexp, t)
+                    if a == b:
+                        assert got.precision_bits == t and to_exact(got) == a
+                        decided[d > 1] += 1
+                    else:
+                        assert got is None
+                        undecided[d > 1] += 1
+        assert min(decided) > 1000 and min(undecided) > 1000
 
 
 class TestZivBudget:
@@ -305,6 +322,16 @@ class TestArithmetic:
         va, vb = to_exact(a), to_exact(b)
         assert fp_add(a, b, t) == fl(va + vb, t)
         assert fp_sub(a, b, t) == fl(va - vb, t)
+
+    @pytest.mark.parametrize("t", [3, 53, 256])
+    def test_far_operand_decides_a_wide_tie(self, t):
+        # a is t + 1 bits wide and an exact tie on its own, which rounds to
+        # even (down); a far tiny b moves the sum off the tie, either way
+        a = dyadic((1 << t) + 1, 0)
+        b = dyadic(1, -t - 300)
+        va, vb = to_exact(a), to_exact(b)
+        assert to_exact(fp_add(a, b, t)) == oracle_round(va + vb, t) == (1 << t) + 2
+        assert to_exact(fp_sub(a, b, t)) == oracle_round(va - vb, t) == 1 << t
 
     def test_cancellation_is_exact(self):
         t = 6
