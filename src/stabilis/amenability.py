@@ -7,6 +7,9 @@ radius 1/(a * kappa_tilde) around it: the ball stays inside the domain
 on the condition number over a box holding the ball passes them all, and
 returns a self-certifying witness on failure.
 
+The condition-gradient criterion of every map with one output is one pass
+on nested dual numbers and a sign test on integers or certified reals.
+
 The numerical excess factor of a decomposition f = g o h,
 
     kappa_tilde(g, h(x)) * kappa_tilde(h, x) / kappa_tilde(g o h, x),
@@ -23,9 +26,9 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Sequence
 
-from .catalog import CatalogFunction, Product, Sin, Summation, _rational, _sqrt_mid, compose, sin_enclosures
+from .catalog import CatalogFunction, _rational, _sqrt_mid, compose, second_order
 from .condition import ConditionReport, ExtReal, kappa_closed_form, kappa_inside
-from .reals import Interval, PrecisionError, _over_lcm, real_sign, refine
+from .reals import PrecisionError, _over_lcm, real_sign
 from .relmetric import RelPoint, ball_box, rel_samples, sample_bits
 
 
@@ -127,63 +130,43 @@ def smallest_passing_constant(
 def gradient_criterion(f: CatalogFunction, x: RelPoint, q) -> bool:
     """Check  ||(x_i d(kappa)/dx_i)_i||_2  <=  q * kappa_tilde^2  at x.
 
-    Supported for the functions whose condition number has a smooth
-    hand-coded formula: product, summation, and sin.  Product and
-    summation are decided exactly; sin refines enclosures from the width
-    at which the sign of sin x is settled (ValueError when none settles
-    it: kappa is infinite) until the comparison is decided, and raises
-    PrecisionError at a tie.
+    With F = f(x), P_i = x_i df/dx_i and H_ik = x_i x_k d2f/dx_i dx_k from
+    :func:`second_order`, x_i d(kappa)/dx_i = g_i/(|P| F |F|) for g_i = F
+    (P_i^2 + (H P)_i) - P_i S2 and S2 = |P|^2: the criterion W = |g|^2 <= q^2
+    S2 (sqrt(S2) + |F|)^4, of degree 6, is decided on integers or by refined
+    certified signs (PrecisionError at a tie).  ValueError for several
+    outputs (kappa is not smooth where singular values meet), where kappa is
+    infinite (F is 0, or not told from 0, and P or H is not) and where it is
+    not differentiable (P = 0 and H != 0).
     """
-    q = Fraction(q)
-    if isinstance(f, Product):
-        # kappa is locally constant, so its gradient vanishes
-        return q >= 0
-    if isinstance(f, Summation):
-        # over one denominator x_i = n_i/D, with s = sum n_i and N = sum n_i^2,
-        # x_i d(kappa)/dx_i = sgn(s) n_i (n_i s - N) / (sqrt(N) s^2), so the
-        # left side squared is W/(N s^4) and the right side q (sqrt(N)/|s| + 1)^2
-        if not _rational(x.coords):
-            raise TypeError("the summation gradient requires exact rational coordinates")
-        ns, _ = _over_lcm(x.coords)
-        s = sum(ns)
-        if s == 0:
-            raise ValueError("kappa is infinite at this point")
-        N = sum(n * n for n in ns)
-        W = sum(n * n * (n * s - N) ** 2 for n in ns)
-        a, b = q.numerator, q.denominator
-        if a <= 0:
-            return a == 0 and W == 0
-        # squared and times s^4 b^2: L <= 4 N a^2 sqrt(N) |s| (N + s^2), where
-        # (sqrt(N) + |s|)^4 = N^2 + 6 N s^2 + s^4 + 4 sqrt(N) |s| (N + s^2)
-        L = W * b * b - N * a * a * (N * N + 6 * N * s * s + s**4)
-        return L <= 0 or L * L <= 16 * N**3 * a**4 * (N + s * s) ** 2 * s * s
-    if isinstance(f, Sin):
-        xv = x.coords[0]
-        if real_sign(xv) == 0:
-            return q >= 0  # kappa is 0 on the component {0}
-        try:
-            start = sin_enclosures(xv)[0]
-        except PrecisionError:
-            raise ValueError("kappa is infinite at this point") from None
-        if q <= 0:
-            # x d(kappa)/dx = x (sin 2x / 2 - x) / sin^2 x is nonzero for x != 0
-            return False
-
-        def decide_sin(w: int) -> bool | None:
-            b, xi, s, c = sin_enclosures(xv, w)
-            kappa_iv = (xi * c).divide(s, b)  # Sin.kappa_closed's enclosure
-            # x d(kappa)/dx = x cos/sin - x^2/sin^2  (up to the sign of kappa)
-            x_over_s = xi.divide(s, b)
-            lhs = abs(kappa_iv - (x_over_s * x_over_s).rescale(b))
-            kt_iv = abs(kappa_iv) + Interval.from_fraction(1, b)
-            rhs = ((kt_iv * kt_iv).rescale(b) * Interval.from_fraction(q, b)).rescale(b)
-            # both at scale b
-            if lhs.hi <= rhs.lo:
-                return True
-            return False if lhs.lo > rhs.hi else None
-
-        return refine(decide_sin, start, "the gradient criterion")
-    raise ValueError(f"no smooth condition-number formula registered for {f.id}")
+    if f.out_dim != 1:
+        raise ValueError(f"{f.id} has several outputs: no smooth condition number")
+    out = second_order(f, x.coords, {j: x.coords[j] for j in x.chi()})
+    if out is None:
+        raise ValueError(f"{f.id} has no derivative at this point")
+    (F, p, h), = out
+    m, hs = x.dim, [(j, k) for j, row in h.items() for k in row]
+    vals = [F, *(p.get(j, Fraction(0)) for j in range(m)), *(h[j][k] for j, k in hs)]
+    F, *vals = _over_lcm(vals)[0] if _rational(vals) else vals
+    P, HP = vals[:m], [0] * m
+    for (j, k), c in zip(hs, vals[m:]):
+        HP[j] += c * P[k]
+    S2 = sum(v * v for v in P)
+    try:
+        flat = real_sign(F) == 0
+    except PrecisionError:  # f within rounding distance of 0
+        flat = True
+    s2 = real_sign(S2)
+    if (flat and s2) or (not s2 and any(map(real_sign, vals[m:]))):
+        raise ValueError("kappa is infinite or not differentiable at this point")
+    W = sum((F * (v * v + hp) - v * S2) ** 2 for v, hp in zip(P, HP))
+    a, b = Fraction(q).as_integer_ratio()
+    if a <= 0:
+        return a == 0 and real_sign(W) == 0
+    # squared and times b^2: L <= 4 a^2 S2 sqrt(S2) |F| (S2 + F^2), where
+    # (sqrt(S2) + |F|)^4 = S2^2 + 6 S2 F^2 + F^4 + 4 sqrt(S2) |F| (S2 + F^2)
+    L = W * b * b - a * a * S2 * (S2 * S2 + 6 * S2 * F * F + F ** 4)
+    return real_sign(L) <= 0 or real_sign(16 * a ** 4 * S2 ** 3 * (S2 + F * F) ** 2 * F * F - L * L) >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def _sum_kappa(terms: Sequence[Fraction], c: int = 1):
 def sqrt_real(x: ExactReal | _Dual) -> ExactReal | _Dual:
     """Exact square root when rational, otherwise a certified enclosure."""
     if isinstance(x, _Dual):  # the root with its derivative, which exists only at x > 0
-        if real_sign(x.v) <= 0:
+        if not isinstance(x.v, _Dual) and real_sign(x.v) <= 0:  # an inner dual checks its own value
             raise DomainError("the square root has no derivative at x <= 0")
         return x.map(sqrt_real, lambda v: Fraction(1, 2) / sqrt_real(v))
     if isinstance(x, Fraction):
@@ -165,6 +165,9 @@ class _Dual:
     keeps certified reals from exact factors 0.  A certified real or an
     Interval (a dual pass on a box) compares equal to no number, so
     ``v == 0`` and ``v == 1`` hold only for exact ones.
+
+    Duals nest (ch. 13 there): an outer dual's value and partials may be
+    inner duals, whose partials are second derivatives (an inner 0 is kept).
     """
 
     __slots__ = ("v", "d")
@@ -193,9 +196,6 @@ class _Dual:
     def __sub__(self, o) -> "_Dual":
         return self + _Dual.of(o) * Fraction(-1)
 
-    def __rsub__(self, o) -> "_Dual":
-        return _Dual.of(o) - self
-
     def __mul__(self, o) -> "_Dual":
         o = _Dual.of(o)
         return _Dual(_mul(self.v, o.v), _plus(self._times(o.v), o._times(self.v)))
@@ -204,6 +204,19 @@ class _Dual:
 
     def __pow__(self, j: int) -> "_Dual":
         return _Dual(self.v ** j, self._times(j * self.v ** (j - 1)) if j else {})
+
+    def __rtruediv__(self, o) -> "_Dual":
+        return _Dual.of(o) * self ** -1
+
+
+def second_order(f: "CatalogFunction", xs: Coords, seeds: dict) -> list[tuple] | None:
+    """(f_i, p_i, h_i) per output from :meth:`CatalogFunction.derivatives` on
+    inner duals carrying ``seeds``: p_i maps k to seeds[k] df_i/dx_k, h_i maps
+    j to {k: seeds[j] seeds[k] d2f_i/dx_j dx_k}; None where f has no derivative."""
+    out = f.derivatives(tuple(_Dual(x, {k: seeds[k]}) if k in seeds else x for k, x in enumerate(xs)), seeds)
+    if out is None:
+        return None
+    return [(y.v, y.d, {j: _Dual.of(p).d for j, p in d.items()}) for y, d in zip(map(_Dual.of, out[0]), out[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -544,28 +557,16 @@ class Sin(CatalogFunction):
         x = xs[0]
         if real_sign(x) == 0:
             return Fraction(0)
+
+        def decide(b: int):  # x cos x / sin x at the first width b at which sin x has a certain sign
+            xi = relative_interval(x, b)
+            s = sin_iv(xi, b)
+            return (xi * cos_iv(xi, b)).divide(s, b) if s.sign() in (-1, 1) else None
+
         try:
-            b, xi, s, c = sin_enclosures(x)
+            return abs(refine(decide, 192, "the sign of sin x").midpoint())
         except PrecisionError:
             return math.inf  # within rounding distance of a sine zero
-        return abs((xi * c).divide(s, b).midpoint())
-
-
-def sin_enclosures(x: ExactReal, start: int = 192) -> tuple[int, Interval, Interval, Interval]:
-    """(b, x, sin x, cos x): the first width b from ``start`` on, doubling,
-    at which sin x has a certain sign, with the three enclosures at b.
-
-    PrecisionError when no width in ``refine``'s budget settles the sign.
-    """
-
-    def decide(b: int):
-        xi = relative_interval(x, b)
-        s = sin_iv(xi, b)
-        if s.sign() in (-1, 1):
-            return b, xi, s, cos_iv(xi, b)
-        return None
-
-    return refine(decide, start, "the sign of sin x")
 
 
 # -- Strassen / matmul -------------------------------------------------------
@@ -767,11 +768,18 @@ def high_precision_sin(x: ExactReal | _Dual) -> ExactReal | _Dual:
     one).  Of a dual number, the sine with its derivative cos x.
     """
     if isinstance(x, _Dual):
-        return x.map(high_precision_sin, lambda v: CertifiedReal(lambda b: cos_iv(relative_interval(v, b), b)))
+        return x.map(high_precision_sin, _cos)
     x = to_real(x)
     if isinstance(x, Fraction) and x == 0:
         return Fraction(0)
     return CertifiedReal(lambda b: sin_iv(relative_interval(x, b), b))
+
+
+def _cos(x: ExactReal | _Dual) -> CertifiedReal | _Dual:
+    """Certified cosine, the sine's derivative; of a dual, with its derivative -sin x."""
+    if isinstance(x, _Dual):
+        return x.map(_cos, lambda v: -high_precision_sin(v))
+    return CertifiedReal(lambda b: cos_iv(relative_interval(x, b), b))
 
 
 def sin_in_precision(x: FpNumber, p: Precision | int) -> FpNumber:

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .catalog import CatalogFunction, DomainError, _sqrt_mid
+from .catalog import CatalogFunction, DomainError, _sqrt_mid, second_order
 from .fpcore import fl, to_exact
 from .reals import CertifiedReal, ExactReal, Interval, real_sign
 from .relmetric import (
@@ -134,8 +134,9 @@ def kappa_from_jacobian(x: RelPoint, fx: RelPoint, partials: Sequence[dict]) -> 
 
     An output that is an exact 0 drops its row (Moore-Penrose) when its map
     is empty, as it is constant to first order, and makes kappa infinite
-    when it has a nonzero partial.  A zero of higher order, such as a
-    product of two vanishing linear forms, is not detected: it drops too.
+    when it has a nonzero partial.  :func:`kappa_jacobian` has made kappa
+    infinite where such a row has a nonzero second partial; a zero of order
+    3 or more, as ``Composite(Power(3), Summation(2))`` at (1, -1), drops.
     """
     m = x.dim
     if len(partials) != fx.dim or any(j >= m for d in partials for j in d):
@@ -154,11 +155,19 @@ def kappa_from_jacobian(x: RelPoint, fx: RelPoint, partials: Sequence[dict]) -> 
 def kappa_jacobian(f: CatalogFunction, x: RelPoint) -> ConditionReport:
     """Derivative-route condition number of a catalog function at x: one
     dual pass of f seeded with each nonzero coordinate gives f(x) and the
-    scaled partials."""
-    out = f.derivatives(x.coords, {j: x.coords[j] for j in x.chi()})
+    scaled partials; an exact-0 output with no partial takes a nested pass
+    (:func:`second_order`), where a nonzero second partial makes kappa infinite."""
+    seeds = {j: x.coords[j] for j in x.chi()}
+    out = f.derivatives(x.coords, seeds)
     if out is None:
         raise ValueError(f"{f.id} has no usable jacobian at this point")
-    return kappa_from_jacobian(x, RelPoint(out[0]), out[1])
+    fx = RelPoint(out[0])
+    flat = [i for i, (s, d) in enumerate(zip(fx.pattern, out[1])) if s == 0 and not d]
+    if flat:  # the first pass had every derivative, so the nested one has too
+        nested = second_order(f, x.coords, seeds)
+        if any(real_sign(c) for i in flat for row in nested[i][2].values() for c in row.values()):
+            return ConditionReport.make(math.inf, "jacobian", x)
+    return kappa_from_jacobian(x, fx, out[1])
 
 
 def kappa_closed_form(f: CatalogFunction, x: RelPoint) -> ConditionReport:

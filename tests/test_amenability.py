@@ -173,20 +173,26 @@ class TestGradientCriterion:
             assert gradient_criterion(f, x, q)
 
     @given(data=st.data())
-    @settings(max_examples=150)
+    @settings(max_examples=300)
     def test_sum_matches_a_400_digit_oracle(self, data):
+        # inner_product[k] is the sum of p = x o y with sqrt 2 on its kappa, and
+        # x_i d/dx_i = y_i d/dy_i = p_i d/dp_i, so each p_i's entry counts twice;
+        # its Hessian is not 0, so the H term of the one route is checked too
+        fid = data.draw(st.sampled_from(["sum", "inner_product"]), label="f")
+        c = 1 if fid == "sum" else 2
         k = data.draw(st.integers(1, 8), label="k")
         coord = st.fractions(min_value=-20, max_value=20, max_denominator=50)
-        xs = data.draw(st.lists(coord, min_size=k, max_size=k), label="x")
-        assume(sum(xs) != 0)
+        xs = data.draw(st.lists(coord, min_size=c * k, max_size=c * k), label="x")
+        ps = xs if c == 1 else [a * b for a, b in zip(xs[:k], xs[k:])]
+        assume(sum(ps) != 0)
         with mpmath.workdps(400):
-            mx = [mpmath.mpf(v.numerator) / v.denominator for v in xs]
+            mx = [mpmath.mpf(v.numerator) / v.denominator for v in ps]
             S = mpmath.fsum(mx)
             nrm = mpmath.sqrt(mpmath.fsum(v * v for v in mx))
-            # x_i d(kappa)/dx_i for kappa = ||x|| / |S|
-            grads = [v * v / (nrm * abs(S)) - v * nrm * mpmath.sign(S) / (S * S) for v in mx]
-            lhs = mpmath.sqrt(mpmath.fsum(g * g for g in grads))
-            kt2 = (nrm / abs(S) + 1) ** 2
+            # p_i d(kappa)/dp_i for kappa = sqrt(c) ||p|| / |S|
+            grads = [mpmath.sqrt(c) * (v * v / (nrm * abs(S)) - v * nrm * mpmath.sign(S) / (S * S)) for v in mx]
+            lhs = mpmath.sqrt(c * mpmath.fsum(g * g for g in grads))
+            kt2 = (mpmath.sqrt(c) * nrm / abs(S) + 1) ** 2
             if data.draw(st.booleans(), label="near the boundary"):
                 q = Fraction(str(mpmath.nstr(lhs / kt2, 12))).limit_denominator(10**9)
             else:
@@ -194,7 +200,7 @@ class TestGradientCriterion:
             rhs = (mpmath.mpf(q.numerator) / q.denominator) * kt2
             gap = lhs - rhs
             assume(abs(gap) > mpmath.mpf(10) ** -350 * (abs(lhs) + abs(rhs) + 1))
-        assert gradient_criterion(catalog_function("sum", k=k), RelPoint(xs), q) == (gap < 0)
+        assert gradient_criterion(catalog_function(fid, k=k), RelPoint(xs), q) == (gap < 0)
 
     def test_ties_decide_exactly(self):
         for fn in ("sum", "product"):
@@ -218,9 +224,46 @@ class TestGradientCriterion:
         with pytest.raises(ValueError, match="kappa is infinite"):
             gradient_criterion(catalog_function("sin"), RelPoint.of(pi_real()), 2)
 
+    @pytest.mark.parametrize("fid,kw,xs", [
+        ("product", dict(k=3), (Fraction(-3, 7), 2, Fraction(5, 11))),
+        ("power", dict(exponent=3), (Fraction(-5, 3),)),
+        ("power", dict(exponent=-2), (Fraction(7, 2),)),
+        ("affine", dict(op="mul", alpha=Fraction(-2, 3)), (Fraction(9, 4),)),
+        ("affine", dict(op="div", alpha=7), (Fraction(-1, 5),)),
+        ("sqrt", dict(), (Fraction(49, 9),)),
+    ])
+    def test_constant_kappa_ties_exactly(self, fid, kw, xs):
+        # kappa is locally constant, so the gradient is an exact 0: H cancels
+        f, x = catalog_function(fid, **kw), RelPoint(tuple(map(Fraction, xs)))
+        assert gradient_criterion(f, x, 0) is True
+        assert gradient_criterion(f, x, -1) is False
+
+    @pytest.mark.parametrize("fid,kw", [
+        ("norm2", dict(k=3)),
+        ("squared_norm", dict(k=3)),
+        ("matmul_entry", dict(i=2, j=1)),
+        ("linear_map", dict(rows=[[2, -1, 3]])),
+    ])
+    def test_every_one_output_map_answers(self, fid, kw):
+        f = catalog_function(fid, **kw)
+        x = RelPoint(tuple(Fraction(n, 3) for n in (2, -5, 4, 1, 7, -2, 3, 5)[:f.in_dim]))
+        assert gradient_criterion(f, x, 0) is False  # kappa is not locally constant here
+        assert gradient_criterion(f, x, 10**6) is True
+        assert gradient_criterion(f, RelPoint(x.coords[:-1] + (pi_real(),)), 10**6) is True
+
+    def test_zero_of_second_order(self):
+        # (x + y)^2 at (1, -1) is 0 with no first partial: kappa is infinite
+        f = compose(catalog_function("power", exponent=2), catalog_function("sum", k=2))
+        with pytest.raises(ValueError, match="kappa is infinite"):
+            gradient_criterion(f, RelPoint.of(1, -1), 4)
+        # 1 + (x + y)^2 there: kappa = |s| at a zero of s with a nonzero derivative
+        g = compose(catalog_function("affine", op="add", alpha=1), f)
+        with pytest.raises(ValueError, match="not differentiable"):
+            gradient_criterion(g, RelPoint.of(1, -1), 4)
+
     def test_unsupported_function(self):
         f = catalog_function("copy", k=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="several outputs"):
             gradient_criterion(f, RelPoint.of(1, 2), 4)
 
 

@@ -31,6 +31,7 @@ from stabilis.catalog import (
     catalog_function,
     compose,
     high_precision_sin,
+    second_order,
     sin_in_precision,
     sqrt_real,
     strassen_input,
@@ -501,6 +502,29 @@ class TestDerivedJacobians:
         # one derivative: every class, composites included, differentiates its exact on duals
         classes = {cls for cls, _ in FUNCTIONS.values()} | {Composite}
         assert sorted(c.__name__ for c in classes if c.jacobian is not CatalogFunction.jacobian) == []
+
+    @staticmethod
+    def _second(f, xs):
+        """The second partials d2f_i/dx_j dx_k of each output from one pass
+        on nested duals, each level seeded with 1 on every coordinate."""
+        return [h for _, _, h in second_order(f, xs, {j: Fraction(1) for j in range(len(xs))})]
+
+    def test_nested_pass_gives_second_partials(self):
+        F = Fraction
+        assert self._second(catalog_function("power", exponent=3), (F(2),)) == [{0: {0: 12}}]
+        # d2/dx_1 dx_k of x_1 x_2 x_3 at (1, 2, 3) is (x_3, x_2) for k = 2, 3
+        h = self._second(catalog_function("product", k=3), (F(1), F(2), F(3)))[0]
+        assert (h[0].get(0, 0), h[0][1], h[0][2]) == (0, 3, 2)
+        # m_1 = (a11 + a22)(b11 + b22) at A = B = diag(1, -1)
+        h = self._second(catalog_function("strassen_h"), (F(1), F(0), F(0), F(-1)) * 2)[0]
+        assert h[0][4] == 1 and h[0].get(1, 0) == 0
+        assert self._second(catalog_function("sqrt"), (F(4),)) == [{0: {0: F(-1, 32)}}]
+        # the certified stages nest too: -sin 1, through the cosine's derivative
+        iv = self._second(catalog_function("sin"), (F(1),))[0][0][0].enclosure(100)
+        with mp.workdps(60):
+            lo, hi = (mp.mpf(v.numerator) / v.denominator for v in (iv.lower(), iv.upper()))
+            assert lo <= -mp.sin(1) <= hi
+        assert iv.upper() - iv.lower() < Fraction(1, 2**90)
 
     def test_certified_product_matches_the_closed_form(self):
         # the derivative route at a certified coordinate: kappa = sqrt(2)

@@ -227,6 +227,8 @@ class TestCond:
         # exact-zero outputs constant to first order drop their rows
         (["matmul_2x2", "1,0,0,1,1,0,0,1"], "1.4142135623730951"),
         (["--method", "jacobian", "product", "pi,0"], "0.0"),
+        # m_1 = (a11 + a22)(b11 + b22) = 0 * 0 has no first partial but a nonzero second one
+        (["strassen_h", "1,0,0,-1,1,0,0,-1"], "inf"),
     ])
     def test_zero_outputs_on_the_derivative_route(self, runner, args, kappa):
         r = runner.invoke(main, ["cond"] + args)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_point
 from stabilis import condition, relmetric
-from stabilis.catalog import catalog_function, sqrt_real, strassen_input
+from stabilis.catalog import catalog_function, compose, sqrt_real, strassen_input
 from stabilis.condition import (
     FLOAT_FLOOR,
     _dominates,
@@ -273,6 +273,14 @@ class TestZeroOutputs:
             else:
                 assert abs(kc - kj) <= Fraction(1, 10**12) * kc, xs
         assert seen
+
+    def test_zeros_of_second_order(self):
+        # outputs 0 with no first partial but a nonzero second one leave 0
+        # in every neighbourhood: m_1 = (a11 + a22)(b11 + b22), and (x + y)^2
+        h, x = catalog_function("strassen_h"), RelPoint(tuple(map(Fraction, (1, 0, 0, -1) * 2)))
+        assert kappa_jacobian(h, x).kappa == math.inf == kappa_sampled(h, x, n_dirs=16).kappa
+        square = compose(catalog_function("power", exponent=2), catalog_function("sum", k=2))
+        assert kappa_jacobian(square, RelPoint.of(3, -3)).kappa == math.inf
 
 
 class TestSampledEstimator:

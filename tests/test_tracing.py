@@ -4,6 +4,7 @@ The tracer wraps functions and methods by name, so renaming or deleting
 one of them would otherwise break only the benchmark's traced runs.
 """
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +32,10 @@ def test_tracer_wraps_and_restores_the_package(tracer):
         assert fpcore.fp_add is not fp_add
         rep = condition.kappa_jacobian(catalog_function("sum", k=2), RelPoint.of(1, 2))
         spans = tracer.summarize()
+        tracer.clear()
+        # m_1 of strassen_h is 0 with no first partial here: a nested pass follows
+        flat = condition.kappa_jacobian(catalog_function("strassen_h"), RelPoint.of(1, 0, 0, -1, 1, 0, 0, -1))
+        nested = tracer.summarize()
     finally:
         tracer.uninstall()
     assert fpcore.fp_add is fp_add and CatalogFunction.exact is exact
@@ -40,6 +45,7 @@ def test_tracer_wraps_and_restores_the_package(tracer):
                         ("condition.spectral_norm", 1), ("catalog.exact", 1)]:
         assert spans[f"{name}.calls"] == calls, name
     assert spans.get("catalog.jacobian.calls", 0) == 0
+    assert nested["catalog.exact.calls"] == 2 and flat.kappa == math.inf
     # the rows (1/3, 2/3): kappa = sqrt(5)/3
     assert abs(rep.kappa - sqrt_iv(Fraction(5, 9), 192).midpoint()) <= Fraction(1, 2**100)
 
