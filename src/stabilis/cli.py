@@ -18,7 +18,6 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
 
 import click
 
@@ -27,7 +26,7 @@ from .amenability import amenability_probe, excess_factor
 from .catalog import FUNCTIONS, strassen_input
 from .condition import kappa_closed_form, kappa_jacobian, kappa_sampled
 from .harness import log_spaced, sine_experiment, strassen_experiment
-from .reals import CertifiedReal, ExactReal, pi_real
+from .reals import REFINE_DOUBLINGS, CertifiedReal, ExactReal, pi_real, price
 from .relmetric import RelPoint
 
 
@@ -52,54 +51,20 @@ def _bits(v: Fraction) -> int:
     return max(v.numerator.bit_length(), v.denominator.bit_length())
 
 
-class _Certified(NamedTuple):
-    """A certified value of a point with the budget's account of it: ``mag``,
-    an m with |value| < 2**m, or None for a reciprocal, whose magnitude no
-    operand bounds; ``weight``, the cost of each bit it is asked deeper; and
-    ``depth``, the bits beyond a width b that its enclosure at b asks of pi."""
-
-    value: CertifiedReal
-    mag: int | None
-    weight: int
-    depth: int
-
-    def __neg__(self) -> "_Certified":
-        return self._replace(value=-self.value)
-
-
-_Node = Union[Fraction, _Certified]
-
-
-def _mag(v: _Node) -> int | None:
-    if isinstance(v, Fraction):
-        return v.numerator.bit_length() - v.denominator.bit_length() + 1
-    return v.mag
-
-
-def _weight(v: _Node) -> int:
-    return v.weight if isinstance(v, _Certified) else 0
-
-
-def _real(v: _Node) -> ExactReal:
-    return v.value if isinstance(v, _Certified) else v
-
-
 class _Budget:
     """The bits that the values of one point may still take in all.
 
     A rational is charged its own bits: an operation costs gcds of its
     operands' size, and each rational is the operand of one operation at
-    most.  A certified real is charged what its enclosures at a width b ask
-    beyond b.  Its power by e raises (b + 8|e| + m)-bit endpoints to |e|, m
-    the bits of the base's magnitude, and asks the base 8|e| bits deeper; a
-    product asks each factor the bits of both magnitudes deeper.  Each bit
-    that a value is asked deeper costs its weight: 1 per pi in it, plus |e|
-    per power.  So the budget bounds the work of a whole point.  Machin's
-    series for pi costs more than linearly in the width, so no value may
-    ask pi more than MAX_DEPTH bits deeper than it is asked itself.
+    most.  A certified value is charged the charges of its ``reals.price``,
+    so the budget bounds the work of a whole point.  Machin's series for pi
+    costs more than linearly in the width, so no value may ask pi more than
+    MAX_DEPTH bits deeper than it is asked itself.
     """
 
-    left = POINT_BITS
+    def __init__(self):
+        self.left = POINT_BITS
+        self.known: dict = {}  # the prices of the point's certified values
 
     def check(self, bits: int) -> None:
         if bits > MAX_BITS:
@@ -111,54 +76,23 @@ class _Budget:
         self.check(bits)
         self.left -= bits
 
-    def charge(self, v: Fraction) -> Fraction:
-        self.spend(_bits(v))
-        return v
-
-    @staticmethod
-    def deeper(depth: int) -> int:
-        if depth > MAX_DEPTH:
+    def charge(self, v: ExactReal) -> ExactReal:
+        if isinstance(v, Fraction):
+            self.spend(_bits(v))
+            return v
+        p = price(v, self.known)
+        for bits in p.charges:
+            self.spend(bits)
+        if p.depth > MAX_DEPTH:
             raise ExprError(f"a value in the point asks pi more than {MAX_DEPTH} bits deeper")
-        return depth
-
-    @staticmethod
-    def measure(v: _Node) -> int:
-        """The magnitude bound of an operand of a product or power.  A
-        reciprocal's is read from its enclosure at 8 bits, the least width
-        that the product or power asks of it."""
-        m = _mag(v)
-        return v.value.enclosure(8).mag_bits() if m is None else m
-
-    def power(self, v: _Certified, e: int) -> _Node:
-        if e == 0:
-            return Fraction(1)
-        m = self.measure(v)
-        self.spend(abs(e) * (8 * abs(e) + max(m, 0)))  # the raised endpoint beyond |e| b bits
-        self.spend(8 * abs(e) * v.weight)
-        depth = self.deeper(v.depth + 8 * abs(e))
-        return _Certified(v.value ** e, e * m if e > 0 else None, v.weight + abs(e), depth)
-
-    def combine(self, op: type, a: _Node, c: _Node) -> _Certified:
-        """``a op c`` for + - * / when a or c is a certified real."""
-        w = _weight(a) + _weight(c)
-        depth = max(v.depth for v in (a, c) if isinstance(v, _Certified))
-        if op is ast.Div and isinstance(c, Fraction):
-            op, c = ast.Mult, 1 / c  # a certified value is scaled by the exact reciprocal
-        if op is ast.Mult:
-            ma, mc = self.measure(a), self.measure(c)
-            extra = 8 + max(ma, 1) + max(mc, 1)
-            self.spend(extra * w)
-            return _Certified(_real(a) * _real(c), ma + mc, w, self.deeper(depth + extra))
-        ma, mc = _mag(a), _mag(c)
-        mag = None if op is ast.Div or ma is None or mc is None else max(ma, mc) + 1
-        return _Certified(_BINARY[op](_real(a), _real(c)), mag, w, self.deeper(depth + (8 if op is ast.Div else 4)))
+        return v
 
 
 _UNARY = {ast.UAdd: lambda v: v, ast.USub: operator.neg}
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
-def _value(node: ast.expr, src: str, budget: _Budget) -> _Node:
+def _value(node: ast.expr, src: str, budget: _Budget) -> ExactReal:
     """Evaluate a node of ``ast.parse(src)``: number literals, pi, unary + and -,
     + - * /, and powers by an integer written in decimal digits."""
     text = ast.get_source_segment(src, node)
@@ -167,37 +101,43 @@ def _value(node: ast.expr, src: str, budget: _Budget) -> _Node:
         budget.check(3 * abs(int(m[2][1:])) if m[2] else 0)
         return budget.charge(Fraction(text))
     if isinstance(node, ast.Name) and node.id == "pi":
-        return _Certified(pi_real(), 2, 1, 0)
+        return pi_real()
     if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
         return _UNARY[type(node.op)](_value(node.operand, src, budget))
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
         e = ast.get_source_segment(src, node.right)
         if _EXPONENT.fullmatch(e):
             v, e = _value(node.left, src, budget), int(e)
-            if isinstance(v, _Certified):
-                return budget.power(v, e)
-            # a rational v with b-bit parts has a power of over |e| * (b - 1) bits
-            budget.check(abs(e) * (_bits(v) - 1))
+            if isinstance(v, Fraction):
+                # a rational v with b-bit parts has a power of over |e| * (b - 1) bits
+                budget.check(abs(e) * (_bits(v) - 1))
             return budget.charge(v ** e)
     elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
         a, c = _value(node.left, src, budget), _value(node.right, src, budget)
-        if isinstance(a, Fraction) and isinstance(c, Fraction):
-            return budget.charge(_BINARY[type(node.op)](a, c))
-        return budget.combine(type(node.op), a, c)
+        op = _BINARY[type(node.op)]
+        if op is operator.truediv and isinstance(a, CertifiedReal) and isinstance(c, Fraction):
+            op, c = operator.mul, 1 / c  # a certified value is scaled by the exact reciprocal
+        return budget.charge(op(a, c))
     raise ExprError(f"not a point expression: {text!r}")
 
 
 def _coordinate(text: str, budget: _Budget) -> ExactReal:
-    """One coordinate, read by Python's expression grammar with ``^`` as ``**``."""
+    """One coordinate, read by Python's expression grammar with ``^`` as ``**``.
+    A certified coordinate that its price bounds below 2**-(64 <<
+    REFINE_DOUBLINGS) is refused: CertifiedReal.sign refines no finer."""
     src = text.strip().replace("^", "**")
     try:
-        return _real(_value(ast.parse(src, mode="eval").body, src, budget))
+        v = _value(ast.parse(src, mode="eval").body, src, budget)
+        mag = None if isinstance(v, Fraction) else price(v, budget.known).mag
     except SyntaxError as e:
         raise ExprError(f"cannot parse {text.strip()!r}: {e.msg}") from e
     except ZeroDivisionError as e:  # by a rational, or by a certified exact zero that is measured
         raise ExprError("division by zero") from e
     except (RecursionError, MemoryError) as e:  # the parser reports a stack overflow as MemoryError
         raise ExprError("expression nested too deeply") from e
+    if mag is not None and mag <= -(64 << REFINE_DOUBLINGS):
+        raise ExprError(f"a coordinate below 2^-{64 << REFINE_DOUBLINGS} is too small to sign")
+    return v
 
 
 def parse_point(text: str) -> RelPoint:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence, TypeVar, Union
+from typing import Callable, NamedTuple, Sequence, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -89,8 +89,6 @@ class Interval:
 
     @staticmethod
     def from_fraction(x: Fraction | int, scale: int) -> "Interval":
-        if isinstance(x, int):
-            x = Fraction(x)
         n, d = x.numerator, x.denominator
         if scale >= 0:
             n <<= scale
@@ -451,21 +449,13 @@ def exp_ends(lo: int, hi: int, bits: int) -> Interval:
 def _sincos_taylor(M: int, W: int, kind: str) -> tuple[int, int]:
     """Taylor enclosure of sin or cos at the dyadic point M * 2**-W, |M*2^-W| <= 1.7."""
     M2 = (M * M) >> W
-    if kind == "sin":
-        term = M
-        total = M
-        j = 1
-    else:
-        term = 1 << W
-        total = term
-        j = 0
+    odd = kind == "sin"  # sin sums the odd powers of the point, cos the even ones
+    term = total = M if odd else 1 << W
+    j = int(odd)
     err = 2
     while term:
-        if kind == "sin":
-            den = (2 * j) * (2 * j + 1)
-        else:
-            den = (2 * j + 1) * (2 * j + 2)
-        term = -(((term * M2) >> W) // den)
+        k = 2 * j + 1 - odd  # the term's power is k + 1
+        term = -(((term * M2) >> W) // (k * (k + 1)))
         total += term
         err += 8
         j += 1
@@ -535,22 +525,38 @@ def sqrt_ratio_iv(num: int, den: int, bits: int) -> Interval:
 # ---------------------------------------------------------------------------
 
 
+# The bits beyond a width b at which each operation asks its operands: a sum
+# 4, a quotient 8, a j-th power 8|j|, and a product 8 to measure its factors,
+# then product_bits; the closures of CertifiedReal ask them, price adds them.
+SUM_BITS, QUOTIENT_BITS, MEASURE_BITS = 4, 8, 8
+
+
+def power_bits(j: int) -> int:
+    return 8 * abs(j)
+
+
+def product_bits(ma: int, mc: int) -> int:
+    return MEASURE_BITS + max(ma, 1) + max(mc, 1)
+
+
 class CertifiedReal:
     """A computable real carried as a refinable certified enclosure.
 
     ``fn(bits)`` must return an :class:`Interval` containing the value whose
     width shrinks (at least roughly like ``2**-bits``) as ``bits`` grows.
+    ``op``, for :func:`price`, is the operation and operands that built it.
 
     ``enclosure(bits)`` caches its result under that width: the widest
     evaluation so far serves every narrower request.
     """
 
-    __slots__ = ("_fn", "_cache_bits", "_cache")
+    __slots__ = ("_fn", "_cache_bits", "_cache", "op")
 
-    def __init__(self, fn: Callable[[int], Interval]):
+    def __init__(self, fn: Callable[[int], Interval], op: tuple | None = None):
         self._fn = fn
         self._cache_bits = -1
         self._cache: Interval | None = None
+        self.op = op
 
     def enclosure(self, bits: int) -> Interval:
         if self._cache is not None and bits <= self._cache_bits:
@@ -563,18 +569,16 @@ class CertifiedReal:
     # -- arithmetic ----------------------------------------------------
 
     def __neg__(self) -> "CertifiedReal":
-        return CertifiedReal(lambda b: -self.enclosure(b))
+        return CertifiedReal(lambda b: -self.enclosure(b), ("neg", self))
 
     def __add__(self, other) -> "CertifiedReal":
         o = to_real(other)
-        return CertifiedReal(lambda b: self.enclosure(b + 4) + as_interval(o, b + 4))
+        return CertifiedReal(lambda b: self.enclosure(b + SUM_BITS) + as_interval(o, b + SUM_BITS), ("add", self, o))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = to_real(other)
-        neg = -o if isinstance(o, Fraction) else o.__neg__()
-        return self + neg
+        return self + (-to_real(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -583,24 +587,23 @@ class CertifiedReal:
         o = to_real(other)
 
         def fn(b: int) -> Interval:
-            a = self.enclosure(b + 8)
-            c = as_interval(o, b + 8)
-            extra = max(a.mag_bits(), 1) + max(c.mag_bits(), 1)
-            a = self.enclosure(b + 8 + extra)
-            c = as_interval(o, b + 8 + extra)
-            return a * c
+            w = b + product_bits(self.enclosure(b + MEASURE_BITS).mag_bits(),
+                                 as_interval(o, b + MEASURE_BITS).mag_bits())
+            return self.enclosure(w) * as_interval(o, w)
 
-        return CertifiedReal(fn)
+        return CertifiedReal(fn, ("mul", self, o))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "CertifiedReal":
         o = to_real(other)
-        return CertifiedReal(lambda b: self.enclosure(b + 8).divide(signed_interval(o, b + 8), b))
+        return CertifiedReal(lambda b: self.enclosure(b + QUOTIENT_BITS).divide(
+            signed_interval(o, b + QUOTIENT_BITS), b), ("div", self, o))
 
     def __rtruediv__(self, other) -> "CertifiedReal":
         o = to_real(other)
-        return CertifiedReal(lambda b: as_interval(o, b + 8).divide(signed_interval(self, b + 8), b))
+        return CertifiedReal(lambda b: as_interval(o, b + QUOTIENT_BITS).divide(
+            signed_interval(self, b + QUOTIENT_BITS), b), ("div", o, self))
 
     def __pow__(self, j: int) -> "CertifiedReal | Fraction":
         if not isinstance(j, int):
@@ -610,7 +613,8 @@ class CertifiedReal:
 
         def fn(b: int) -> Interval:
             # a reciprocal needs its base's sign, so that is refined until certain
-            iv = signed_interval(self, b + 8 * abs(j)) if j < 0 else self.enclosure(b + 8 * abs(j))
+            w = b + power_bits(j)
+            iv = signed_interval(self, w) if j < 0 else self.enclosure(w)
             lo, hi = iv.lower(), iv.upper()
             cands = [lo ** abs(j), hi ** abs(j)]
             vlo, vhi = min(cands), max(cands)
@@ -624,7 +628,7 @@ class CertifiedReal:
             c = Interval.from_fraction(vhi, b)
             return Interval(a.lo, c.hi, b)
 
-        return CertifiedReal(fn)
+        return CertifiedReal(fn, ("pow", self, j))
 
     def scalb(self, k: int) -> "CertifiedReal":
         return CertifiedReal(lambda b: self.enclosure(b).scalb(k))
@@ -693,7 +697,62 @@ def real_sign(x: ExactReal) -> int:
 
 
 def pi_real() -> CertifiedReal:
-    return CertifiedReal(pi_iv)
+    return CertifiedReal(pi_iv, ("pi",))
+
+
+class Price(NamedTuple):
+    """What a value's enclosures at a width b ask beyond b.  ``mag`` is an m
+    with |value| < 2**m, None for a quotient or negative power; ``weight``
+    the cost of each bit it is asked deeper: 1 per pi in it, plus |j| per
+    j-th power; ``depth`` the bits beyond b it asks of pi; ``charges`` what
+    its operation costs: a j-th power raises (power_bits(j) + m)-bit endpoints
+    to |j|, m its base's magnitude, and it or a product pays the bits it asks
+    its operands deeper."""
+
+    mag: int | None
+    weight: int
+    depth: int
+    charges: tuple[int, ...] = ()
+
+
+def price(v: ExactReal, known: dict) -> Price:
+    """The Price of a rational or of a value certified arithmetic built,
+    memoised in ``known``.  A product or power reads a magnitude its operand's
+    price lacks from the operand's enclosure at MEASURE_BITS, the least
+    width it asks of it."""
+    if isinstance(v, Fraction):
+        return Price(v.numerator.bit_length() - v.denominator.bit_length() + 1, 0, 0)
+    if v in known:
+        return known[v]
+
+    def measured(x: ExactReal, p: Price) -> int:
+        return x.enclosure(MEASURE_BITS).mag_bits() if p.mag is None else p.mag
+
+    kind, *args = v.op
+    if kind == "pi":
+        out = Price(2, 1, 0)
+    elif kind == "neg":
+        out = price(args[0], known)._replace(charges=())
+    elif kind == "pow":
+        a, j = args
+        pa = price(a, known)
+        m, d = measured(a, pa), power_bits(j)
+        out = Price(j * m if j > 0 else None, pa.weight + abs(j), pa.depth + d,
+                    (abs(j) * (d + max(m, 0)), d * pa.weight))
+    else:
+        a, c = args
+        pa, pc = price(a, known), price(c, known)
+        w, depth = pa.weight + pc.weight, max(pa.depth, pc.depth)
+        if kind == "mul":
+            ma, mc = measured(a, pa), measured(c, pc)
+            d = product_bits(ma, mc)
+            out = Price(ma + mc, w, depth + d, (d * w,))
+        elif kind == "add":
+            out = Price(None if pa.mag is None or pc.mag is None else max(pa.mag, pc.mag) + 1, w, depth + SUM_BITS)
+        else:
+            out = Price(None, w, depth + QUOTIENT_BITS)
+    known[v] = out
+    return out
 
 
 def nth_root_fraction(x: Fraction, k: int) -> Fraction | None:

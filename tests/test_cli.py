@@ -92,6 +92,9 @@ class TestPointParser:
         ("2/(pi-3)", "9ab1c6a9fe864fdd"),
         ("(pi+1)*(pi-1)", "26ea7061799ed45b"),
         ("3*pi-pi/4", "318b4aee6e7fe34f"),
+        ("4-pi", "9d351372229da6fc"),  # a rational minus a certified value
+        ("pi^0", Fraction(1)),
+        ("(pi-355/113)^2", "25e6bdf625fb9f62"),
     ])
     def test_values(self, text, expected):
         (v,) = parse_point(text).coords
@@ -101,6 +104,12 @@ class TestPointParser:
             iv = v.enclosure(256)
             digest = hashlib.sha256(f"{iv.lo:x} {iv.hi:x} {iv.scale}".encode()).hexdigest()
             assert digest[:16] == expected
+
+    def test_even_power_of_an_enclosure_holding_zero(self):
+        # at width 0 the base is asked 16 bits, where pi - 355/113 (about
+        # -2.7e-7) is not yet signed: the square's enclosure starts at 0
+        iv = cli._coordinate("(pi-355/113)^2", cli._Budget()).enclosure(0)
+        assert (iv.lo, iv.hi, iv.scale) == (0, 1, 0)
 
     @pytest.mark.parametrize("text", [
         "2^3^2", "2^1.5", "2^pi", "2^0x2", "1_0", "0x10", "1/0", "pi(1)",
@@ -261,6 +270,14 @@ class TestCond:
         assert r.exit_code == 2
         assert "bits" in r.output
 
+    def test_largest_power_of_pi(self, runner):
+        r = runner.invoke(main, ["cond", "sqrt", "pi^361"])
+        assert r.exit_code == 0, r.output
+        assert "kappa_tilde = 1.5" in r.output
+        r = runner.invoke(main, ["cond", "sqrt", "pi^362"])
+        assert r.exit_code == 2
+        assert "bits" in r.output
+
     @pytest.mark.parametrize("point", ["pi^10000", "(pi^300)^300*(pi^300)^300*(pi^300)^300"])
     def test_oversized_certified_power_is_a_prompt_usage_error(self, runner, point):
         # an enclosure of pi^j raises a (b + 8j)-bit endpoint to the j-th power
@@ -282,6 +299,22 @@ class TestCond:
         assert time.perf_counter() - t0 < 2
         assert r.exit_code == 2
         assert "bits" in r.output
+
+    @pytest.mark.parametrize("point", ["(pi*1e-40)^300", "pi*1e-5000",
+                                       "((((13/78)/(pi))^5-pi)*((pi*9*pi)*((-(27/23))*(1e-327))))^300"])
+    def test_coordinate_too_small_to_sign_is_a_prompt_usage_error(self, runner, point):
+        # its price bounds it below 2^-16384, the widest that CertifiedReal.sign
+        # refines to, so its sign would end in PrecisionError after seconds
+        t0 = time.perf_counter()
+        r = runner.invoke(main, ["cond", "sqrt", "--", point])
+        assert time.perf_counter() - t0 < 1
+        assert r.exit_code == 2
+        assert "too small to sign" in r.output
+
+    def test_small_coordinate_within_the_sign_width_answers(self, runner):
+        r = runner.invoke(main, ["cond", "sqrt", "(pi*2^-50)^300"])
+        assert r.exit_code == 0, r.output
+        assert "kappa_tilde = 1.5" in r.output
 
     def test_certified_products_within_the_budget_parse(self):
         pt = parse_point("pi^300*pi^300, 2/(pi-3)*5, (pi^100)^100/pi, -(1/pi)^300*2^3000")

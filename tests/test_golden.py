@@ -45,6 +45,12 @@ The ``exp_ends`` and ``exp_iv`` enclosures of exponents with |w| in [1/4,
 1.2] and the distances on rational ratios far from 1 were taken at the
 commit before the exp reduction by n ln 2 and the log of a ratio ran on
 endpoint integers, before any source file of that change was edited.
+The Strassen table at t = 150, whose samples all take the 176-bit
+fallback (t + 32 is not below 176), the point-expression outcomes and the
+``kappa_sampled`` reports that leave the domain, run on one radius or fall
+back from boxes were taken at the commit before certified values recorded
+their operation and ``reals.price`` replaced the CLI's model of certified
+arithmetic, before any source file of that change was edited.
 Any later change that moves a single byte of these outputs fails here.
 """
 
@@ -57,8 +63,9 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import random_point
+from stabilis import cli
 from stabilis.amenability import amenability_probe
-from stabilis.catalog import catalog_function
+from stabilis.catalog import catalog_function, compose
 from stabilis.cli import main
 from stabilis.condition import kappa_sampled
 from stabilis.harness import sine_experiment
@@ -83,6 +90,8 @@ GOLDEN = {
         "27bbc171e18be50a3755a6ee1fd6cdfb564bded52c58b603d0affff30f9a6f33",
     ("strassen", "--eps", "1e-320", "1e-150", "--n-eps", "5", "--samples", "20", "--seed", "5"):
         "d542519265d878536cd37bc45a463699e1f2272bde884e111c50bfe0a238ae4a",
+    ("strassen", "-t", "150", "--n-eps", "6", "--samples", "50", "--seed", "5"):
+        "bc40b2502cb79a558f7ea12711d201bbc50de970172858e79a0d54e1347d1d55",
     ("sine", "--k-max", "100"):
         "bf5ab5674d456975bace8fa3785906d9124e8839ac3c68402726c3c563333ec6",
     ("cond", "--method", "jacobian", "strassen_h", "1,2,3,4,5,6,7,8"):
@@ -365,3 +374,117 @@ def test_rational_distances_unchanged():
     dists = [(rel_dist(x, y), rel_dist(x, y, bits=336), abs_dist(x, y)) for x, y in _ratio_points("rel-pins")]
     scaled = [tuple(map(_iv_repr, scaled_dists(xs, ys, k))) for xs, ys, k in _scaled_cases("scaled-pins")]
     assert (_sha(repr(dists)), _sha(repr(scaled))) == REL_DISTS
+
+
+def _expression(rng: random.Random, depth: int) -> tuple[str, float, float]:
+    """(text, lg, top) of a seeded point expression nested at most ``depth``
+    deep: pi, small rationals and decimals, 2^k for |k| <= 64, + - * /, unary
+    minus, and integer powers, mostly with |j| <= 3 and now and then 400 <=
+    |j| <= 1200, which the budget refuses on a certified base.  lg is a rough
+    log2 of the magnitude that ignores cancellation, and top the largest lg
+    of the expression and its parts."""
+    if depth == 0 or rng.random() < 0.2:
+        kind = rng.randrange(4)
+        if kind == 0:
+            text, lg = "pi", math.log2(math.pi)
+        elif kind == 1:
+            p, q = rng.randint(1, 99), rng.randint(1, 99)
+            text, lg = f"{p}/{q}", math.log2(p / q)
+        elif kind == 2:
+            k = rng.randint(-64, 64)
+            text, lg = f"2^{k}", k
+        else:
+            d, e = rng.randint(0, 20), rng.randint(-5, 5)
+            text, lg = f"{d}e{e}", math.log2(d) + e * math.log2(10) if d else 0
+        return text, lg, lg
+    a, la, ta = _expression(rng, depth - 1)
+    kind = rng.random()
+    if kind < 0.12:
+        return f"-({a})", la, ta
+    if kind < 0.3:
+        j = rng.randint(-3, 3) if rng.random() < 0.9 else rng.choice((-1, 1)) * rng.randint(400, 1200)
+        return f"({a})^{j}", j * la, max(ta, j * la)
+    c, lc, tc = _expression(rng, depth - 1)
+    op = rng.choice("+-*/")
+    lg = {"+": max(la, lc), "-": max(la, lc), "*": la + lc, "/": la - lc}[op]
+    return f"({a}){op}({c})", lg, max(ta, tc, lg)
+
+
+def point_expressions(seed: str, n: int) -> list[str]:
+    """n seeded points of one or two coordinates from :func:`_expression` at
+    depth 5.  Each coordinate's rough magnitude is above 2**-15000, since the
+    CLI refuses a certified coordinate below 2**-16384, which it cannot
+    sign; and none of its parts is above 2**4096, whose products would
+    take seconds."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        coords = [_expression(rng, 5) for _ in range(rng.randint(1, 2))]
+        if all(lg > -15000 and top < 4096 for _, lg, top in coords):
+            out.append(",".join(text for text, _, _ in coords))
+    return out
+
+
+def point_outcome(text: str) -> list[str]:
+    """The coordinates of a point as the CLI reads them, before their signs
+    are taken: each rational's parts and each certified value's (lo, hi,
+    scale) at 0, 64 and 256 bits, in hex, up to the first ExprError message
+    or the name of the first other error."""
+    budget = cli._Budget()
+    out = []
+    for part in text.split(","):
+        try:
+            v = cli._coordinate(part, budget)
+        except cli.ExprError as e:
+            return out + [str(e)]
+        except (ArithmeticError, ValueError) as e:
+            return out + [type(e).__name__]
+        if isinstance(v, Fraction):
+            out.append(f"{v.numerator:x}/{v.denominator:x}")
+            continue
+        for bits in (0, 64, 256):
+            try:
+                iv = v.enclosure(bits)
+            except (ArithmeticError, ValueError) as e:
+                out.append(type(e).__name__)
+                break
+            out.append(f"{iv.lo:x} {iv.hi:x} {iv.scale}")
+    return out
+
+
+# SHA-256 of repr of the point_outcome of 400 seeded point expressions
+POINT_EXPRESSIONS = "0c373787280b320c1a3d15abb41b132f83d36b165ed57d1e7405765d956c1be4"
+
+
+def test_point_expression_outcomes_unchanged():
+    outcomes = [point_outcome(text) for text in point_expressions("point-expressions", 400)]
+    assert _sha(repr(outcomes)) == POINT_EXPRESSIONS
+
+
+# SHA-256 of repr(kappa_sampled(...)) with 32 directions at seed 3, on paths
+# that no other report takes: probes that leave sqrt's domain near a zero
+# sum, a schedule of one radius, and a map of two coordinates that does not
+# run on boxes (sin raises TypeError on an Interval)
+SAMPLED_PATHS = {
+    "domain": ("sqrt", (1, Fraction(-9999, 10000)), (Fraction(1, 1000), Fraction(1, 10000)),
+               "31dabe3e1625737a4381539fb74af8394ce03b7d6fd05cf066db9d6170a54e08"),
+    "one radius": ("sqrt", (1, 2), (Fraction(1, 1000),),
+                   "35ac0cbe8af2028fba99958f81d2c55f3b13c026f4e888f5983686cee95b57ee"),
+    "no boxes": ("sin", (1, 2), (Fraction(1, 1000), Fraction(1, 10000)),
+                 "9dca1595d3c21d0e44fc69594f4ef4dca024614b9a416e59875c94b2ca2d1a14"),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(SAMPLED_PATHS))
+def test_sampled_paths_unchanged(tag):
+    g, x, radii, digest = SAMPLED_PATHS[tag]
+    f = compose(catalog_function(g), catalog_function("summation", k=2))
+    rep = kappa_sampled(f, RelPoint(x), radii=radii, n_dirs=32, seed=3)
+    assert (rep.domain_failures > 0) == (tag == "domain")
+    if tag == "one radius":  # kappa is the one level's estimate, unconverged
+        assert not rep.converged
+    if tag == "no boxes":  # a rational x, two coordinates and no domain: boxes are tried first
+        assert not f.restricts
+        with pytest.raises(TypeError):
+            f.exact((Interval(1, 2, 0), Interval(1, 2, 0)))
+    assert _sha(repr(rep)) == digest

@@ -1,6 +1,7 @@
 """Certified enclosures checked against an independent implementation (mpmath)."""
 
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stabilis import reals
 from stabilis.reals import (
     _LN2_Q128,
     CertifiedReal,
@@ -22,6 +24,7 @@ from stabilis.reals import (
     nth_root_fraction,
     pi_iv,
     pi_real,
+    price,
     real_sign,
     refine,
     sin_iv,
@@ -361,6 +364,69 @@ class TestCertifiedReal:
         assert real_sign(Fraction(-2, 7)) == -1
         assert real_sign(Fraction(0)) == 0
         assert real_sign(pi_real()) == 1
+
+
+# Point expressions as trees: ("pi",), ("q", rational), (op, operand, ...).
+# Divisors and negative-power bases are "safe": products and powers of pi
+# and of rationals in [1/8, 8], so no sign refinement widens what they ask.
+_EXPONENTS = st.integers(-3, 3).filter(bool)
+_LEAVES = st.just(("pi",)) | st.fractions(Fraction(1, 8), Fraction(8), max_denominator=64).map(lambda q: ("q", q))
+_SAFE = st.recursive(_LEAVES, lambda t: st.tuples(st.just("mul"), t, t) | st.tuples(st.just("pow"), t, _EXPONENTS),
+                     max_leaves=4)
+_TREES = st.recursive(
+    _LEAVES | st.fractions(-100, 100, max_denominator=1000).map(lambda q: ("q", q)),
+    lambda t: (st.tuples(st.sampled_from(["add", "sub", "mul"]), t, t) | st.tuples(st.just("neg"), t)
+               | st.tuples(st.just("div"), t, _SAFE) | st.tuples(st.just("pow"), t, st.integers(0, 3))
+               | st.tuples(st.just("pow"), _SAFE, st.integers(-3, -1))),
+    max_leaves=8)
+
+
+def _build(tree):
+    kind, *args = tree
+    if kind == "pi":
+        return pi_real()
+    if kind == "q":
+        return args[0]
+    if kind == "neg":
+        return -_build(args[0])
+    if kind == "pow":
+        return _build(args[0]) ** args[1]
+    return {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}[kind](
+        _build(args[0]), _build(args[1]))
+
+
+class TestPrice:
+    @settings(derandomize=True, max_examples=150)
+    @given(_TREES)
+    def test_price_bounds_the_widths_asked_of_pi(self, tree):
+        """An enclosure at b asks pi at most b + depth bits, the price's depth,
+        when no divisor or negative-power base is near zero."""
+        v = _build(tree)
+        if not isinstance(v, CertifiedReal):
+            return
+        depth = price(v, {}).depth
+        for b in (8, 64, 256):
+            asked = []
+
+            def recording(bits):
+                asked.append(bits)
+                return pi_iv(bits)
+
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(reals, "pi_iv", recording)
+                fresh = _build(tree)
+            fresh.enclosure(b)
+            assert max(asked) <= b + depth
+
+    def test_operations_are_recorded(self):
+        x = pi_real()
+        assert x.op == ("pi",)
+        assert (-x).op == ("neg", x)
+        assert (4 - x).op[0] == "add" and (4 - x).op[1].op == ("neg", x)
+        assert (x * 3).op == ("mul", x, 3) and (x ** -2).op == ("pow", x, -2)
+        assert (3 / x).op == ("div", 3, x)
+        assert price(x ** 2, {}) == (4, 3, 16, (2 * 18, 16))
+        assert price(1 / x, {}).mag is None
 
 
 class TestRefine:
