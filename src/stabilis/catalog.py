@@ -96,13 +96,19 @@ def _sqrt_mid(q: Fraction) -> Fraction:
 def _sum(terms: Sequence[ExactReal]) -> ExactReal:
     """Exact sum: over one common denominator when every term is a Fraction.
 
-    Otherwise left to right from 0: an enclosure's bits depend on the order
-    of the additions.
+    Otherwise left to right: an enclosure's bits depend on the order of the
+    additions.  The sum starts from 0, or from the first term when that is
+    an Interval (``exact`` on a box), as 0 plus an Interval is that
+    Interval; 0 plus a certified real is a new certified real, not the term.
     """
-    if all(isinstance(t, Fraction) for t in terms):
+    out: ExactReal | Interval
+    if terms and isinstance(terms[0], Interval):
+        out, terms = terms[0], terms[1:]
+    elif all(isinstance(t, Fraction) for t in terms):
         nums, den = _over_lcm(terms)
         return Fraction(sum(nums), den)
-    out: ExactReal = Fraction(0)
+    else:
+        out = Fraction(0)
     for t in terms:
         out = out + t
     return out

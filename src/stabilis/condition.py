@@ -11,7 +11,10 @@ distances (:func:`dist_bounds`, over rational, interval and certified-real
 coordinates), most random probes before they are built (from enclosures
 of their step factors and ``exact`` on the box they span), and computes
 the exact 192-bit distances only for a probe whose ratio could raise the
-running sup, so its reports are those of the exact computation.
+running sup, so its reports are those of the exact computation.  A call
+builds, evaluates and measures each distinct probe point once per radius
+(on one coordinate the random probes repeat a few points), and reads x,
+f(x) and the unit step factors for the float bounds once.
 
 The spectral norm is certified: the largest eigenvalue of the exact
 integer Gram matrix is bracketed by Rayleigh quotients from below and by
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -38,7 +42,6 @@ from .relmetric import (
     RelPoint,
     factor_bounds,
     rel_dist,
-    rel_step,
     sample_bits,
     step_factors,
     step_stream,
@@ -207,27 +210,37 @@ CERT_BITS = DIST_BITS + 8
 BOX_PATIENCE = 4
 
 
-def _magnitude(c) -> tuple[int, int, int, int] | None:
-    """(sign, lo, hi, den) with |c| in [lo, hi] / den, for a rational, an
-    Interval or a CertifiedReal (its enclosure at CERT_BITS); None when the
-    enclosure leaves the sign open."""
-    if isinstance(c, CertifiedReal):
+def _magnitude(c) -> tuple[int, int, int, int, bool] | None:
+    """(sign, lo, hi, den, certified) with |c| in [lo, hi] / den, for a
+    rational, an Interval or a CertifiedReal (its enclosure at CERT_BITS);
+    None when the enclosure leaves the sign open."""
+    certified = isinstance(c, CertifiedReal)
+    if certified:
         c = c.enclosure(CERT_BITS)
     elif not isinstance(c, Interval):  # isinstance on Fraction, an ABC, is slow
         n = c.numerator
-        return (n > 0) - (n < 0), abs(n), abs(n), c.denominator
+        return (n > 0) - (n < 0), abs(n), abs(n), c.denominator, False
     lo, hi, s = c.lo, c.hi, c.scale
     if lo <= 0 <= hi and (lo or hi):
         return None
     sign = (lo > 0) - (hi < 0)
     if sign < 0:
         lo, hi = -hi, -lo
-    return (sign, lo, hi, 1 << s) if s >= 0 else (sign, lo << -s, hi << -s, 1)
+    return (sign, lo, hi, 1 << s, certified) if s >= 0 else (sign, lo << -s, hi << -s, 1, certified)
+
+
+class _Magnitudes(tuple):
+    """A side of :func:`dist_bounds` read once: its coordinates' :func:`_magnitude`."""
+
+
+def _read(side) -> Iterable:
+    return side if isinstance(side, _Magnitudes) else map(_magnitude, side)
 
 
 def dist_bounds(x: Iterable, y: Iterable) -> tuple[float, float] | None:
     """Floats lo <= rel_dist(x, y) <= hi, or None, for x and y of one
-    dimension (RelPoints or sequences of coordinates).
+    dimension (RelPoints or sequences of coordinates; a side that a caller
+    passes on every call it may read once into a ``_Magnitudes``).
 
     A coordinate is a Fraction, an integer Interval, which stands for every
     rational in it (the bounds hold for each such point), or a CertifiedReal.
@@ -278,19 +291,18 @@ def dist_bounds(x: Iterable, y: Iterable) -> tuple[float, float] | None:
     """
     ss_lo = ss_hi = top_lo = top_hi = 0.0
     n = 0
-    for a, b in zip(x, y):
+    for ea, eb in zip(_read(x), _read(y)):
         n += 1
-        ea, eb = _magnitude(a), _magnitude(b)
         if ea is None or eb is None or ea[0] != eb[0]:
             return None
-        sign, alo, ahi, ad = ea
-        _, blo, bhi, bd = eb
+        sign, alo, ahi, ad, a_cert = ea
+        _, blo, bhi, bd, b_cert = eb
         if not sign:
             continue
-        if isinstance(a, CertifiedReal) or isinstance(b, CertifiedReal):
+        if a_cert or b_cert:
             # rel_dist's certified path: each side below 2**-128 relative width
-            for c, (_, c_lo, c_hi, c_den) in ((a, ea), (b, eb)):
-                if isinstance(c, CertifiedReal):
+            for _, c_lo, c_hi, c_den, certified in (ea, eb):
+                if certified:
                     wide = (c_hi - c_lo) << 128 > c_lo
                 else:  # enclosed at 200 bits: at least 2**-72 in size
                     wide = c_lo << 72 < c_den
@@ -346,7 +358,7 @@ def kappa_sampled(
     with more than one nonzero coordinate, a map defined everywhere and
     r <= 1, a random probe is first decided unbuilt: its distance to x is
     bounded from the enclosures of its step factors (:func:`factor_bounds`
-    at BOX_BITS, which hold the factors ``rel_step`` would apply) against
+    at BOX_BITS, which hold the factors ``step_factors`` would give) against
     1, and f's from ``f.exact`` on the box of its coordinates
     (:meth:`RelPoint.box`).  A map that does not run on boxes raises
     TypeError, and the call then builds every probe; after BOX_PATIENCE
@@ -358,6 +370,14 @@ def kappa_sampled(
     probe points and not at the other).  Every other probe (flat ratios
     that tie the sup, undecided signs) is built and measured exactly, so
     the report is the exact computation's, bit for bit.
+
+    Each distinct probe point is built, evaluated by ``f.exact`` and
+    measured at most once per radius: on one coordinate every random
+    direction is +1 or -1, so the random probes repeat a few points.  A
+    repeat's ratio is already in the sup; a point where f fails counts in
+    ``domain_failures`` at every repeat, as a probe.  The sides that every
+    float bound reads again, x, f(x) and the unit factors that the box
+    bounds compare with, are read once per call.
     """
     radii = [Fraction(r) for r in radii]
     if not radii or radii[-1] <= 0 or any(a <= b for a, b in zip(radii, radii[1:])):
@@ -365,7 +385,14 @@ def kappa_sampled(
     fx = RelPoint(f.exact(x.coords))
     chi = x.chi()
     m = len(chi)
-    ones = (Fraction(1),) * m
+    ones = _Magnitudes(map(_magnitude, (Fraction(1),) * m))
+    # x and f(x) are read for dist_bounds where it first meets them, after a
+    # probe was measured: rel_dist has enclosed x, and f(x) unless f left
+    # its sign pattern, at CERT_BITS, so the read adds no enclosure (an
+    # earlier one could serve a narrower request on x, as sample_bits', and
+    # move the bits it gives)
+    side = cache(lambda p: _Magnitudes(map(_magnitude, p)))
+
     # random probes decided on boxes: f defined everywhere, x rational, and
     # more than one coordinate (a one-coordinate probe costs no more to
     # build than to decide on a box)
@@ -378,12 +405,16 @@ def kappa_sampled(
         probe_logs: list[list[float]] = []
         # built probes the float bounds left undecided, and whether one was decided
         undecided, decided = 0, False
+        # each point this level has built, keyed by its scaled coordinates and
+        # step factors: 1 if f failed there, else 0 (its ratio is in best; a
+        # later level measures a point again, against its own sup)
+        seen: dict[tuple, int] = {}
 
         def below(bxy: tuple[float, float] | None, fys) -> bool:
             """Whether a probe at a distance within bxy of x, with f-values
             fys, has a ratio certainly below the positive sup (or the sup is
             infinite)."""
-            if bxy is None or (bff := dist_bounds(fx, fys)) is None:
+            if bxy is None or (bff := dist_bounds(side(fx), fys)) is None:
                 return False
             try:
                 fb = float(best)  # correctly rounded; inf for an infinite sup
@@ -393,15 +424,27 @@ def kappa_sampled(
             # fb * bxy[0] is under best * bxy[0]
             return fb == math.inf or (fb > 2.0**-900 and bff[1] < fb * bxy[0] * (1 - 2.0**-40))
 
-        def measure(y: RelPoint):
+        def measure(idx: tuple[int, ...], factors: list[tuple[int, int]]) -> RelPoint | None:
+            """Measure the probe x.scaled(idx, factors) into best, and return
+            f there (None when f fails or the probe's distance is 0 or
+            infinite).  A repeat of a point is neither built nor measured
+            again; it counts its failure again and returns None (the axis
+            probes, which read f, come first and are distinct)."""
             nonlocal best, failures, undecided, decided
+            key = (idx, *factors)
+            if key in seen:
+                failures += seen[key]
+                return None
+            y = x.scaled(idx, factors)
             try:
                 fy = RelPoint(f.exact(y.coords))
             except (DomainError, ZeroDivisionError):
                 failures += 1
+                seen[key] = 1
                 return None
+            seen[key] = 0
             if best > 0 and (decided or undecided < BOX_PATIENCE):
-                if below(dist_bounds(x, y), fy):
+                if below(dist_bounds(side(x), y), fy):
                     decided = True
                     return fy
                 undecided += 1
@@ -415,17 +458,17 @@ def kappa_sampled(
             return fy
 
         # axis probes double as local-map estimation; each scales one
-        # coordinate by rel_step's factor exp(r) or exp(-r), taken once
+        # coordinate by the step factor exp(r) or exp(-r), taken once
         up, down = step_factors([1], r, bits), step_factors([1], -r, bits)
         for i in chi:
-            fy = measure(x.scaled((i,), up))
+            fy = measure((i,), up)
             if fy is not None and fy.pattern == fx.pattern:
                 col = [
                     _float_log_ratio(a, b) / float(r)
                     for a, b in zip(fy.coords, fx.coords)
                 ]
                 probe_logs.append(col)
-            measure(x.scaled((i,), down))
+            measure((i,), down)
         # refined direction from the probe matrix
         if len(probe_logs) == m and m > 1:
             L = np.array(probe_logs, dtype=float).T  # out_dim x m
@@ -438,8 +481,8 @@ def kappa_sampled(
                         break
                     v = w / nw
                 wfr = [Fraction(float(c)).limit_denominator(10**12) for c in v]
-                measure(rel_step(x, wfr, r, chi, bits))
-                measure(rel_step(x, wfr, -r, chi, bits))
+                measure(chi, step_factors(wfr, r, bits))
+                measure(chi, step_factors(wfr, -r, bits))
         # an all-zero x has no random probe: each would be x, at distance 0
         n_random = max(8, n_dirs - 2 * m - 1) if m else 0
         misses = 0  # box attempts in a row that did not decide their probe
@@ -455,7 +498,7 @@ def kappa_sampled(
                         misses = 0
                         continue
                     misses += 1
-            measure(rel_step(x, v, rho, chi, bits))
+            measure(chi, step_factors(v, rho, bits))
         estimates.append(best)
 
     kappa: ExtReal

@@ -615,18 +615,19 @@ class CertifiedReal:
             # a reciprocal needs its base's sign, so that is refined until certain
             w = b + power_bits(j)
             iv = signed_interval(self, w) if j < 0 else self.enclosure(w)
-            lo, hi = iv.lower(), iv.upper()
-            cands = [lo ** abs(j), hi ** abs(j)]
-            vlo, vhi = min(cands), max(cands)
-            if j % 2 == 0 and lo < 0 < hi:
-                vlo = Fraction(0)
-            if j < 0:
-                if vlo <= 0 <= vhi:
-                    raise ZeroDivisionError("negative power of an enclosure touching zero")
-                vlo, vhi = 1 / vhi, 1 / vlo
-            a = Interval.from_fraction(vlo, b)
-            c = Interval.from_fraction(vhi, b)
-            return Interval(a.lo, c.hi, b)
+            # the ends' powers, exact at scale sk, rounded outward to scale b
+            k = abs(j)
+            sk = k * iv.scale
+            lo, hi = sorted((iv.lo ** k, iv.hi ** k))
+            if k % 2 == 0 and iv.lo < 0 < iv.hi:
+                lo = 0
+            if j > 0:
+                return Interval(_shr_floor(lo, sk - b), _shr_ceil(hi, sk - b), b)
+            if lo <= 0 <= hi:
+                raise ZeroDivisionError("negative power of an enclosure touching zero")
+            t = sk + b  # the reciprocal of an end E at scale b is 2**t / E
+            n, lo, hi = 1 << max(t, 0), hi << max(-t, 0), lo << max(-t, 0)
+            return Interval(n // lo, -(-n // hi), b)
 
         return CertifiedReal(fn, ("pow", self, j))
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_point
-from stabilis import condition, relmetric
-from stabilis.catalog import catalog_function, compose, sqrt_real, strassen_input
+from stabilis import condition
+from stabilis.catalog import CatalogFunction, DomainError, catalog_function, compose, sqrt_real, strassen_input
 from stabilis.condition import (
     FLOAT_FLOOR,
     _dominates,
@@ -24,7 +24,16 @@ from stabilis.condition import (
 )
 from stabilis.fpcore import fl, to_exact
 from stabilis.reals import CertifiedReal, Interval, pi_real
-from stabilis.relmetric import BOX_BITS, RelPoint, factor_bounds, rel_dist, rel_step, sample_bits
+from stabilis.relmetric import (
+    BOX_BITS,
+    RelPoint,
+    factor_bounds,
+    rel_dist,
+    rel_step,
+    sample_bits,
+    step_factors,
+    step_stream,
+)
 from test_acceptance import CATALOG_FOR_CROSSCHECK
 
 rng = random.Random(91)
@@ -382,20 +391,20 @@ class TestFloatDecisions:
     def test_random_probes_are_decided_unbuilt(self, monkeypatch):
         """On strassen_h the built random probes fall 4-fold against the exact
         path; on norm2, whose outputs are certified reals, the exact distances
-        fall 2-fold."""
+        fall 2-fold.  A random probe is built from its step factors, which
+        one decided on its box never takes."""
         built, calls = [0], [0]
-        step, dist = relmetric.rel_step, condition.rel_dist
+        factors, dist = condition.step_factors, condition.rel_dist
 
-        def counted_step(x, v, *args, **kw):
-            built[0] += isinstance(v[0], float)  # random directions are floats, the refined one rational
-            return step(x, v, *args, **kw)
+        def counted_factors(v, *args):
+            built[0] += isinstance(v[0], float)  # random directions are floats, the axis and refined ones not
+            return factors(v, *args)
 
         def counted_dist(x, y):
             calls[0] += 1
             return dist(x, y)
 
-        for mod in (relmetric, condition):
-            monkeypatch.setattr(mod, "rel_step", counted_step, raising=False)
+        monkeypatch.setattr(condition, "step_factors", counted_factors)
         monkeypatch.setattr(condition, "rel_dist", counted_dist)
         h, n2 = catalog_function("strassen_h"), catalog_function("norm2", k=3)
         xh, xn = RelPoint.of(1, 2, 3, 4, 5, 6, 7, 8), RelPoint.of(Fraction(3, 2), -2, Fraction(17, 5))
@@ -413,6 +422,65 @@ class TestFloatDecisions:
         assert fast == exact
         assert 4 * built_fast <= built_exact
         assert 2 * dists_fast <= dists_exact
+
+
+class TestRepeatedProbes:
+    """On one coordinate every random direction is +1 or -1, so a call's
+    probes repeat a few points; each distinct point is measured once."""
+
+    RADII = (Fraction(1, 1000), Fraction(1, 10000))
+
+    @classmethod
+    def _probes(cls, x: RelPoint, n_dirs: int, seed: int) -> list[list[Fraction]]:
+        """Per level, the coordinate of every probe of a one-coordinate call,
+        repeats included: the two axis probes, then the random ones."""
+        out = []
+        for level, r in enumerate(cls.RADII):
+            bits = sample_bits(x, r)
+            steps = [([1], r), ([1], -r)] + list(step_stream(1, r, n_dirs - 3, seed + 7919 * level, sphere=True))
+            out.append([x.coords[0] * m * Fraction(2) ** e
+                        for v, rho in steps for m, e in step_factors(v, rho, bits)])
+        return out
+
+    def test_each_distinct_probe_is_measured_once(self, monkeypatch):
+        f, x = catalog_function("power", exponent=3), RelPoint.of(Fraction(13, 7))
+        pairs = []
+
+        def counted(a, b):
+            pairs.append((a.coords, b.coords))
+            return rel_dist(a, b)
+
+        monkeypatch.setattr(condition, "rel_dist", counted)
+        rep = kappa_sampled(f, x, radii=self.RADII, n_dirs=64, seed=1)
+        distinct = sum(len(set(level)) for level in self._probes(x, 64, 1))
+        # every probe ties the sup, so each distinct point is measured exactly;
+        # measuring each of the 126 probes took 252 distances on these 78 pairs
+        assert len(pairs) == len(set(pairs)) == 2 * distinct == 78
+        assert repr(rep) == ("ConditionReport(kappa=Fraction(3, 1), kappa_tilde=Fraction(4, 1), "
+                             "method='sampled', at=RelPoint(1.85714), converged=True, domain_failures=0)")
+
+    def test_domain_failures_count_repeated_probes(self):
+        top = Fraction(13, 7)
+
+        class UpTo(CatalogFunction):
+            """x -> x^2 + 1 on (0, top]."""
+
+            id, in_dim, out_dim = "up_to", 1, 1
+
+            def exact(self, xs):
+                if xs[0] > top:
+                    raise DomainError("above the top")
+                return (xs[0] ** 2 + 1,)
+
+            def in_domain(self, xs):
+                return xs[0] <= top
+
+        x = RelPoint.of(top)
+        rep = kappa_sampled(UpTo(), x, radii=self.RADII, n_dirs=64, seed=1)
+        above = [[c for c in level if c > top] for level in self._probes(x, 64, 1)]
+        assert sum(len(set(level)) for level in above) < sum(map(len, above))  # repeats fail again
+        assert rep.domain_failures == sum(map(len, above))
+        assert rep.kappa > 0
 
 
 def _ratios():

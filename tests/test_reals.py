@@ -341,6 +341,26 @@ class TestCertifiedReal:
         for bits in (0, 8, 200):
             assert contains(x.enclosure(bits), ref)
 
+    @settings(max_examples=300)
+    @given(st.integers(-2**90, 2**90), st.integers(0, 2**80), st.integers(-40, 120),
+           st.sampled_from([-5, -4, -3, -2, -1, 1, 2, 3, 4, 7]), st.integers(-10, 200))
+    def test_powers_round_the_ends_outward(self, lo, w, scale, j, bits):
+        """A power's enclosure is the exact power of the base's enclosure,
+        floored and ceiled at the asked scale (computed here in Fractions)."""
+        base = Interval(lo, lo + w, scale)
+        x = CertifiedReal(lambda b: base) ** j
+        ends = sorted(e ** abs(j) for e in (base.lower(), base.upper()))
+        if j % 2 == 0 and base.lo < 0 < base.hi:
+            ends[0] = Fraction(0)
+        if j < 0 and base.lo <= 0 <= base.hi:  # no width settles the sign, or the base is 0
+            with pytest.raises((PrecisionError, ZeroDivisionError)):
+                x.enclosure(bits)
+            return
+        if j < 0:
+            ends = [1 / ends[1], 1 / ends[0]]
+        iv, unit = x.enclosure(bits), Fraction(2) ** bits
+        assert (iv.lo, iv.hi, iv.scale) == (math.floor(ends[0] * unit), math.ceil(ends[1] * unit), bits)
+
     def test_sign_of_exact_zero_rejected(self):
         z = CertifiedReal(lambda b: Interval(-1, 1, b))
         with pytest.raises(PrecisionError):
